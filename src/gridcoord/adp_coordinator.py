@@ -25,8 +25,8 @@ from .powerflow_models import (DEFAULT_INTERFACE_RATING, PolyhedralModel,
                                attach_quadratic_cost, build_dc_model,
                                build_dso_model, normalize_model_kind,
                                pin_coupling)
-from .projection import (EmptyRegion, Polyhedron, ROW_CAP_DEFAULT,
-                         RowExplosion, coupling_region)
+from .projection import (EmptyRegion, Polyhedron, RowExplosion,
+                         coupling_region)
 from .value_function import (DEFAULT_SAMPLES, QuadraticValueFn, fit_quadratic,
                              sample_value_function)
 
@@ -64,7 +64,6 @@ class AdpConfig:
     tol_renegotiate: float = DEFAULT_RENEGOTIATE_TOL
     disagg_model_kind: str | None = None
     interface_rating: float = DEFAULT_INTERFACE_RATING
-    row_cap: int = ROW_CAP_DEFAULT
     solver_tol: float = SOLVER_TOL
 
     def __post_init__(self):
@@ -158,8 +157,7 @@ def _skeleton_cost(model: PolyhedralModel, x: np.ndarray) -> float:
 
 
 def backward_sweep(part, model_kind: str, value_mode: str = "quadratic",
-                   n_samples: int = DEFAULT_SAMPLES, seed: int = 0,
-                   *, row_cap: int = ROW_CAP_DEFAULT):
+                   n_samples: int = DEFAULT_SAMPLES, seed: int = 0):
     """Per-DSO region projection and surrogate fit; one upload round.
 
     Returns (packages, comm_log).  DSO k samples with seed + k so the
@@ -175,7 +173,7 @@ def backward_sweep(part, model_kind: str, value_mode: str = "quadratic",
     for k, (case, link) in enumerate(zip(part.dsos, part.links)):
         try:
             model = build_dso_model(case, link, model_kind)
-            region = coupling_region(model, row_cap=row_cap)
+            region = coupling_region(model)
             if region.is_marked_empty:
                 raise EmptyRegion("interface region is empty")
             if value_mode == "zero":
@@ -286,8 +284,7 @@ def run_fp_adp(part, config: AdpConfig = AdpConfig()) -> AdpResult:
 
     t = time.perf_counter()
     packages, log = backward_sweep(part, model_kind, config.value_mode,
-                                   config.n_samples, config.seed,
-                                   row_cap=config.row_cap)
+                                   config.n_samples, config.seed)
     timings["backward_sweep"] = time.perf_counter() - t
 
     t = time.perf_counter()

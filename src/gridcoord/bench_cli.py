@@ -10,8 +10,7 @@ Subcommands
 
 Exit codes: 0 success, 2 declared infeasibility / non-convergence /
 empty region, 1 anything else.  Logging level via GRIDCOORD_LOG
-(error, info, debug).  --threads is accepted for interface stability;
-execution is serial.
+(error, info, debug).
 
 Timing convention: every "comp time" is the coordination stage only
 (centralized solve, consensus iteration loop, or forward dispatch +
@@ -88,7 +87,6 @@ class RunConfig:
     max_iter: int = DEFAULT_MAX_ITER
     nu: float = 1.0
     out: str = "."
-    threads: int = 1
 
     def public_dict(self) -> dict:
         doc = asdict(self)
@@ -377,8 +375,6 @@ def _build_parser() -> _Parser:
                        metavar="[TSOBUS[:ROOTBUS]=]FILE",
                        help="feeder case file; repeatable")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--threads", type=int, default=1,
-                       help="accepted for compatibility; execution is serial")
 
     run = sub.add_parser("run", help="run one method")
     run.add_argument("method", choices=METHODS)
@@ -419,11 +415,6 @@ def _to_config(args) -> RunConfig:
                 raise ValueError(
                     f"--{flag.replace('_', '-')} is not valid for "
                     f"method {method!r}")
-    if args.threads < 1:
-        raise ValueError("--threads must be at least 1")
-    if args.threads > 1:
-        logger.info("threads=%d requested; execution is serial",
-                    args.threads)
 
     def pick(name, default):
         value = getattr(args, name, None)
@@ -446,7 +437,6 @@ def _to_config(args) -> RunConfig:
         max_iter=pick("max_iter", DEFAULT_MAX_ITER),
         nu=pick("nu", 1.0),
         out=args.out,
-        threads=args.threads,
     )
 
 

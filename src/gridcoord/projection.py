@@ -5,10 +5,9 @@ polytope on the interface coordinates (p_if, q_if, nu_if).  This module
 computes that shadow exactly with Fourier-Motzkin elimination, kept tractable
 by two measures: variables pinned down by equality rows are eliminated by
 substitution (no row growth), and genuine cross-product eliminations are
-followed by redundancy pruning: one convex hull of the polar dual when a
-strictly interior point is known and no equality rows remain, LP passes
-(output-sensitive Clarkson pruning, then one exact LP per row) otherwise.  It
-also provides membership tests, feasibility lifting back to full model
+followed by redundancy pruning with one convex hull of the polar dual on the
+equality set (one exact LP per row only for flat or high-dimensional input).
+It also provides membership tests, feasibility lifting back to full model
 vectors, axis slicing, and 2-D vertex enumeration for polygon export.
 
 Polyhedra are stored in pure inequality form A x <= b; an equality is carried
@@ -36,7 +35,7 @@ _PAIR_TOL = 1e-9       # match threshold for equality pair detection
 
 
 class RowExplosion(RuntimeError):
-    """Intermediate row count exceeded the configured cap."""
+    """Intermediate row count exceeded ROW_CAP_DEFAULT."""
 
 
 class EmptyRegion(ValueError):
@@ -108,8 +107,7 @@ def contains(poly: Polyhedron, point, slack: float = 1e-9) -> bool:
     return bool(np.all(poly.A @ point <= poly.b + slack))
 
 
-def eliminate_variable(poly: Polyhedron, col: int,
-                       row_cap: int = ROW_CAP_DEFAULT) -> Polyhedron:
+def eliminate_variable(poly: Polyhedron, col: int) -> Polyhedron:
     """Fourier-Motzkin elimination of one column; exact projection."""
     if not 0 <= col < poly.dim:
         raise ValueError(f"column {col} out of range")
@@ -123,8 +121,8 @@ def eliminate_variable(poly: Polyhedron, col: int,
     zero = ~(pos | neg)
     A_rest = np.delete(poly.A, col, axis=1)
     n_new = int(pos.sum()) * int(neg.sum()) + int(zero.sum())
-    if n_new > row_cap:
-        raise RowExplosion(f"{n_new} rows would exceed cap {row_cap}")
+    if n_new > ROW_CAP_DEFAULT:
+        raise RowExplosion(f"{n_new} rows would exceed cap {ROW_CAP_DEFAULT}")
     parts_A = [A_rest[zero]]
     parts_b = [poly.b[zero]]
     if pos.any() and neg.any():
@@ -172,20 +170,14 @@ def _dedupe(A, b):
     return A[idx], b[idx]
 
 
-def _lp_max_witness(a, A_in, b_in, A_eq, b_eq, tol=1e-10):
-    """(status, max a.x over the system, maximizer), +inf when unbounded."""
+def _lp_max(a, A_in, b_in, A_eq, b_eq, tol=1e-10):
+    """(status, max a.x over the system), +inf when unbounded."""
     n = a.size
     qp = QuadraticProgram(np.zeros((n, n)), -a, A_in, b_in, A_eq, b_eq)
     sol = solve_qp(qp, tol=tol)
     if sol.status in (UNBOUNDED, INFEASIBLE, MAX_ITER):
-        return sol.status, np.inf, sol.x
-    return sol.status, -sol.objective, sol.x
-
-
-def _lp_max(a, A_in, b_in, A_eq, b_eq, tol=1e-10):
-    """(status, max a.x over the system), +inf when unbounded."""
-    status, val, _ = _lp_max_witness(a, A_in, b_in, A_eq, b_eq, tol)
-    return status, val
+        return sol.status, np.inf
+    return sol.status, -sol.objective
 
 
 def _interior_point(A_in, b_in, A_eq, b_eq, radius_cap=1e3):
@@ -229,116 +221,87 @@ def _prune_rows_exact(A_in, b_in, A_eq, b_eq):
     return active
 
 
-def _prune_rows_clarkson(A_in, b_in, A_eq, b_eq, z0):
-    """Output-sensitive survivor mask: each redundancy LP runs over the
-    known-essential rows only, and a witness that escapes row i is ray-shot
-    from the interior point to discover the facet it first crosses.
-
-    A row kept here may still be redundant (degenerate hits are resolved
-    conservatively); callers polish the survivors with the exact pass.
-    """
-    m = b_in.size
-    slack0 = b_in - A_in @ z0
-    essential = []
-    state = np.zeros(m, dtype=np.int8)  # 0 undecided, 1 essential, -1 dropped
-    for i in range(m):
-        if state[i]:
-            continue
-        while True:
-            trial_A = np.vstack([A_in[essential], A_in[i:i + 1]])
-            trial_b = np.concatenate([b_in[essential], [b_in[i] + 1.0]])
-            status, val, x_star = _lp_max_witness(
-                A_in[i], trial_A, trial_b, A_eq, b_eq)
-            if status == OPTIMAL and val <= b_in[i] + _KEEP_TOL:
-                state[i] = -1
-                break
-            if status != OPTIMAL or A_in[i] @ x_star <= b_in[i]:
-                # no usable witness; keep conservatively for the polish pass
-                state[i] = 1
-                essential.append(i)
-                break
-            d = x_star - z0
-            Ad = A_in @ d
-            crossing = Ad > 1e-12
-            t = slack0[crossing] / Ad[crossing]
-            k = int(np.flatnonzero(crossing)[np.argmin(t)])
-            if state[k] == 1:
-                state[i] = 1
-                essential.append(i)
-                break
-            state[k] = 1
-            essential.append(k)
-            if k == i:
-                break
-    return state >= 0
+# Qhull's facet count grows like m^floor(k/2) in the affine dimension k of the
+# polar points; the first FM steps of a feeder with nine generators sit at
+# k = 9..18 with 28..66 rows, where one exact LP per row is bounded by m.
+_HULL_MAX_DIM = 8
 
 
-def _prune_rows_hull(A_in, b_in, z0):
+def _prune_rows_hull(A_in, b_in, z0, A_eq):
     """Survivor mask from one convex hull of the polar dual, or None.
 
-    With y = x - z0 and slacks s_i = b_i - a_i.z0 > 0 the system reads
-    (a_i / s_i) . y <= 1.  Row i is irredundant iff its polar point a_i / s_i
-    is a vertex of conv({0} u polar points); the origin keeps the test exact
-    when the polyhedron is unbounded.  None when Qhull rejects the points (too few,
-    or all in a proper subspace, as for a polyhedron containing a line).
+    On the affine hull of the equalities, x = z0 + N y with N a nullspace
+    basis of A_eq, and with slacks s_i = b_i - a_i.z0 > 0 the system reads
+    (a_i N / s_i) . y <= 1.  Row i is irredundant iff its polar point
+    a_i N / s_i is a vertex of conv({0} u polar points); the origin keeps
+    the test exact when the polyhedron is unbounded.  A zero polar point is
+    a row constant on the affine hull, hence redundant.  The other points
+    are written in an orthonormal basis of their own span, so a lineality
+    space (a line inside the region) costs nothing.  Rank 1 is settled in
+    closed form; None when the rank exceeds `_HULL_MAX_DIM` or Qhull
+    rejects the points.
     """
-    polar = A_in / (b_in - A_in @ z0)[:, None]
+    N = np.eye(A_in.shape[1])
+    if A_eq is not None and A_eq.shape[0]:
+        _, sv, vt = np.linalg.svd(A_eq)
+        N = vt[np.count_nonzero(sv > 1e-9 * sv[0]):].T
+    AN = A_in @ N
+    keep = np.zeros(b_in.size, dtype=bool)
+    live = np.flatnonzero(np.abs(AN).max(axis=1, initial=0.0) > 1e-10)
+    if live.size == 0:
+        return keep
+    polar = AN[live] / (b_in - A_in @ z0)[live, None]
+    _, sv, vt = np.linalg.svd(polar, full_matrices=False)
+    k = int(np.count_nonzero(sv > 1e-9 * sv[0]))
+    y = polar @ vt[:k].T
+    if k == 1:
+        y = y[:, 0]
+        keep[live[np.argmax(y)]] |= y.max() > 0.0
+        keep[live[np.argmin(y)]] |= y.min() < 0.0
+        return keep
+    if k > _HULL_MAX_DIM:
+        return None
     try:
-        hull = ConvexHull(np.vstack([np.zeros(A_in.shape[1]), polar]))
+        hull = ConvexHull(np.vstack([np.zeros(k), y]))
     except QhullError:
         return None
-    vertex = np.zeros(b_in.size + 1, dtype=bool)
+    vertex = np.zeros(live.size + 1, dtype=bool)
     vertex[hull.vertices] = True
-    return vertex[1:]
+    keep[live] = vertex[1:]
+    return keep
 
 
-_CLARKSON_MIN_ROWS = 40
-
-
-def _prune_rows(A_in, b_in, A_eq, b_eq, *, z0=None, polish=True):
+def _prune_rows(A_in, b_in, A_eq, b_eq, *, z0=None):
     """Drop inequality rows implied by the rest of the system.
 
-    With a strictly interior point, no equality rows and at least two
-    columns, one convex hull of the polar dual settles every row at once.
-    Otherwise (or when Qhull rejects flat input) the LP passes decide:
-    output-sensitive Clarkson pruning above `_CLARKSON_MIN_ROWS` rows, then
-    one exact LP per surviving row.
-
-    `z0` is an optional strictly inequality-interior point (exact on the
-    equalities); it enables the hull test and spares the tall feasibility and
-    ball-inflation LPs.  `polish=False` accepts the Clarkson survivor set as
-    is, for intermediate elimination states whose rows are consumed right
-    away.
+    One convex hull of the polar dual on the equality set settles every row
+    at once (`_prune_rows_hull`).  It needs a strictly interior point: `z0`
+    when given (strictly inside the inequalities, exact on the equalities),
+    else one ball-inflation LP.  Only a system without an interior point
+    (after a feasibility check) or of polar rank above `_HULL_MAX_DIM` falls
+    to one exact LP per row.
     """
     A_in, b_in = _normalize(A_in, b_in)
     A_in, b_in, feasible = _drop_trivial(A_in, b_in)
     if not feasible:
         return A_in[:0], b_in[:0], False
     A_in, b_in = _dedupe(A_in, b_in)
-    m = b_in.size
-    if m == 0:
+    if b_in.size == 0:
         return A_in, b_in, True
-    if z0 is not None and (m == 0 or (b_in - A_in @ z0).min() <= 1e-9):
+    if z0 is not None and (b_in - A_in @ z0).min() <= 1e-9:
         z0 = None
     if z0 is None:
-        if m > _CLARKSON_MIN_ROWS:
-            cand, radius = _interior_point(A_in, b_in, A_eq, b_eq)
-            if cand is not None and radius > 1e-7:
-                z0 = cand
-        if z0 is None:
-            ok, _ = check_feasible(A_in, b_in, A_eq, b_eq, tol=1e-9)
-            if not ok:
-                return A_in[:0], b_in[:0], False
-    no_eq = A_eq is None or A_eq.shape[0] == 0
-    if z0 is not None and no_eq and A_in.shape[1] >= 2:
-        survivors = _prune_rows_hull(A_in, b_in, z0)
+        cand, radius = _interior_point(A_in, b_in, A_eq, b_eq)
+        if cand is not None and radius > 1e-7:
+            z0 = cand
+    if z0 is not None:
+        survivors = _prune_rows_hull(A_in, b_in, z0, A_eq)
         if survivors is not None:
             return A_in[survivors], b_in[survivors], True
-    if m > _CLARKSON_MIN_ROWS and z0 is not None:
-        survivors = _prune_rows_clarkson(A_in, b_in, A_eq, b_eq, z0)
-        A_in, b_in = A_in[survivors], b_in[survivors]
-        if not polish:
-            return A_in, b_in, True
+    else:
+        ok, _ = check_feasible(A_in, b_in, A_eq, b_eq, tol=1e-9)
+        if not ok:
+            return A_in[:0], b_in[:0], False
     active = _prune_rows_exact(A_in, b_in, A_eq, b_eq)
     return A_in[active], b_in[active], True
 
@@ -439,13 +402,12 @@ def _canonical(A, b):
     return A[order], b[order]
 
 
-def project_onto(poly: Polyhedron, keep, *, row_cap: int = ROW_CAP_DEFAULT,
-                 stats: dict = None) -> Polyhedron:
+def project_onto(poly: Polyhedron, keep, *, stats: dict = None) -> Polyhedron:
     """Exact projection onto the kept columns, in the order given.
 
     Columns fixed by equality rows are eliminated by substitution; the rest
-    fall to Fourier-Motzkin with redundancy pruning (see `_prune_rows`)
-    after each step.
+    fall to Fourier-Motzkin, each step followed by redundancy pruning (see
+    `_prune_rows`) around one interior point of the input.
     """
     keep = list(keep)
     if len(set(keep)) != len(keep):
@@ -498,14 +460,14 @@ def project_onto(poly: Polyhedron, keep, *, row_cap: int = ROW_CAP_DEFAULT,
             A_eq = np.delete(A_eq, j, axis=1)
             sub = Polyhedron(len(cols), np.column_stack([A_in]),
                              b_in, tuple(str(k) for k in cols))
-            sub = eliminate_variable(sub, j, row_cap=row_cap)
+            sub = eliminate_variable(sub, j)
             if sub.is_marked_empty:
                 return Polyhedron.empty(len(keep), labels)
             A_in, b_in = sub.A, sub.b
             if z_int is not None:
                 z_int = np.delete(z_int, j)
             A_in, b_in, feasible = _prune_rows(A_in, b_in, A_eq, b_eq,
-                                               z0=z_int, polish=False)
+                                               z0=z_int)
             if stats is not None:
                 stats["fm_steps"] += 1
         if not feasible:
@@ -556,11 +518,10 @@ def _substitute(A_eq, b_eq, A_in, b_in, pivot, j):
     return A_eq2, b_eq2, A_in2, b_in2, feasible
 
 
-def coupling_region(model, *, row_cap: int = ROW_CAP_DEFAULT,
-                    stats: dict = None) -> Polyhedron:
+def coupling_region(model, *, stats: dict = None) -> Polyhedron:
     """FOR of a single-interface model: shadow on (p_if, q_if, nu_if)."""
     cols = list(model.vmap.coupling_triple(0))
-    return project_onto(from_model(model), cols, row_cap=row_cap, stats=stats)
+    return project_onto(from_model(model), cols, stats=stats)
 
 
 def lift_point(model, z, slot: int = 0, tol: float = 1e-9):

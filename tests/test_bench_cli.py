@@ -97,18 +97,6 @@ class TestParsing:
         code = bc.main(["run", "centralized", "--dso", toy_files["dso"]])
         assert code == bc.EXIT_ERROR
 
-    def test_threads_must_be_positive(self, capsys):
-        code = bc.main(["run", "centralized", "--benchmark", "--threads",
-                        "0"])
-        assert code == bc.EXIT_ERROR
-        assert "threads" in capsys.readouterr().err
-
-    def test_extra_threads_accepted(self, toy_files, tmp_path):
-        code = bc.main(["run", "centralized",
-                        *toy_args(toy_files, "--threads", "4",
-                                  "--out", str(tmp_path))])
-        assert code == bc.EXIT_OK
-
     def test_unknown_log_level_warns_and_runs(self, toy_files, tmp_path,
                                               monkeypatch, capsys):
         monkeypatch.setenv("GRIDCOORD_LOG", "chatty")

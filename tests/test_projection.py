@@ -4,6 +4,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy.linalg import null_space
 
 from gridcoord import grid_model as gm
 from gridcoord import opt_core as oc
@@ -94,13 +95,14 @@ class TestEliminateVariable:
         assert np.array_equal(out.A, np.array([[1.0], [-1.0]]))
         assert np.array_equal(out.b, poly.b)
 
-    def test_row_explosion(self):
+    def test_row_explosion(self, monkeypatch):
+        monkeypatch.setattr(pj, "ROW_CAP_DEFAULT", 100)
         rng = np.random.default_rng(0)
         A = np.vstack([np.column_stack([np.ones(30), rng.normal(size=(30, 2))]),
                        np.column_stack([-np.ones(30), rng.normal(size=(30, 2))])])
         poly = pj.Polyhedron(3, A, rng.normal(size=60), ("x", "y", "z"))
         with pytest.raises(pj.RowExplosion):
-            pj.eliminate_variable(poly, 0, row_cap=100)
+            pj.eliminate_variable(poly, 0)
 
     def test_membership_matches_lifted_feasibility(self):
         rng = np.random.default_rng(7)
@@ -174,30 +176,39 @@ def assert_same_set(A, b, A_out, b_out, rng, half_width, n=500):
         assert pj.contains(before, p, 1e-9) == pj.contains(after, p, 1e-9)
 
 
+# (seed, equality rows); the equality-free cases keep their plain seed ids
+HULL_CASES = [pytest.param(seed, 0, id=str(seed)) for seed in range(5)] + [
+    pytest.param(seed, 1 + seed % 2, id=f"{seed}-eq{1 + seed % 2}")
+    for seed in range(5)]
+
+
 class TestHullPruning:
     @pytest.fixture
     def lp_forbidden(self, monkeypatch):
         def fail(*args, **kwargs):
             raise AssertionError("LP pruning pass used")
         monkeypatch.setattr(pj, "_prune_rows_exact", fail)
-        monkeypatch.setattr(pj, "_prune_rows_clarkson", fail)
 
     @pytest.mark.parametrize("bounded", [True, False])
-    @pytest.mark.parametrize("seed", range(5))
-    def test_matches_exact_lp_pass(self, seed, bounded):
+    @pytest.mark.parametrize("seed, n_eq", HULL_CASES)
+    def test_matches_exact_lp_pass(self, seed, n_eq, bounded):
         rng = np.random.default_rng(seed)
-        dim = 2 + seed % 3
+        dim = 2 + seed % 3 + n_eq  # affine dimension 2..4 after equalities
         A = rng.normal(size=(25, dim))
         if not bounded:
             A[:, 0] = -np.abs(A[:, 0])  # every row allows x0 -> +inf
         A, _ = pj._normalize(A, np.zeros(25))
         b = rng.uniform(0.5, 2.0, size=25)
         z0 = np.zeros(dim)
-        hull = pj._prune_rows_hull(A, b, z0)
-        exact = pj._prune_rows_exact(A, b, None, None)
+        A_eq = rng.normal(size=(n_eq, dim))
+        A_eq[:, 0] = 0.0  # x0 stays free on the equality set
+        b_eq = np.zeros(n_eq)
+        hull = pj._prune_rows_hull(A, b, z0, A_eq)
+        exact = pj._prune_rows_exact(A, b, A_eq, b_eq)
         np.testing.assert_array_equal(hull, exact)
         assert 0 < hull.sum() < 25
-        assert_same_set(A, b, A[hull], b[hull], rng, 4.0)
+        N = null_space(A_eq) if n_eq else np.eye(dim)
+        assert_same_set(A @ N, b, A[hull] @ N, b[hull], rng, 4.0)
         direction = np.eye(dim)[0]
         assert bounded == bool(np.any(A[hull] @ direction > 0))
 
@@ -206,32 +217,64 @@ class TestHullPruning:
         # x+y+z <= 3 touches the cube only at its (1,1,1) vertex
         A = np.vstack([cube.A, [[1.0, 1.0, 1.0]], [[2.0, 0.0, 0.0]]])
         b = np.concatenate([cube.b, [3.0, 2.0]])
-        hull = pj._prune_rows_hull(A, b, np.full(3, 0.5))
+        hull = pj._prune_rows_hull(A, b, np.full(3, 0.5), None)
         np.testing.assert_array_equal(hull, [True] * 6 + [False, False])
         A_out, b_out, feasible = pj._prune_rows(A, b, None, None,
                                                 z0=np.full(3, 0.5))
         assert feasible and b_out.size == 6
         assert_same_set(A, b, A_out, b_out, np.random.default_rng(3), 1.5)
 
-    def test_line_containing_falls_back_to_lp(self, monkeypatch):
+    def test_one_dimensional_keeps_tightest_bounds(self, lp_forbidden):
+        out = pj.remove_redundant(pj.Polyhedron(
+            1, np.array([[1.0], [1.0], [-1.0]]), np.array([1.0, 2.0, 0.0]),
+            ("x",)))
+        np.testing.assert_array_equal(np.column_stack([out.A, out.b]),
+                                      [[-1.0, 0.0], [1.0, 1.0]])
+        rng = np.random.default_rng(11)
+        a = rng.choice([-1.0, 1.0], size=40) * rng.uniform(0.5, 2.0, size=40)
+        b = rng.uniform(0.5, 2.0, size=40)
+        A_out, b_out, _ = pj._prune_rows(a[:, None], b, None, None)
+        np.testing.assert_allclose(np.sort(b_out / A_out[:, 0]),
+                                   [(b / a)[a < 0].max(), (b / a)[a > 0].min()])
+        A_out, _, _ = pj._prune_rows(np.array([[2.0]]), np.ones(1), None, None)
+        assert A_out.shape == (1, 1)
+
+    @pytest.mark.parametrize("n_eq", [0, 3])
+    def test_high_affine_dimension_agrees_with_exact(self, n_eq):
+        # 11 columns: polar rank 11 exceeds _HULL_MAX_DIM and the exact pass
+        # decides; three equalities leave an 8-dimensional affine hull
+        rng = np.random.default_rng(40 + n_eq)
+        A, b = rng.normal(size=(30, 11)), rng.uniform(0.5, 2.0, size=30)
+        i, j = rng.choice(30, size=(2, 10))  # ten rows implied by two others
+        A, b = pj._normalize(np.vstack([A, 0.5 * (A[i] + A[j])]),
+                             np.concatenate([b, 0.5 * (b[i] + b[j]) + 0.1]))
+        A_eq, b_eq = rng.normal(size=(n_eq, 11)), np.zeros(n_eq)
+        exact = pj._prune_rows_exact(A, b, A_eq, b_eq)
+        assert exact.sum() < b.size
+        hull = pj._prune_rows_hull(A, b, np.zeros(11), A_eq)
+        assert (hull is None) == (n_eq == 0)
+        A_out, _, _ = pj._prune_rows(A, b, A_eq, b_eq, z0=np.zeros(11))
+        np.testing.assert_array_equal(A_out, A[exact])
+
+    def test_packaged_feeders_need_no_lp_pruning(self, benchmark_dso_models,
+                                                 lp_forbidden):
+        # every FM step of a feeder carries equality rows
+        for model in benchmark_dso_models.values():
+            assert not pj.coupling_region(model).is_marked_empty
+
+    def test_line_containing_settled_by_hull(self, lp_forbidden):
         # every normal lies in the x-y plane: the z axis is a lineality
-        # direction and the polar points are flat, which Qhull rejects
+        # direction and the polar points span only a plane, in whose own
+        # basis the hull is taken
         t = np.linspace(0.0, 2 * np.pi, 9)[:-1]
         A = np.column_stack([np.cos(t), np.sin(t), np.zeros(8)])
         A = np.vstack([A, [[0.5, 0.5, 0.0]]])  # redundant
         b = np.ones(9)
         z0 = np.zeros(3)
-        assert pj._prune_rows_hull(A, b, z0) is None
-        calls = []
-        exact = pj._prune_rows_exact
-
-        def spy(*args):
-            calls.append(1)
-            return exact(*args)
-
-        monkeypatch.setattr(pj, "_prune_rows_exact", spy)
+        np.testing.assert_array_equal(pj._prune_rows_hull(A, b, z0, None),
+                                      [True] * 8 + [False])
         A_out, b_out, feasible = pj._prune_rows(A, b, None, None, z0=z0)
-        assert calls and feasible and b_out.size == 8
+        assert feasible and b_out.size == 8
         assert_same_set(A, b, A_out, b_out, np.random.default_rng(5), 2.0)
 
 
@@ -294,9 +337,9 @@ class TestProjectOnto:
         assert hits > 20 and misses > 20
 
     def test_dense_elimination_stays_fast_and_exact(self):
-        # dense random system whose cross products blow past the
-        # output-sensitive pruning threshold; guards the elimination
-        # pipeline against quadratic-prune regressions
+        # dense random system whose cross products multiply the row
+        # count; guards the elimination pipeline against quadratic-prune
+        # regressions
         rng = np.random.default_rng(0)
         A = rng.normal(size=(20, 6))
         x0 = 0.5 * rng.normal(size=6)
