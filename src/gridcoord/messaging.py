@@ -11,8 +11,8 @@ from dataclasses import dataclass, field
 
 log = logging.getLogger(__name__)
 
-MESSAGE_KINDS = ("for_package", "value_fn", "setpoint", "achieved_setpoint",
-                 "consensus_z", "multiplier_free_payload")
+MESSAGE_KINDS = ("for_package", "setpoint", "achieved_setpoint",
+                 "consensus_z")
 
 
 class UnknownAgent(KeyError):

@@ -523,13 +523,6 @@ def assemble_centralized(part, dso_models="loss_linearized",
     return CentralizedProblem(qp, tso_model, tuple(dso_list), tuple(int(o) for o in offsets))
 
 
-def build_centralized_problem(part, dso_models="loss_linearized",
-                              interface_rating: float = DEFAULT_INTERFACE_RATING
-                              ) -> QuadraticProgram:
-    """The reference whole-system problem as a single QP."""
-    return assemble_centralized(part, dso_models, interface_rating).qp
-
-
 def attach_quadratic_cost(model: PolyhedralModel, extra,
                           slot: int = 0) -> PolyhedralModel:
     """Non-mutating: add 0.5 z'Qz + c'z + d on a coupling triple's columns.

@@ -251,7 +251,7 @@ class TestDisaggregate:
 
 
 def centralized_cost(part, kind):
-    qp = pm.build_centralized_problem(part, kind)
+    qp = pm.assemble_centralized(part, kind).qp
     sol = solve_qp(qp, tol=1e-10)
     assert sol.status == OPTIMAL
     return sol.objective

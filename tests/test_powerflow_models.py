@@ -305,7 +305,7 @@ class TestCentralized:
 
     def test_overload_infeasible(self):
         part = single_bus_partition(dso_load=5.0, tso_pmax=1.0, dso_pmax=0.5)
-        sol = oc.solve_qp(pm.build_centralized_problem(part, "lindistflow"))
+        sol = oc.solve_qp(pm.assemble_centralized(part, "lindistflow").qp)
         assert sol.status == oc.INFEASIBLE
 
     def test_lower_bound_vs_pinned_coordination(self):

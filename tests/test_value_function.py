@@ -35,6 +35,32 @@ def synthetic_samples(fn, n=40, seed=1):
     return out
 
 
+def spy_solves(monkeypatch):
+    """Record (qp, solution) of every solve_qp call the sampler makes."""
+    seen = []
+
+    def spy(qp, *args, **kwargs):
+        sol = oc.solve_qp(qp, *args, **kwargs)
+        seen.append((qp, sol))
+        return sol
+
+    monkeypatch.setattr(vf, "solve_qp", spy)
+    return seen
+
+
+def pin_points(monkeypatch, z):
+    """Make hit-and-run return z for every sample."""
+    monkeypatch.setattr(vf, "_hit_and_run",
+                        lambda region, n, rng, burn: np.tile(z, (n, 1)))
+
+
+def just_outside(region, gap=1e-3):
+    """A point `gap` beyond the first facet, along its normal from the center."""
+    x, _ = pj.chebyshev_center(region)
+    a, b = region.A[0], region.b[0]
+    return x + ((b - a @ x) / (a @ a) + gap / np.linalg.norm(a)) * a
+
+
 class TestEvaluate:
     def test_zero_fn(self):
         z0 = vf.QuadraticValueFn.zero()
@@ -136,6 +162,62 @@ class TestSampling:
         for s in samples:
             np.testing.assert_allclose(s.z, point, atol=1e-9)
             assert s.feasible
+
+    def test_matches_full_pinned_solve(self, benchmark_dso_models,
+                                       benchmark_fors):
+        for key, model in benchmark_dso_models.items():
+            samples = vf.sample_value_function(model, benchmark_fors[key],
+                                               n=20, seed=4)
+            for s in samples:
+                full = oc.solve_qp(pm.pin_coupling(model, s.z))
+                assert full.status == oc.OPTIMAL and s.feasible
+                assert abs(s.value - full.objective) <= \
+                    1e-8 * (1.0 + abs(full.objective)), key
+
+    def test_samples_solved_without_equality_rows(self, monkeypatch,
+                                                  benchmark_dso_models,
+                                                  benchmark_fors):
+        key = next(iter(benchmark_dso_models))
+        solves = spy_solves(monkeypatch)
+        vf.sample_value_function(benchmark_dso_models[key],
+                                 benchmark_fors[key], n=15, seed=2)
+        assert len(solves) == 15
+        assert all(qp.b_eq.size == 0 for qp, _ in solves)
+
+    def test_off_for_point_flagged(self, monkeypatch, benchmark_dso_models,
+                                   benchmark_fors):
+        # Packaged feeder: the pinned nullspace is nonempty, so the reduced
+        # QP is solved and its status decides.
+        key = next(iter(benchmark_dso_models))
+        region = benchmark_fors[key]
+        pin_points(monkeypatch, just_outside(region))
+        solves = spy_solves(monkeypatch)
+        samples = vf.sample_value_function(benchmark_dso_models[key], region,
+                                           n=10, seed=0)
+        assert solves and all(sol.status != oc.OPTIMAL for _, sol in solves)
+        assert all(not s.feasible and s.value == np.inf for s in samples)
+
+    def test_off_for_point_flagged_empty_nullspace(self, monkeypatch):
+        # Tests feeder: the pin fixes every column, so no QP is solved.
+        model = feeder_dso()
+        region = pj.coupling_region(model)
+        pin_points(monkeypatch, just_outside(region))
+        solves = spy_solves(monkeypatch)
+        samples = vf.sample_value_function(model, region, n=10, seed=0)
+        assert not solves
+        assert all(not s.feasible and s.value == np.inf for s in samples)
+
+    def test_inconsistent_pin_flagged(self, monkeypatch):
+        # Without generation the slack bus fixes p_if; 1e-3 off is no state.
+        model = pm.build_lindistflow_model(
+            gm.GridCase(100.0, (gm.Bus(1, "slack"),), (), ()), LINK)
+        pin_points(monkeypatch, np.array([1e-3, 0.0, 1.0]))
+        solves = spy_solves(monkeypatch)
+        region = pj.Polyhedron(3, np.vstack([np.eye(3), -np.eye(3)]),
+                               np.ones(6), ("p_if", "q_if", "nu_if"))
+        samples = vf.sample_value_function(model, region, n=10, seed=0)
+        assert not solves
+        assert all(not s.feasible and s.value == np.inf for s in samples)
 
     def test_empty_region_raises(self):
         model = feeder_dso()
