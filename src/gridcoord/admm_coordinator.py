@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -191,6 +191,10 @@ def _informed_start(case, dso_model: PolyhedralModel, *,
     return own + START_MARGIN * (passive - own)
 
 
+def _reduced(model: PolyhedralModel) -> PolyhedralModel:
+    return replace(model, qp_skeleton=model.qp_skeleton.with_reduction())
+
+
 def run_admm(part, model_kind: str = "loss_linearized",
              rho: float = DEFAULT_RHO, tol: float = DEFAULT_TOL,
              max_iter: int = DEFAULT_MAX_ITER, *,
@@ -206,8 +210,13 @@ def run_admm(part, model_kind: str = "loss_linearized",
     model_kind = normalize_model_kind(model_kind)
     t_start = time.perf_counter()
 
-    tso_model = build_dc_model(part.tso, part.links, interface_rating)
-    dso_models = [build_dso_model(case, link, model_kind)
+    # One equality reduction per model serves the subproblems of every
+    # round: the pull term leaves A_ineq and A_eq alone and adds the fixed
+    # rho on the coupling block of H, which attach_quadratic_cost carries
+    # into the reduction.
+    tso_model = _reduced(build_dc_model(part.tso, part.links,
+                                        interface_rating))
+    dso_models = [_reduced(build_dso_model(case, link, model_kind))
                   for case, link in zip(part.dsos, part.links)]
     agents = ("tso",) + tuple(_dso_agent(lk.dso_index) for lk in part.links)
     log = CommLog(agents)

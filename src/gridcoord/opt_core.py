@@ -6,15 +6,24 @@ reads Hx + g + A_eq'y + A_ineq'mu = 0. Every optimisation problem in this
 package funnels through solve_qp / solve_lp so statuses, dual conventions,
 and tolerances mean the same thing everywhere.
 
-The solver is a primal-dual interior point method with Mehrotra
-predictor-corrector steps on dense LU factorizations. Infeasibility is
-decided by an auxiliary phase-1 LP (minimize the largest constraint
-violation), never by divergence heuristics alone; unboundedness is certified
-by a feasible descent ray.
+Equality rows never enter a factorization (the null-space method, Nocedal &
+Wright, Numerical Optimization, 2nd ed., sec. 16.2). One SVD of A_eq writes
+its solution set as x = x_p + N y, with x_p the minimum-norm particular
+solution and N an orthonormal nullspace basis of dimension k. The solver
+is a primal-dual interior point method with Mehrotra predictor-corrector
+steps on the inequality-only problem in y: one dense LU factorization of
+dimension k + m per iteration for m inequality rows. Equality multipliers
+are recovered from stationarity through the same SVD, so KKT residuals
+certify the original problem. Equalities no x meets are infeasible before
+any iteration, and with k = 0 the point x_p decides alone. Infeasibility of
+the inequalities is decided by an auxiliary phase-1 LP (minimize the largest
+constraint violation), never by divergence heuristics alone; unboundedness
+is certified by a feasible descent ray. QPs that share H, A_ineq and A_eq
+can share one EqualityReduction, so a family of solves pays for one SVD.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import LinAlgError, lu_factor, lu_solve
@@ -29,6 +38,8 @@ _PSD_SLACK = 1e-9
 _PSD_LIFT = 1e-10
 _REG = 1e-11
 _DIVERGED = 1e12
+# Singular values at or below this fraction of the largest count as zero.
+_RANK_TOL = 1e-9
 
 
 def _as_matrix(a, rows: int, cols: int) -> np.ndarray:
@@ -49,9 +60,66 @@ def _as_vector(b) -> np.ndarray:
     return np.asarray(b, dtype=float).ravel()
 
 
+def split_svd(A: np.ndarray):
+    """(U, s, V, N) from one SVD of A at its numerical rank r.
+
+    A = U diag(s) V' with U and V of r orthonormal columns, and the columns
+    of N are an orthonormal basis of the nullspace of A.  The rank counts
+    singular values above 1e-9 times the largest; this is the package's one
+    rank rule.
+    """
+    u, sv, vt = np.linalg.svd(A, full_matrices=A.shape[0] < A.shape[1])
+    r = int(np.count_nonzero(sv > _RANK_TOL * sv[0])) if sv.size else 0
+    return u[:, :r], sv[:r], vt[:r].T, vt[r:].T
+
+
+@dataclass(frozen=True, eq=False)
+class EqualityReduction:
+    """A QP written on the nullspace of its equality rows: x = x_p + N y.
+
+    U, s, V factor A_eq = U diag(s) V' and N spans its nullspace (one SVD,
+    `split_svd`).  H and A_ineq hold the projected N'HN and A_ineq N, so one
+    reduction serves every QP sharing H, A_ineq and A_eq, whatever its g,
+    b_ineq, b_eq and c0.
+    """
+
+    U: np.ndarray
+    s: np.ndarray
+    V: np.ndarray
+    N: np.ndarray
+    H: np.ndarray
+    A_ineq: np.ndarray
+
+    @classmethod
+    def of(cls, qp: "QuadraticProgram") -> "EqualityReduction":
+        U, s, V, N = split_svd(qp.A_eq)
+        if not qp.b_eq.size:  # N is the identity
+            return cls(U, s, V, N, qp.H, qp.A_ineq)
+        return cls(U, s, V, N, N.T @ qp.H @ N, qp.A_ineq @ N)
+
+    def particular(self, b_eq: np.ndarray) -> np.ndarray:
+        """Minimum-norm least-squares solution of A_eq x = b_eq."""
+        return self.V @ ((self.U.T @ b_eq) / self.s)
+
+    def eq_duals(self, r: np.ndarray) -> np.ndarray:
+        """Least-squares y with A_eq'y = -r: the equality multipliers that
+        leave stationarity residual r only in the nullspace directions."""
+        return -self.U @ ((self.V.T @ r) / self.s)
+
+    def with_cost(self, cols, Q) -> "EqualityReduction":
+        """The reduction after 0.5 z'Qz is added on columns `cols` of H."""
+        Nc = self.N[list(cols)]
+        Q = np.asarray(Q, dtype=float)
+        return replace(self, H=self.H + Nc.T @ (0.5 * (Q + Q.T)) @ Nc)
+
+
 @dataclass
 class QuadraticProgram:
-    """Problem data for min 0.5 x'Hx + g'x + c0, A_ineq x <= b_ineq, A_eq x = b_eq."""
+    """Problem data for min 0.5 x'Hx + g'x + c0, A_ineq x <= b_ineq, A_eq x = b_eq.
+
+    `reduction`, when given, must be `EqualityReduction.of` a QP with the
+    same H, A_ineq and A_eq; solve_qp then skips the SVD.
+    """
 
     H: np.ndarray
     g: np.ndarray
@@ -60,6 +128,8 @@ class QuadraticProgram:
     A_eq: np.ndarray | None = None
     b_eq: np.ndarray | None = None
     c0: float = 0.0
+    reduction: EqualityReduction | None = field(default=None, repr=False,
+                                                compare=False)
 
     def __post_init__(self):
         self.g = _as_vector(self.g)
@@ -88,6 +158,10 @@ class QuadraticProgram:
         x = np.asarray(x, dtype=float)
         return float(0.5 * x @ self.H @ x + self.g @ x + self.c0)
 
+    def with_reduction(self) -> "QuadraticProgram":
+        """This QP carrying its EqualityReduction for the QPs built from it."""
+        return replace(self, reduction=EqualityReduction.of(self))
+
 
 @dataclass
 class QpSolution:
@@ -111,41 +185,12 @@ def _psd_lift(H: np.ndarray) -> np.ndarray:
     return H
 
 
-def _solve_eq_only(qp: QuadraticProgram, tol: float) -> QpSolution:
-    """Direct KKT solve for problems without inequality constraints."""
-    n, p = qp.n, qp.b_eq.size
-    K = np.zeros((n + p, n + p))
-    K[:n, :n] = qp.H + _PSD_LIFT * np.eye(n)
-    if p:
-        K[:n, n:] = qp.A_eq.T
-        K[n:, :n] = qp.A_eq
-        K[n:, n:] = -_PSD_LIFT * np.eye(p)
-    rhs = np.concatenate([-qp.g, qp.b_eq])
-    try:
-        sol = np.linalg.solve(K, rhs)
-    except np.linalg.LinAlgError:
-        sol, *_ = np.linalg.lstsq(K, rhs, rcond=None)
-    x, y = sol[:n], sol[n:]
-    grad = qp.H @ x + qp.g + (qp.A_eq.T @ y if p else 0.0)
-    stat_scale = 1.0 + np.abs(qp.g).max(initial=0.0) + np.abs(qp.H @ x).max(initial=0.0)
-    stat_ok = np.abs(grad).max(initial=0.0) <= max(tol, 1e-7) * stat_scale
-    pri = np.abs(qp.A_eq @ x - qp.b_eq).max(initial=0.0) if p else 0.0
-    pri_ok = pri <= max(tol, 1e-7) * (1.0 + np.abs(qp.b_eq).max(initial=0.0))
-    if stat_ok and pri_ok:
-        return QpSolution(OPTIMAL, x, qp.objective(x), y, np.zeros(0), 1)
-    if not pri_ok:
-        return QpSolution(INFEASIBLE, x, np.nan, y, np.zeros(0), 1)
-    return QpSolution(UNBOUNDED, x, -np.inf, y, np.zeros(0), 1)
-
-
 def _certify_ray(qp: QuadraticProgram, x: np.ndarray) -> bool:
     """True if the direction of x is a feasible descent ray (unbounded problem)."""
     nrm = np.abs(x).max(initial=0.0)
     if nrm < 1e6:
         return False
     d = x / nrm
-    if qp.b_eq.size and np.abs(qp.A_eq @ d).max() > 1e-7:
-        return False
     if qp.b_ineq.size and (qp.A_ineq @ d).max() > 1e-7:
         return False
     if np.abs(qp.H @ d).max(initial=0.0) > 1e-7:
@@ -160,61 +205,57 @@ def _max_step(v: np.ndarray, dv: np.ndarray) -> float:
     return min(1.0, float(np.min(-v[neg] / dv[neg])))
 
 
-def solve_qp(qp: QuadraticProgram, tol: float = 1e-8, max_iter: int = 200) -> QpSolution:
-    """Solve a convex QP. Status is one of optimal/infeasible/unbounded/max_iter.
+def _solve_unconstrained(qp: QuadraticProgram, tol: float) -> QpSolution:
+    """min 0.5 y'Hy + g'y by pseudoinverse; unbounded when H is singular
+    along g."""
+    _psd_lift(qp.H)
+    U, s, V, _ = split_svd(qp.H)
+    y = -V @ ((U.T @ qp.g) / s)
+    Hy = qp.H @ y
+    scale = 1.0 + np.abs(qp.g).max(initial=0.0) + np.abs(Hy).max(initial=0.0)
+    if np.abs(Hy + qp.g).max(initial=0.0) <= max(tol, 1e-7) * scale:
+        return QpSolution(OPTIMAL, y, qp.objective(y), np.zeros(0), np.zeros(0), 1)
+    return QpSolution(UNBOUNDED, y, -np.inf, np.zeros(0), np.zeros(0), 1)
 
-    On max_iter the best iterate seen is returned. Infeasible means the
-    phase-1 optimum exceeded tol; unbounded is certified by a descent ray.
-    """
-    H = _psd_lift(qp.H)
-    work = QuadraticProgram(H, qp.g, qp.A_ineq, qp.b_ineq, qp.A_eq, qp.b_eq, qp.c0)
-    n, m, p = work.n, work.b_ineq.size, work.b_eq.size
-    if m == 0:
-        return _solve_eq_only(work, tol)
 
-    A_in, b_in, A_eq, b_eq, g = work.A_ineq, work.b_ineq, work.A_eq, work.b_eq, work.g
+def _interior_point(qp: QuadraticProgram, tol: float, max_iter: int) -> QpSolution:
+    """Mehrotra predictor-corrector on a QP with inequality rows only."""
+    H, g, A_in, b_in = _psd_lift(qp.H), qp.g, qp.A_ineq, qp.b_ineq
+    n, m = qp.n, b_in.size
 
-    # Start: least squares on the equalities, slacks shifted positive.
-    x = np.linalg.lstsq(A_eq, b_eq, rcond=None)[0] if p else np.zeros(n)
-    y = np.zeros(p)
-    s_raw = b_in - A_in @ x
-    s = np.where(s_raw > 1.0, s_raw, 1.0)
+    # Start at the origin (x_p for a reduced problem), slacks shifted positive.
+    x = np.zeros(n)
+    s = np.where(b_in > 1.0, b_in, 1.0)
     mu = np.ones(m)
 
-    dim = n + p + m
+    dim = n + m
     M = np.zeros((dim, dim))
     M[:n, :n] = H + _REG * np.eye(n)
-    if p:
-        M[:n, n:n + p] = A_eq.T
-        M[n:n + p, :n] = A_eq
-        M[n:n + p, n:n + p] = -_REG * np.eye(p)
-    M[:n, n + p:] = A_in.T
-    M[n + p:, :n] = A_in
-    diag_idx = (np.arange(n + p, dim), np.arange(n + p, dim))
+    M[:n, n:] = A_in.T
+    M[n:, :n] = A_in
+    diag_idx = (np.arange(n, dim), np.arange(n, dim))
 
     g_scale = 1.0 + np.abs(g).max(initial=0.0)
-    b_scale = 1.0 + max(np.abs(b_in).max(initial=0.0), np.abs(b_eq).max(initial=0.0))
+    b_scale = 1.0 + np.abs(b_in).max(initial=0.0)
 
     best = None
     status = MAX_ITER
     it = 0
     for it in range(1, max_iter + 1):
-        r_d = H @ x + g + (A_eq.T @ y if p else 0.0) + A_in.T @ mu
-        r_pe = A_eq @ x - b_eq if p else np.zeros(0)
+        Hx, At_mu = H @ x, A_in.T @ mu
+        r_d = Hx + g + At_mu
         r_pi = A_in @ x + s - b_in
         mu_bar = float(s @ mu) / m
-        obj = work.objective(x)
+        obj = qp.objective(x)
 
-        d_scale = g_scale + np.abs(H @ x).max(initial=0.0) + np.abs(A_in.T @ mu).max(initial=0.0)
-        if p:
-            d_scale += np.abs(A_eq.T @ y).max(initial=0.0)
-        res_d = np.abs(r_d).max() / d_scale
-        res_p = max(np.abs(r_pe).max(initial=0.0), np.abs(r_pi).max(initial=0.0)) / b_scale
+        d_scale = g_scale + np.abs(Hx).max(initial=0.0) + np.abs(At_mu).max(initial=0.0)
+        res_d = np.abs(r_d).max(initial=0.0) / d_scale
+        res_p = np.abs(r_pi).max() / b_scale
         res_gap = float(np.abs(mu * (s - r_pi)).max()) / (1.0 + abs(obj))
 
         score = max(res_d, res_p, res_gap)
         if best is None or score < best[0]:
-            best = (score, x.copy(), y.copy(), mu.copy())
+            best = (score, x.copy(), mu.copy())
         if res_d <= tol and res_p <= tol and res_gap <= tol:
             status = OPTIMAL
             break
@@ -228,9 +269,9 @@ def solve_qp(qp: QuadraticProgram, tol: float = 1e-8, max_iter: int = 200) -> Qp
             break
 
         # Predictor (affine scaling).
-        rhs = np.concatenate([-r_d, -r_pe, -r_pi + s])
+        rhs = np.concatenate([-r_d, -r_pi + s])
         d_aff = lu_solve(lu, rhs, check_finite=False)
-        dmu_aff = d_aff[n + p:]
+        dmu_aff = d_aff[n:]
         ds_aff = (-s * mu - s * dmu_aff) / mu
         a_p = _max_step(s, ds_aff)
         a_d = _max_step(mu, dmu_aff)
@@ -239,30 +280,66 @@ def solve_qp(qp: QuadraticProgram, tol: float = 1e-8, max_iter: int = 200) -> Qp
 
         # Corrector.
         rhs_c = sigma * mu_bar - s * mu - ds_aff * dmu_aff
-        rhs = np.concatenate([-r_d, -r_pe, -r_pi - rhs_c / mu])
+        rhs = np.concatenate([-r_d, -r_pi - rhs_c / mu])
         d = lu_solve(lu, rhs, check_finite=False)
-        dx, dy, dmu = d[:n], d[n:n + p], d[n + p:]
+        dx, dmu = d[:n], d[n:]
         ds = (rhs_c - s * dmu) / mu
 
         eta = max(0.99, 1.0 - mu_bar)
         alpha = min(1.0, eta * min(_max_step(s, ds), _max_step(mu, dmu)))
         x = x + alpha * dx
-        y = y + alpha * dy
         s = np.maximum(s + alpha * ds, 1e-300)
         mu = np.maximum(mu + alpha * dmu, 1e-300)
 
     if status == OPTIMAL:
-        return QpSolution(OPTIMAL, x, work.objective(x), y, mu, it)
+        return QpSolution(OPTIMAL, x, qp.objective(x), np.zeros(0), mu, it)
 
     # No convergence: classify via phase-1, then try a ray certificate.
-    feasible, _ = check_feasible(A_in, b_in, A_eq if p else None, b_eq if p else None,
-                                 tol=max(tol, 1e-8))
+    feasible, _ = check_feasible(A_in, b_in, tol=max(tol, 1e-8))
     if not feasible:
-        return QpSolution(INFEASIBLE, x, np.nan, y, mu, it)
-    if _certify_ray(work, x):
-        return QpSolution(UNBOUNDED, x, -np.inf, y, mu, it)
-    _, xb, yb, mub = best
-    return QpSolution(MAX_ITER, xb, work.objective(xb), yb, mub, it)
+        return QpSolution(INFEASIBLE, x, np.nan, np.zeros(0), mu, it)
+    if _certify_ray(qp, x):
+        return QpSolution(UNBOUNDED, x, -np.inf, np.zeros(0), mu, it)
+    _, xb, mub = best
+    return QpSolution(MAX_ITER, xb, qp.objective(xb), np.zeros(0), mub, it)
+
+
+def solve_qp(qp: QuadraticProgram, tol: float = 1e-8, max_iter: int = 200) -> QpSolution:
+    """Solve a convex QP. Status is one of optimal/infeasible/unbounded/max_iter.
+
+    The problem is solved over y in x = x_p + N y (qp.reduction, or one SVD
+    of A_eq).  Equalities no x meets within tol (scaled) are infeasible with
+    0 iterations; with an empty nullspace x_p is optimal or infeasible by its
+    inequality residual.  On max_iter the best iterate seen is returned.
+    Infeasible means the phase-1 optimum exceeded tol; unbounded is
+    certified by a descent ray.
+    """
+    red = qp.reduction if qp.reduction is not None else EqualityReduction.of(qp)
+    m, p = qp.b_ineq.size, qp.b_eq.size
+    b_scale = 1.0 + max(np.abs(qp.b_ineq).max(initial=0.0),
+                        np.abs(qp.b_eq).max(initial=0.0))
+    x_p = red.particular(qp.b_eq)
+    if np.abs(qp.A_eq @ x_p - qp.b_eq).max(initial=0.0) > tol * b_scale:
+        return QpSolution(INFEASIBLE, x_p, np.nan, np.zeros(p), np.zeros(m), 0)
+
+    if red.N.shape[1] == 0:
+        feasible = (qp.A_ineq @ x_p - qp.b_ineq).max(initial=0.0) <= tol * b_scale
+        sol = QpSolution(OPTIMAL if feasible else INFEASIBLE, np.zeros(0),
+                         0.0 if feasible else np.nan, np.zeros(0), np.zeros(m), 0)
+    else:
+        Hx_p = qp.H @ x_p
+        reduced = QuadraticProgram(
+            red.H, red.N.T @ (qp.g + Hx_p), red.A_ineq,
+            qp.b_ineq - qp.A_ineq @ x_p,
+            c0=qp.c0 + qp.g @ x_p + 0.5 * x_p @ Hx_p)
+        sol = (_interior_point(reduced, tol, max_iter) if m
+               else _solve_unconstrained(reduced, tol))
+
+    x = x_p + red.N @ sol.x
+    mu = sol.duals_ineq
+    y = red.eq_duals(qp.H @ x + qp.g + qp.A_ineq.T @ mu)
+    objective = qp.objective(x) if np.isfinite(sol.objective) else sol.objective
+    return QpSolution(sol.status, x, objective, y, mu, sol.iterations)
 
 
 def solve_lp(g, A_ineq=None, b_ineq=None, A_eq=None, b_eq=None,
@@ -277,8 +354,11 @@ def check_feasible(A_ineq=None, b_ineq=None, A_eq=None, b_eq=None,
                    tol: float = 1e-8) -> tuple[bool, np.ndarray]:
     """Phase-1 feasibility test: minimize the largest constraint violation.
 
-    Returns (feasible, witness). When feasible the witness satisfies every
-    constraint within the phase-1 optimum, itself <= tol.
+    The equalities are reduced first (x = x_p + N y, `split_svd`): when x_p
+    misses them by more than tol there is no solution, and otherwise the LP
+    runs over y against the inequalities alone.  Returns (feasible,
+    witness). When feasible the witness satisfies every constraint within
+    tol.
     """
     b_in = _as_vector(b_ineq)
     b_e = _as_vector(b_eq)
@@ -289,36 +369,35 @@ def check_feasible(A_ineq=None, b_ineq=None, A_eq=None, b_eq=None,
             break
     A_in = _as_matrix(A_ineq, b_in.size, ncols)
     A_e = _as_matrix(A_eq, b_e.size, ncols)
-    n = ncols
     m, q = b_in.size, b_e.size
     if m == 0 and q == 0:
-        return True, np.zeros(n)
+        return True, np.zeros(ncols)
 
-    # Variables (x, t): A_in x - t <= b_in, +-A_eq x - t <= +-b_eq, -t <= 0.
-    rows = m + 2 * q + 1
-    A = np.zeros((rows, n + 1))
-    b = np.zeros(rows)
-    A[:m, :n] = A_in
-    b[:m] = b_in
-    A[m:m + q, :n] = A_e
-    b[m:m + q] = b_e
-    A[m + q:m + 2 * q, :n] = -A_e
-    b[m + q:m + 2 * q] = -b_e
-    A[:, n] = -1.0
-    A[-1, :n] = 0.0
+    U, s, V, N = split_svd(A_e)
+    x_p = V @ ((U.T @ b_e) / s)
+    if np.abs(A_e @ x_p - b_e).max(initial=0.0) > tol:
+        return False, x_p
+    k = N.shape[1]
+    if m == 0 or k == 0:
+        return (A_in @ x_p - b_in).max(initial=0.0) <= tol, x_p
+
+    # Variables (y, t): A_in N y - t <= b_in - A_in x_p, -t <= 0.
+    A = np.zeros((m + 1, k + 1))
+    b = np.zeros(m + 1)
+    A[:m, :k] = A_in @ N if q else A_in
+    b[:m] = b_in - A_in @ x_p
+    A[:, k] = -1.0
 
     # Solve two orders tighter than the verdict threshold, then judge the
     # witness by its actual constraint violations rather than the LP value.
-    cost = np.zeros(n + 1)
-    cost[n] = 1.0
-    sol = solve_qp(QuadraticProgram(np.zeros((n + 1, n + 1)), cost, A, b),
+    cost = np.zeros(k + 1)
+    cost[k] = 1.0
+    sol = solve_qp(QuadraticProgram(np.zeros((k + 1, k + 1)), cost, A, b),
                    tol=max(min(tol * 1e-2, 1e-11), 1e-12))
-    x = sol.x[:n]
+    x = x_p + N @ sol.x[:k]
     if sol.status not in (OPTIMAL, MAX_ITER):
         return False, x
-    worst = 0.0
-    if m:
-        worst = float(np.maximum(A_in @ x - b_in, 0.0).max())
+    worst = float(np.maximum(A_in @ x - b_in, 0.0).max())
     if q:
         worst = max(worst, float(np.abs(A_e @ x - b_e).max()))
     return worst <= tol, x

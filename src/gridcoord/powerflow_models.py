@@ -527,7 +527,8 @@ def attach_quadratic_cost(model: PolyhedralModel, extra,
                           slot: int = 0) -> PolyhedralModel:
     """Non-mutating: add 0.5 z'Qz + c'z + d on a coupling triple's columns.
 
-    extra carries fields Q (3x3), c (3,), d (scalar).
+    extra carries fields Q (3x3), c (3,), d (scalar).  An equality
+    reduction the skeleton carries is kept, updated by the Q term.
     """
     qp = model.qp_skeleton
     cols = model.vmap.coupling_triple(slot)
@@ -539,8 +540,9 @@ def attach_quadratic_cost(model: PolyhedralModel, extra,
         g[ca] += c[a]
         for bb, cb in enumerate(cols):
             H[ca, cb] += Q[a, bb]
+    red = qp.reduction.with_cost(cols, Q) if qp.reduction is not None else None
     qp2 = QuadraticProgram(H, g, qp.A_ineq, qp.b_ineq, qp.A_eq, qp.b_eq,
-                           qp.c0 + float(extra.d))
+                           qp.c0 + float(extra.d), red)
     return PolyhedralModel(qp2, model.vmap, model.operating_point, model.kind,
                            model.case, model.links)
 

@@ -24,7 +24,8 @@ import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
 from .opt_core import (INFEASIBLE, MAX_ITER, OPTIMAL, UNBOUNDED,
-                       QuadraticProgram, check_feasible, solve_lp, solve_qp)
+                       QuadraticProgram, check_feasible, solve_lp, solve_qp,
+                       split_svd)
 
 log = logging.getLogger(__name__)
 
@@ -241,19 +242,16 @@ def _prune_rows_hull(A_in, b_in, z0, A_eq):
     closed form; None when the rank exceeds `_HULL_MAX_DIM` or Qhull
     rejects the points.
     """
-    N = np.eye(A_in.shape[1])
-    if A_eq is not None and A_eq.shape[0]:
-        _, sv, vt = np.linalg.svd(A_eq)
-        N = vt[np.count_nonzero(sv > 1e-9 * sv[0]):].T
+    N = np.eye(A_in.shape[1]) if A_eq is None else split_svd(A_eq)[3]
     AN = A_in @ N
     keep = np.zeros(b_in.size, dtype=bool)
     live = np.flatnonzero(np.abs(AN).max(axis=1, initial=0.0) > 1e-10)
     if live.size == 0:
         return keep
     polar = AN[live] / (b_in - A_in @ z0)[live, None]
-    _, sv, vt = np.linalg.svd(polar, full_matrices=False)
-    k = int(np.count_nonzero(sv > 1e-9 * sv[0]))
-    y = polar @ vt[:k].T
+    basis = split_svd(polar)[2]
+    k = basis.shape[1]
+    y = polar @ basis
     if k == 1:
         y = y[:, 0]
         keep[live[np.argmax(y)]] |= y.max() > 0.0

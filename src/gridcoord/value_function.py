@@ -8,18 +8,17 @@ the FOR and fits the convex quadratic surrogate 0.5 z'Qz + c'z + d that rides
 up to the TSO objective.
 
 The pinned QPs of one model share H, g and every constraint row; only the
-pinned triple z in b_eq moves.  One SVD of the pinned equality rows gives a
-particular solution x_p(z) = x0 + P z and a nullspace basis N, so each
-sample is solved over y in x = x_p(z) + N y with no equality rows left.
+pinned triple z in b_eq moves.  They share one `opt_core.EqualityReduction`
+of the pinned equality rows (one SVD, N'HN and A_ineq N formed once), so
+each sample is solved over y in x = x_p(z) + N y with no equality rows in
+any factorization and no per-sample SVD.
 """
-import csv
 import logging
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .opt_core import OPTIMAL, QuadraticProgram, solve_qp
+from .opt_core import OPTIMAL, solve_qp
 from .powerflow_models import pin_coupling
 from .projection import EmptyRegion, Polyhedron, chebyshev_center
 
@@ -110,57 +109,15 @@ def _hit_and_run(region: Polyhedron, n: int, rng, burn: int):
     return pts
 
 
-def _pinned_values(model):
-    """z -> (value, feasible) of the pinned QP, factored once for all z.
-
-    x_p(z) is the minimum-norm solution of the pinned equalities from the
-    pseudoinverse; rank follows `projection._prune_rows_hull`.  A pin the
-    equalities cannot meet (residual beyond 1e-9, scaled) is infeasible.
-    With an empty nullspace x_p is the only candidate: feasible iff it meets
-    the inequalities within solve_qp's scaled tolerance.  Otherwise the
-    reduced QP in y goes to solve_qp, whose status decides.
-    """
-    qp = pin_coupling(model, np.zeros(3))
-    H, g, A_in, b_in, A_eq = qp.H, qp.g, qp.A_ineq, qp.b_ineq, qp.A_eq
-    u, sv, vt = np.linalg.svd(A_eq)
-    r = int(np.count_nonzero(sv > 1e-9 * sv[0]))
-    pinv = vt[:r].T @ (u[:, :r].T / sv[:r, None])
-    x0, P = pinv @ qp.b_eq, pinv[:, -3:]
-    N = vt[r:].T
-    NHN = N.T @ H @ N
-    AN = A_in @ N
-
-    def value(z):
-        b_eq = qp.b_eq.copy()
-        b_eq[-3:] = z
-        xp = x0 + P @ z
-        if np.abs(A_eq @ xp - b_eq).max() > 1e-9 * (1.0 + np.abs(b_eq).max()):
-            return np.inf, False
-        if N.shape[1] == 0:
-            scale = 1.0 + max(np.abs(b_in).max(initial=0.0), np.abs(b_eq).max())
-            if (A_in @ xp - b_in).max(initial=0.0) > 1e-8 * scale:
-                return np.inf, False
-            return qp.objective(xp), True
-        Hxp = H @ xp
-        sol = solve_qp(QuadraticProgram(
-            NHN, N.T @ (Hxp + g), AN, b_in - A_in @ xp,
-            c0=qp.c0 + g @ xp + 0.5 * xp @ Hxp))
-        if sol.status != OPTIMAL:
-            return np.inf, False
-        return sol.objective, True
-
-    return value
-
-
 def sample_value_function(model, for_region: Polyhedron,
                           n: int = DEFAULT_SAMPLES, seed: int = 0):
     """Hit-and-run samples of the DSO best-response cost over the FOR.
 
-    Deterministic for a fixed seed.  Each sample is the pinned QP solved on
-    the nullspace of its equality rows (`_pinned_values`).  A sample whose
-    pin is inconsistent with the equalities, whose pin fixes every column
-    at a point that breaks an inequality, or whose reduced solve is not
-    optimal is flagged feasible=False with value +inf, never dropped.
+    Deterministic for a fixed seed.  Each sample is the pinned QP; all of
+    them share one equality reduction, since only b_eq moves with z.  A
+    sample whose pin is inconsistent with the equalities, whose pin fixes
+    every column at a point that breaks an inequality, or whose solve is
+    not optimal is flagged feasible=False with value +inf, never dropped.
     """
     if for_region.dim != 3:
         raise ValueError("FOR must be 3-dimensional")
@@ -170,8 +127,14 @@ def sample_value_function(model, for_region: Polyhedron,
         raise EmptyRegion("cannot sample an empty region")
     rng = np.random.default_rng(seed)
     pts = _hit_and_run(for_region, n, rng, burn=3 * for_region.dim)
-    value = _pinned_values(model)
-    return [ValueSample(z, *value(z)) for z in pts]
+    family = pin_coupling(model, np.zeros(3)).with_reduction()
+    samples = []
+    for z in pts:
+        family.b_eq[-3:] = z
+        sol = solve_qp(family)
+        ok = sol.status == OPTIMAL
+        samples.append(ValueSample(z, sol.objective if ok else np.inf, ok))
+    return samples
 
 
 _BASIS_DOC = ("0.5*z1^2", "0.5*z2^2", "0.5*z3^2", "z1*z2", "z1*z3", "z2*z3",
@@ -208,16 +171,3 @@ def fit_quadratic(samples, domain_hint: Polyhedron = None):
     resid = np.array([evaluate(vf, z) for z in Z]) - v
     rms = float(np.sqrt(np.mean(resid ** 2)))
     return vf, rms
-
-
-def write_samples_csv(path, samples):
-    """CSV dump `p_if,q_if,nu_if,value,feasible` for offline inspection."""
-    path = Path(path)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["p_if", "q_if", "nu_if", "value", "feasible"])
-        for s in samples:
-            w.writerow([repr(float(s.z[0])), repr(float(s.z[1])),
-                        repr(float(s.z[2])), repr(float(s.value)),
-                        "true" if s.feasible else "false"])
-    return path

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from gridcoord import admm_coordinator as ad
 from gridcoord import grid_model as gm
+from gridcoord import opt_core as oc
 from gridcoord import powerflow_models as pm
 from gridcoord import projection as pj
 from gridcoord.opt_core import QuadraticProgram, kkt_residuals, solve_qp
@@ -337,6 +338,23 @@ class TestRunAdmm:
         assert names == ["admm_tso_final", "admm_dso1_final"]
         for _, qp, sol in res.solves:
             assert kkt_residuals(qp, sol)["worst"] <= 1e-8
+
+    def test_one_equality_reduction_per_model(self, monkeypatch):
+        # Every round's subproblems reuse the reduction of their model, so
+        # a run takes one SVD per model however many rounds it makes.
+        part = gm.load_builtin_benchmark()
+        shapes = []
+        split_svd = oc.split_svd
+
+        def spy(A):
+            shapes.append(A.shape)
+            return split_svd(A)
+
+        monkeypatch.setattr(oc, "split_svd", spy)
+        res = ad.run_admm(part, "loss_linearized")
+        assert res.converged and res.iterations > 1
+        assert len(shapes) == 1 + len(part.dsos)
+        assert all(qp.reduction is not None for _, qp, _ in res.solves)
 
     def test_to_dict_round_trips(self):
         res = ad.run_admm(toy_partition(), "lindistflow")

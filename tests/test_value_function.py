@@ -1,6 +1,7 @@
 """Value sampling and quadratic surrogate fitting tests."""
 import numpy as np
 import pytest
+from scipy.linalg import lu_factor
 
 from gridcoord import grid_model as gm
 from gridcoord import opt_core as oc
@@ -46,6 +47,18 @@ def spy_solves(monkeypatch):
 
     monkeypatch.setattr(vf, "solve_qp", spy)
     return seen
+
+
+def spy_factorizations(monkeypatch):
+    """Record the order of every matrix the interior point method factors."""
+    orders = []
+
+    def spy(M, *args, **kwargs):
+        orders.append(M.shape[0])
+        return lu_factor(M, *args, **kwargs)
+
+    monkeypatch.setattr(oc, "lu_factor", spy)
+    return orders
 
 
 def pin_points(monkeypatch, z):
@@ -177,12 +190,18 @@ class TestSampling:
     def test_samples_solved_without_equality_rows(self, monkeypatch,
                                                   benchmark_dso_models,
                                                   benchmark_fors):
+        # Every sample carries the one reduction of its model (no SVD per
+        # sample), and no factored matrix holds an equality block.
         key = next(iter(benchmark_dso_models))
         solves = spy_solves(monkeypatch)
+        orders = spy_factorizations(monkeypatch)
         vf.sample_value_function(benchmark_dso_models[key],
                                  benchmark_fors[key], n=15, seed=2)
         assert len(solves) == 15
-        assert all(qp.b_eq.size == 0 for qp, _ in solves)
+        red = solves[0][0].reduction
+        assert red is not None
+        assert all(qp.reduction is red for qp, _ in solves)
+        assert orders and max(orders) <= red.N.shape[1] + red.A_ineq.shape[0]
 
     def test_off_for_point_flagged(self, monkeypatch, benchmark_dso_models,
                                    benchmark_fors):
@@ -198,13 +217,15 @@ class TestSampling:
         assert all(not s.feasible and s.value == np.inf for s in samples)
 
     def test_off_for_point_flagged_empty_nullspace(self, monkeypatch):
-        # Tests feeder: the pin fixes every column, so no QP is solved.
+        # Tests feeder: the pin fixes every column, so solve_qp decides from
+        # the one candidate point with no iteration.
         model = feeder_dso()
         region = pj.coupling_region(model)
         pin_points(monkeypatch, just_outside(region))
         solves = spy_solves(monkeypatch)
         samples = vf.sample_value_function(model, region, n=10, seed=0)
-        assert not solves
+        assert solves and all(sol.status == oc.INFEASIBLE
+                              and sol.iterations == 0 for _, sol in solves)
         assert all(not s.feasible and s.value == np.inf for s in samples)
 
     def test_inconsistent_pin_flagged(self, monkeypatch):
@@ -216,7 +237,8 @@ class TestSampling:
         region = pj.Polyhedron(3, np.vstack([np.eye(3), -np.eye(3)]),
                                np.ones(6), ("p_if", "q_if", "nu_if"))
         samples = vf.sample_value_function(model, region, n=10, seed=0)
-        assert not solves
+        assert solves and all(sol.status == oc.INFEASIBLE
+                              and sol.iterations == 0 for _, sol in solves)
         assert all(not s.feasible and s.value == np.inf for s in samples)
 
     def test_empty_region_raises(self):
@@ -259,14 +281,3 @@ class TestSampling:
         free = oc.solve_qp(model.qp_skeleton)
         assert free.status == oc.OPTIMAL
         assert abs(vmin - free.objective) <= 1e-6
-
-
-class TestCsvDump:
-    def test_round_trip(self, tmp_path):
-        samples = [vf.ValueSample(np.array([0.1, 0.2, 1.0]), 3.5, True),
-                   vf.ValueSample(np.array([9.0, 9.0, 9.0]), np.inf, False)]
-        path = vf.write_samples_csv(tmp_path / "samples.csv", samples)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "p_if,q_if,nu_if,value,feasible"
-        assert lines[1].split(",") == ["0.1", "0.2", "1.0", "3.5", "true"]
-        assert lines[2].endswith("false")
