@@ -19,6 +19,7 @@ Tuning targets, checked after writing:
 
 Run from the repository root:  python3 scripts/make_benchmark.py
 """
+import argparse
 import os
 import sys
 
@@ -191,7 +192,12 @@ def verify(part) -> bool:
     return good
 
 
-def main() -> int:
+def main(argv=None) -> int:
+    argparse.ArgumentParser(
+        description=__doc__.splitlines()[0],
+        epilog="Writes case9.json and case15.json under src/gridcoord/data "
+               "and checks the tuning targets; takes no options.",
+    ).parse_args(argv)
     tso = build_tso_case()
     feeder = build_feeder_case()
     os.makedirs(OUT_DIR, exist_ok=True)

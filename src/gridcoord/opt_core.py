@@ -18,8 +18,20 @@ certify the original problem. Equalities no x meets are infeasible before
 any iteration, and with k = 0 the point x_p decides alone. Infeasibility of
 the inequalities is decided by an auxiliary phase-1 LP (minimize the largest
 constraint violation), never by divergence heuristics alone; unboundedness
-is certified by a feasible descent ray. QPs that share H, A_ineq and A_eq
-can share one EqualityReduction, so a family of solves pays for one SVD.
+is certified by a feasible descent ray.
+
+A family of QPs that share H, g, A_ineq and A_eq and differ only in b_eq
+(solve_family) shares one EqualityReduction and runs one lockstep
+interior-point method on stacked iterates, as in OptNet's batched solver
+(Amos & Kolter, ICML 2017). Each step eliminates the slacks and
+multipliers into one k x k normal matrix per member, H + A' diag(mu/s) A
+(Wright, Primal-Dual Interior-Point Methods, 1997, ch. 11), and solves
+all of them in one batched call. Each member stops on the scalar test and
+keeps its own status; members not certified get the scalar verdict.
+Single solves keep the (k + m) system: on degenerate LPs the normal
+matrix loses accuracy (the exact redundancy pass of projection, which
+decides rows on LP values near its keep threshold, then keeps different
+rows), while a family's members are well-posed QPs with k small.
 """
 from __future__ import annotations
 
@@ -218,6 +230,22 @@ def _solve_unconstrained(qp: QuadraticProgram, tol: float) -> QpSolution:
     return QpSolution(UNBOUNDED, y, -np.inf, np.zeros(0), np.zeros(0), 1)
 
 
+def _undecided(qp: QuadraticProgram, x, mu, best_x, best_mu, it: int,
+               tol: float) -> QpSolution:
+    """Verdict on an interior-point run that ended uncertified at (x, mu).
+
+    Phase 1 decides infeasibility, then a descent ray unboundedness; else
+    the best iterate seen is returned as MAX_ITER.
+    """
+    feasible, _ = check_feasible(qp.A_ineq, qp.b_ineq, tol=max(tol, 1e-8))
+    if not feasible:
+        return QpSolution(INFEASIBLE, x, np.nan, np.zeros(0), mu, it)
+    if _certify_ray(qp, x):
+        return QpSolution(UNBOUNDED, x, -np.inf, np.zeros(0), mu, it)
+    return QpSolution(MAX_ITER, best_x, qp.objective(best_x), np.zeros(0),
+                      best_mu, it)
+
+
 def _interior_point(qp: QuadraticProgram, tol: float, max_iter: int) -> QpSolution:
     """Mehrotra predictor-corrector on a QP with inequality rows only."""
     H, g, A_in, b_in = _psd_lift(qp.H), qp.g, qp.A_ineq, qp.b_ineq
@@ -239,7 +267,6 @@ def _interior_point(qp: QuadraticProgram, tol: float, max_iter: int) -> QpSoluti
     b_scale = 1.0 + np.abs(b_in).max(initial=0.0)
 
     best = None
-    status = MAX_ITER
     it = 0
     for it in range(1, max_iter + 1):
         Hx, At_mu = H @ x, A_in.T @ mu
@@ -257,8 +284,7 @@ def _interior_point(qp: QuadraticProgram, tol: float, max_iter: int) -> QpSoluti
         if best is None or score < best[0]:
             best = (score, x.copy(), mu.copy())
         if res_d <= tol and res_p <= tol and res_gap <= tol:
-            status = OPTIMAL
-            break
+            return QpSolution(OPTIMAL, x, obj, np.zeros(0), mu, it)
         if np.abs(x).max(initial=0.0) > _DIVERGED:
             break
 
@@ -291,17 +317,176 @@ def _interior_point(qp: QuadraticProgram, tol: float, max_iter: int) -> QpSoluti
         s = np.maximum(s + alpha * ds, 1e-300)
         mu = np.maximum(mu + alpha * dmu, 1e-300)
 
-    if status == OPTIMAL:
-        return QpSolution(OPTIMAL, x, qp.objective(x), np.zeros(0), mu, it)
-
     # No convergence: classify via phase-1, then try a ray certificate.
-    feasible, _ = check_feasible(A_in, b_in, tol=max(tol, 1e-8))
-    if not feasible:
-        return QpSolution(INFEASIBLE, x, np.nan, np.zeros(0), mu, it)
-    if _certify_ray(qp, x):
-        return QpSolution(UNBOUNDED, x, -np.inf, np.zeros(0), mu, it)
     _, xb, mub = best
-    return QpSolution(MAX_ITER, xb, qp.objective(xb), np.zeros(0), mub, it)
+    return _undecided(qp, x, mu, xb, mub, it, tol)
+
+
+def _rows(X: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """Each row of X times M as its own product.  The rows of one 2-D
+    matrix product can round differently with the number of rows, these
+    cannot, so a family member's iterates do not depend on the others."""
+    return (X[:, None, :] @ M)[:, 0]
+
+
+def _max_steps(v: np.ndarray, dv: np.ndarray) -> np.ndarray:
+    """`_max_step` of every row."""
+    ratio = np.full(v.shape, np.inf)
+    np.divide(-v, dv, out=ratio, where=dv < 0)
+    return np.minimum(1.0, ratio.min(axis=1))
+
+
+def _solve_each(K: np.ndarray, r: np.ndarray):
+    """(x, singular): x[b] = K[b]^-1 r[b] from one batched call, NaN where
+    K[b] is singular (marked in the boolean array `singular`)."""
+    singular = np.zeros(len(K), dtype=bool)
+    try:
+        return np.linalg.solve(K, r[..., None])[..., 0], singular
+    except LinAlgError:
+        out = np.full(r.shape, np.nan)
+        for b in range(len(K)):
+            try:
+                out[b] = np.linalg.solve(K[b], r[b])
+            except LinAlgError:
+                singular[b] = True
+        return out, singular
+
+
+def _lockstep_interior_point(H, A_in, G, B_in, C0, tol: float,
+                             max_iter: int) -> list[QpSolution]:
+    """`_interior_point` on the QPs min 0.5 y'Hy + G[b]'y + C0[b] subject to
+    A_in y <= B_in[b], all advanced in lockstep.
+
+    Each step eliminates ds and dmu into one k x k normal matrix per member,
+    H + reg I + A_in' diag(1/(s/mu + reg)) A_in, solves all of them in one
+    batched call and recovers dmu from dy.  A member leaves the family when
+    it certifies (OPTIMAL), diverges or meets a singular matrix; the others
+    run on.  Members not certified within max_iter get `_undecided`.
+    """
+    H = 0.5 * (H + H.T)
+    H_ipm = _psd_lift(H)
+    H_reg = H_ipm + _REG * np.eye(H.shape[0])
+    fam, m = B_in.shape
+    g_scale = 1.0 + np.abs(G).max(axis=1)
+    b_scale = 1.0 + np.abs(B_in).max(axis=1)
+
+    X = np.zeros(G.shape)
+    S = np.where(B_in > 1.0, B_in, 1.0)
+    MU = np.ones((fam, m))
+    OBJ = np.zeros(fam)
+    best = np.full(fam, np.inf)
+    best_x, best_mu = X.copy(), MU.copy()
+    its = np.full(fam, max_iter)
+    certified = np.zeros(fam, dtype=bool)
+    live = np.arange(fam)  # members still iterating
+    for it in range(1, max_iter + 1):
+        x, s, mu, g = X[live], S[live], MU[live], G[live]
+        Hx, At_mu = _rows(x, H_ipm), _rows(mu, A_in)
+        r_d = Hx + g + At_mu
+        r_pi = _rows(x, A_in.T) + s - B_in[live]
+        mu_bar = (s * mu).sum(axis=1) / m
+        Hx_obj = Hx if H_ipm is H else _rows(x, H)
+        obj = 0.5 * (x * Hx_obj).sum(axis=1) + (g * x).sum(axis=1) + C0[live]
+
+        d_scale = g_scale[live] + np.abs(Hx).max(axis=1) \
+            + np.abs(At_mu).max(axis=1)
+        res_d = np.abs(r_d).max(axis=1) / d_scale
+        res_p = np.abs(r_pi).max(axis=1) / b_scale[live]
+        res_gap = np.abs(mu * (s - r_pi)).max(axis=1) / (1.0 + np.abs(obj))
+
+        score = np.maximum(np.maximum(res_d, res_p), res_gap)
+        better = score < best[live]
+        best[live[better]] = score[better]
+        best_x[live[better]], best_mu[live[better]] = x[better], mu[better]
+        done = (res_d <= tol) & (res_p <= tol) & (res_gap <= tol)
+        stop = done | (np.abs(x).max(axis=1) > _DIVERGED)
+
+        e = s / mu + _REG
+        K = H_reg + (A_in.T / e[:, None, :]) @ A_in
+
+        def step(r2):
+            dx, singular = _solve_each(K, _rows(r2 / e, A_in) - r_d)
+            return dx, (_rows(dx, A_in.T) - r2) / e, singular
+
+        # Predictor (affine scaling).
+        dx_aff, dmu_aff, singular = step(s - r_pi)
+        stop |= singular
+        ds_aff = (-s * mu - s * dmu_aff) / mu
+        a_p = _max_steps(s, ds_aff)[:, None]
+        a_d = _max_steps(mu, dmu_aff)[:, None]
+        mu_aff = ((s + a_p * ds_aff) * (mu + a_d * dmu_aff)).sum(axis=1) / m
+        sigma = np.full(live.size, 0.1)
+        pos = mu_bar > 0
+        sigma[pos] = (np.maximum(mu_aff[pos], 0.0) / mu_bar[pos]) ** 3
+
+        # Corrector.
+        rhs_c = (sigma * mu_bar)[:, None] - s * mu - ds_aff * dmu_aff
+        dx, dmu, _ = step(-r_pi - rhs_c / mu)
+        ds = (rhs_c - s * dmu) / mu
+
+        eta = np.maximum(0.99, 1.0 - mu_bar)
+        alpha = np.minimum(1.0, eta * np.minimum(_max_steps(s, ds),
+                                                 _max_steps(mu, dmu)))[:, None]
+        go = ~stop
+        gone = live[stop]
+        certified[gone], its[gone], OBJ[gone] = done[stop], it, obj[stop]
+        live = live[go]
+        X[live] = x[go] + alpha[go] * dx[go]
+        S[live] = np.maximum(s[go] + alpha[go] * ds[go], 1e-300)
+        MU[live] = np.maximum(mu[go] + alpha[go] * dmu[go], 1e-300)
+        if not live.size:
+            break
+
+    return [QpSolution(OPTIMAL, X[b], OBJ[b], np.zeros(0), MU[b], int(its[b]))
+            if certified[b] else
+            _undecided(QuadraticProgram(H, G[b], A_in, B_in[b], c0=C0[b]),
+                       X[b], MU[b], best_x[b], best_mu[b], int(its[b]), tol)
+            for b in range(fam)]
+
+
+def _reduced(qp: QuadraticProgram, red: EqualityReduction,
+             x_p: np.ndarray) -> QuadraticProgram:
+    """The QP in y on x = x_p + N y, with inequality rows only."""
+    Hx_p = qp.H @ x_p
+    return QuadraticProgram(
+        red.H, red.N.T @ (qp.g + Hx_p), red.A_ineq, qp.b_ineq - qp.A_ineq @ x_p,
+        c0=qp.c0 + qp.g @ x_p + 0.5 * x_p @ Hx_p)
+
+
+def _lift(qp: QuadraticProgram, red: EqualityReduction, x_p: np.ndarray,
+          sol: QpSolution) -> QpSolution:
+    """A solution in y as the solution in x = x_p + N y of qp, with the
+    equality multipliers recovered from stationarity."""
+    x = x_p + red.N @ sol.x
+    mu = sol.duals_ineq
+    y = red.eq_duals(qp.H @ x + qp.g + qp.A_ineq.T @ mu)
+    objective = qp.objective(x) if np.isfinite(sol.objective) else sol.objective
+    return QpSolution(sol.status, x, objective, y, mu, sol.iterations)
+
+
+def _presolve(qp: QuadraticProgram, red: EqualityReduction, b_eq: np.ndarray,
+              x_p: np.ndarray, tol: float) -> QpSolution | None:
+    """The solution of qp with equality right-hand side b_eq when no
+    interior-point iteration is needed, else None.
+
+    Equalities no x meets within tol (scaled) are infeasible; with an empty
+    nullspace x_p is optimal or infeasible by its inequality residual; with
+    no inequality rows one pseudoinverse solve decides.
+    """
+    m, p = qp.b_ineq.size, b_eq.size
+    b_scale = 1.0 + max(np.abs(qp.b_ineq).max(initial=0.0),
+                        np.abs(b_eq).max(initial=0.0))
+    if np.abs(qp.A_eq @ x_p - b_eq).max(initial=0.0) > tol * b_scale:
+        return QpSolution(INFEASIBLE, x_p, np.nan, np.zeros(p), np.zeros(m), 0)
+    if red.N.shape[1] == 0:
+        feasible = (qp.A_ineq @ x_p - qp.b_ineq).max(initial=0.0) <= tol * b_scale
+        sol = QpSolution(OPTIMAL if feasible else INFEASIBLE, np.zeros(0),
+                         0.0 if feasible else np.nan, np.zeros(0), np.zeros(m), 0)
+    elif not m:
+        sol = _solve_unconstrained(_reduced(qp, red, x_p), tol)
+    else:
+        return None
+    return _lift(qp, red, x_p, sol)
 
 
 def solve_qp(qp: QuadraticProgram, tol: float = 1e-8, max_iter: int = 200) -> QpSolution:
@@ -315,31 +500,43 @@ def solve_qp(qp: QuadraticProgram, tol: float = 1e-8, max_iter: int = 200) -> Qp
     certified by a descent ray.
     """
     red = qp.reduction if qp.reduction is not None else EqualityReduction.of(qp)
-    m, p = qp.b_ineq.size, qp.b_eq.size
-    b_scale = 1.0 + max(np.abs(qp.b_ineq).max(initial=0.0),
-                        np.abs(qp.b_eq).max(initial=0.0))
     x_p = red.particular(qp.b_eq)
-    if np.abs(qp.A_eq @ x_p - qp.b_eq).max(initial=0.0) > tol * b_scale:
-        return QpSolution(INFEASIBLE, x_p, np.nan, np.zeros(p), np.zeros(m), 0)
+    sol = _presolve(qp, red, qp.b_eq, x_p, tol)
+    if sol is None:
+        sol = _lift(qp, red, x_p, _interior_point(_reduced(qp, red, x_p), tol,
+                                                  max_iter))
+    return sol
 
-    if red.N.shape[1] == 0:
-        feasible = (qp.A_ineq @ x_p - qp.b_ineq).max(initial=0.0) <= tol * b_scale
-        sol = QpSolution(OPTIMAL if feasible else INFEASIBLE, np.zeros(0),
-                         0.0 if feasible else np.nan, np.zeros(0), np.zeros(m), 0)
-    else:
-        Hx_p = qp.H @ x_p
-        reduced = QuadraticProgram(
-            red.H, red.N.T @ (qp.g + Hx_p), red.A_ineq,
-            qp.b_ineq - qp.A_ineq @ x_p,
-            c0=qp.c0 + qp.g @ x_p + 0.5 * x_p @ Hx_p)
-        sol = (_interior_point(reduced, tol, max_iter) if m
-               else _solve_unconstrained(reduced, tol))
 
-    x = x_p + red.N @ sol.x
-    mu = sol.duals_ineq
-    y = red.eq_duals(qp.H @ x + qp.g + qp.A_ineq.T @ mu)
-    objective = qp.objective(x) if np.isfinite(sol.objective) else sol.objective
-    return QpSolution(sol.status, x, objective, y, mu, sol.iterations)
+def solve_family(qp: QuadraticProgram, b_eqs, tol: float = 1e-8,
+                 max_iter: int = 200) -> list[QpSolution]:
+    """solve_qp on each QP that is qp with b_eq replaced by a row of b_eqs.
+
+    The members share H, g, the inequalities and A_eq, hence one equality
+    reduction (qp.reduction, or one SVD).  Members that need no iteration
+    are decided as solve_qp decides them; the rest run one lockstep
+    interior-point method on the k x k normal matrix.  Each member stops on
+    its own test and keeps its own status and iteration count.
+    """
+    b_eqs = np.asarray(b_eqs, dtype=float)
+    if b_eqs.ndim != 2 or b_eqs.shape[1] != qp.b_eq.size:
+        raise ValueError(f"b_eqs must be (members, {qp.b_eq.size}), "
+                         f"got {b_eqs.shape}")
+    red = qp.reduction if qp.reduction is not None else EqualityReduction.of(qp)
+    X_p = _rows(_rows(b_eqs, red.U) / red.s, red.V.T)
+    sols = [_presolve(qp, red, b, x_p, tol) for b, x_p in zip(b_eqs, X_p)]
+    todo = [i for i, sol in enumerate(sols) if sol is None]
+    if todo:
+        X_t = X_p[todo]
+        HX = _rows(X_t, qp.H)
+        G = _rows(qp.g + HX, red.N)
+        B_in = qp.b_ineq - _rows(X_t, qp.A_ineq.T)
+        C0 = qp.c0 + (X_t * (qp.g + 0.5 * HX)).sum(axis=1)
+        ipm = _lockstep_interior_point(red.H, red.A_ineq, G, B_in, C0, tol,
+                                       max_iter)
+        for i, sol in zip(todo, ipm):
+            sols[i] = _lift(qp, red, X_p[i], sol)
+    return sols
 
 
 def solve_lp(g, A_ineq=None, b_ineq=None, A_eq=None, b_eq=None,

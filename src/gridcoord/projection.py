@@ -304,24 +304,6 @@ def _prune_rows(A_in, b_in, A_eq, b_eq, *, z0=None):
     return A_in[active], b_in[active], True
 
 
-def remove_redundant(poly: Polyhedron) -> Polyhedron:
-    """Minimal-row description of the same set (paired rows preserved)."""
-    if poly.n_rows == 0:
-        return poly
-    if poly.is_marked_empty:
-        return Polyhedron.empty(poly.dim, poly.labels)
-    A_eq, b_eq, A_in, b_in = _split_pairs(poly.A, poly.b)
-    A_eq, b_eq, consistent = _independent_equalities(A_eq, b_eq)
-    if not consistent:
-        return Polyhedron.empty(poly.dim, poly.labels)
-    A_in, b_in, feasible = _prune_rows(A_in, b_in, A_eq, b_eq)
-    if not feasible:
-        return Polyhedron.empty(poly.dim, poly.labels)
-    A, b = _pair_back(A_eq, b_eq, A_in, b_in)
-    A, b = _canonical(A, b)
-    return Polyhedron(poly.dim, A, b, poly.labels)
-
-
 def _split_pairs(A, b):
     """Separate exact opposing row pairs (equalities) from plain rows."""
     A, b = _normalize(A, b)

@@ -8,17 +8,18 @@ the FOR and fits the convex quadratic surrogate 0.5 z'Qz + c'z + d that rides
 up to the TSO objective.
 
 The pinned QPs of one model share H, g and every constraint row; only the
-pinned triple z in b_eq moves.  They share one `opt_core.EqualityReduction`
-of the pinned equality rows (one SVD, N'HN and A_ineq N formed once), so
-each sample is solved over y in x = x_p(z) + N y with no equality rows in
-any factorization and no per-sample SVD.
+pinned triple z in b_eq moves.  So the samples of one model are one
+`opt_core.solve_family` call: one SVD of the pinned equality rows, every
+x_p(z) from one stacked product, and one lockstep interior-point run in y
+(x = x_p(z) + N y) whose steps solve only the members' k x k normal
+matrices.
 """
 import logging
 from dataclasses import dataclass
 
 import numpy as np
 
-from .opt_core import OPTIMAL, solve_qp
+from .opt_core import OPTIMAL, solve_family
 from .powerflow_models import pin_coupling
 from .projection import EmptyRegion, Polyhedron, chebyshev_center
 
@@ -113,11 +114,12 @@ def sample_value_function(model, for_region: Polyhedron,
                           n: int = DEFAULT_SAMPLES, seed: int = 0):
     """Hit-and-run samples of the DSO best-response cost over the FOR.
 
-    Deterministic for a fixed seed.  Each sample is the pinned QP; all of
-    them share one equality reduction, since only b_eq moves with z.  A
-    sample whose pin is inconsistent with the equalities, whose pin fixes
-    every column at a point that breaks an inequality, or whose solve is
-    not optimal is flagged feasible=False with value +inf, never dropped.
+    Deterministic for a fixed seed.  Each sample is the pinned QP; since
+    only b_eq moves with z, all n are solved as one family (`solve_family`),
+    each with its own status.  A sample whose pin is inconsistent with the
+    equalities, whose pin fixes every column at a point that breaks an
+    inequality, or whose solve is not optimal is flagged feasible=False
+    with value +inf, never dropped.
     """
     if for_region.dim != 3:
         raise ValueError("FOR must be 3-dimensional")
@@ -127,11 +129,11 @@ def sample_value_function(model, for_region: Polyhedron,
         raise EmptyRegion("cannot sample an empty region")
     rng = np.random.default_rng(seed)
     pts = _hit_and_run(for_region, n, rng, burn=3 * for_region.dim)
-    family = pin_coupling(model, np.zeros(3)).with_reduction()
+    family = pin_coupling(model, np.zeros(3))
+    b_eqs = np.tile(family.b_eq, (n, 1))
+    b_eqs[:, -3:] = pts
     samples = []
-    for z in pts:
-        family.b_eq[-3:] = z
-        sol = solve_qp(family)
+    for z, sol in zip(pts, solve_family(family, b_eqs)):
         ok = sol.status == OPTIMAL
         samples.append(ValueSample(z, sol.objective if ok else np.inf, ok))
     return samples

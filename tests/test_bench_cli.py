@@ -2,6 +2,9 @@
 import dataclasses
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -398,3 +401,17 @@ class TestExportReport:
         doc = load_json(json_path)
         assert doc["rows"] == rows
         assert doc["config"] == {"seed": 0}
+
+
+class TestMakeBenchmarkScript:
+    def test_help_writes_nothing(self):
+        root = Path(__file__).resolve().parent.parent
+        data = [root / "src" / "gridcoord" / "data" / name
+                for name in ("case9.json", "case15.json")]
+        before = [path.read_bytes() for path in data]
+        done = subprocess.run(
+            [sys.executable, str(root / "scripts" / "make_benchmark.py"),
+             "--help"], capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0 and done.stdout.startswith("usage:")
+        assert "wrote" not in done.stdout
+        assert [path.read_bytes() for path in data] == before

@@ -9,6 +9,7 @@ from scipy.optimize import linprog
 
 from gridcoord import opt_core as oc
 from gridcoord import powerflow_models as pm
+from gridcoord import projection as pj
 from gridcoord.value_function import QuadraticValueFn
 
 
@@ -260,6 +261,179 @@ class TestEqualityReduction:
             assert orders and max(orders) <= k + m
             ref = oc.solve_qp(fresh)
             np.testing.assert_allclose(sol.x, ref.x, atol=1e-9)
+
+
+def interior_pins(region, count, seed):
+    """`count` points inside the inscribed ball of a FOR."""
+    center, radius = pj.chebyshev_center(region)
+    rng = np.random.default_rng(seed)
+    u = rng.normal(size=(count, 3))
+    u *= rng.uniform(0.0, 0.9, size=(count, 1)) / np.linalg.norm(u, axis=1,
+                                                                 keepdims=True)
+    return center + radius * u
+
+
+def pinned_rows(qp, pins):
+    """b_eq of qp once per pin, with the last three entries set to the pin."""
+    b_eqs = np.tile(qp.b_eq, (len(pins), 1))
+    b_eqs[:, -3:] = pins
+    return b_eqs
+
+
+def beyond_facet(region, gap=1e-3):
+    """A point `gap` beyond the first facet, along its normal from the center."""
+    x, _ = pj.chebyshev_center(region)
+    a, b = region.A[0], region.b[0]
+    return x + ((b - a @ x) / (a @ a) + gap / np.linalg.norm(a)) * a
+
+
+def assert_same_solution(a, b):
+    assert a.status == b.status and a.iterations == b.iterations
+    assert np.array_equal(a.x, b.x) and np.array_equal(a.duals_ineq,
+                                                       b.duals_ineq)
+    assert np.array_equal(a.duals_eq, b.duals_eq)
+    assert a.objective == b.objective or (np.isnan(a.objective)
+                                          and np.isnan(b.objective))
+
+
+class TestSolveFamily:
+    """QPs that differ only in b_eq, solved as one lockstep family."""
+
+    def test_matches_solve_qp_on_packaged_families(self, benchmark_dso_models,
+                                                   benchmark_fors):
+        for key, model in benchmark_dso_models.items():
+            pins = interior_pins(benchmark_fors[key], 20, seed=key[0])
+            family = pm.pin_coupling(model, np.zeros(3))
+            sols = oc.solve_family(family, pinned_rows(family, pins))
+            assert len(sols) == 20
+            for z, sol in zip(pins, sols):
+                qp = pm.pin_coupling(model, z)
+                ref = oc.solve_qp(qp)
+                assert sol.status == ref.status == oc.OPTIMAL, key
+                assert abs(sol.objective - ref.objective) <= \
+                    1e-8 * (1.0 + abs(ref.objective)), key
+                certify(qp, sol)
+
+    def test_flagged_members_leave_the_rest_untouched(
+            self, benchmark_dso_models, benchmark_fors):
+        # Members 0 (off the FOR) and 1 (breaks a doubled pin) are flagged;
+        # the 30 after them must come out as they do without them.
+        key = (1, "lindistflow")
+        region = benchmark_fors[key]
+        plain = pm.pin_coupling(benchmark_dso_models[key], np.zeros(3))
+        pins = np.vstack([beyond_facet(region),
+                          interior_pins(region, 31, seed=3)])
+        # The nu pin carried twice; in member 1 the copies disagree.
+        doubled = replace(plain, A_eq=np.vstack([plain.A_eq, plain.A_eq[-1]]),
+                          b_eq=np.append(plain.b_eq, 0.0))
+        b_eqs = np.column_stack([pinned_rows(plain, pins), pins[:, 2]])
+        b_eqs[1, -1] += 1e-3
+        sols = oc.solve_family(doubled, b_eqs)
+        refs = [oc.solve_qp(replace(doubled, b_eq=b_eq)) for b_eq in b_eqs[:2]]
+        assert sols[1].status == refs[1].status == oc.INFEASIBLE
+        assert sols[1].iterations == refs[1].iterations == 0
+        assert sols[0].status == refs[0].status == oc.INFEASIBLE
+        # a member leaves before the scalar solve only when its normal
+        # matrix turns exactly singular
+        assert sols[0].iterations <= refs[0].iterations
+        for sol, ref in zip(sols[2:], oc.solve_family(doubled, b_eqs[2:])):
+            assert sol.status == oc.OPTIMAL
+            assert_same_solution(sol, ref)
+
+    def test_off_for_member_runs_as_solve_qp(self, benchmark_dso_models,
+                                             benchmark_fors):
+        key = (1, "lindistflow")
+        region = benchmark_fors[key]
+        family = pm.pin_coupling(benchmark_dso_models[key], np.zeros(3))
+        pins = np.vstack([interior_pins(region, 5, seed=4),
+                          beyond_facet(region)])
+        sol = oc.solve_family(family, pinned_rows(family, pins))[-1]
+        ref = oc.solve_qp(pm.pin_coupling(benchmark_dso_models[key], pins[-1]))
+        assert sol.status == ref.status == oc.INFEASIBLE
+        assert sol.iterations == ref.iterations == 200
+
+    def test_members_decided_without_iteration(self):
+        # Empty nullspace: the equalities fix x and the box decides.
+        A_eq = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [1.0, 0.0, 1.0]])
+        A_in = np.vstack([np.eye(3), -np.eye(3)])
+        fixed = oc.QuadraticProgram(np.diag([1.0, 2.0, 0.0]), [1.0, -1.0, 0.5],
+                                    A_in, np.ones(6), A_eq, np.zeros(3))
+        fixed_rows = np.array([[0.2, -0.1, 0.3], [2.0, 0.0, 0.0]]) @ A_eq.T
+        # No inequality rows: one pseudoinverse solve a member.
+        free = oc.QuadraticProgram(np.diag([1.0, 2.0, 0.0]), [0.0, 0.0, -1.0],
+                                   A_eq=[[1.0, 1.0, 1.0], [-2.0, 0.0, 1.0]],
+                                   b_eq=[1.0, 0.0])
+        free_rows = np.array([[1.0, 0.0], [0.0, 1.0]])
+        for qp, b_eqs, statuses in (
+                (fixed, fixed_rows, [oc.OPTIMAL, oc.INFEASIBLE]),
+                (free, free_rows, [oc.OPTIMAL, oc.OPTIMAL])):
+            sols = oc.solve_family(qp, b_eqs)
+            assert [sol.status for sol in sols] == statuses
+            for b_eq, sol in zip(b_eqs, sols):
+                ref = oc.solve_qp(replace(qp, b_eq=b_eq))
+                assert sol.status == ref.status
+                assert sol.iterations == ref.iterations <= 1
+                np.testing.assert_allclose(sol.x, ref.x, rtol=0, atol=1e-12)
+
+    def test_max_iter_returns_scalar_best_iterate(self, benchmark_dso_models,
+                                                  benchmark_fors):
+        key = (2, "loss_linearized")
+        pins = interior_pins(benchmark_fors[key], 5, seed=8)
+        family = pm.pin_coupling(benchmark_dso_models[key], np.zeros(3))
+        sols = oc.solve_family(family, pinned_rows(family, pins), max_iter=2)
+        for z, sol in zip(pins, sols):
+            ref = oc.solve_qp(pm.pin_coupling(benchmark_dso_models[key], z),
+                              max_iter=2)
+            assert sol.status == ref.status == oc.MAX_ITER
+            assert sol.iterations == ref.iterations == 2
+            np.testing.assert_allclose(sol.x, ref.x, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(sol.duals_ineq, ref.duals_ineq,
+                                       rtol=0, atol=1e-12)
+            assert abs(sol.objective - ref.objective) <= 1e-12 * (
+                1.0 + abs(ref.objective))
+
+    def test_singular_member_takes_the_scalar_verdict(
+            self, monkeypatch, benchmark_dso_models, benchmark_fors):
+        # Member 1 meets a singular normal matrix at the first step: it
+        # leaves with its first iterate; the others are not disturbed.
+        key = (2, "lindistflow")
+        pins = interior_pins(benchmark_fors[key], 3, seed=1)
+        family = pm.pin_coupling(benchmark_dso_models[key], np.zeros(3))
+        b_eqs = pinned_rows(family, pins)
+        alone = oc.solve_family(family, b_eqs[[0, 2]])
+        solve_each = oc._solve_each
+
+        def singular_member_one(K, r):
+            K = K.copy()
+            if len(K) == 3:
+                K[1] = 0.0
+            return solve_each(K, r)
+
+        monkeypatch.setattr(oc, "_solve_each", singular_member_one)
+        sols = oc.solve_family(family, b_eqs)
+        assert sols[1].status == oc.MAX_ITER and sols[1].iterations == 1
+        for sol, ref in zip(sols[::2], alone):
+            assert_same_solution(sol, ref)
+
+    def test_member_products_do_not_depend_on_the_others(self):
+        rng = np.random.default_rng(6)
+        X, M = rng.normal(size=(40, 4)), rng.normal(size=(4, 42))
+        full = oc._rows(X, M)
+        for rows in (slice(0, 1), slice(3, 4), slice(1, 40), slice(5, 17)):
+            np.testing.assert_array_equal(oc._rows(X[rows], M), full[rows])
+
+    def test_batched_solve_marks_singular_members(self):
+        K = np.stack([np.eye(2), np.zeros((2, 2)), 2.0 * np.eye(2)])
+        out, singular = oc._solve_each(K, np.ones((3, 2)))
+        np.testing.assert_array_equal(out[[0, 2]], [[1.0, 1.0], [0.5, 0.5]])
+        assert np.isnan(out[1]).all()
+        np.testing.assert_array_equal(singular, [False, True, False])
+
+    def test_rows_must_match_b_eq(self):
+        qp = oc.QuadraticProgram(np.eye(2), np.zeros(2), A_eq=[[1.0, 1.0]],
+                                 b_eq=[1.0])
+        with pytest.raises(ValueError):
+            oc.solve_family(qp, np.ones((3, 2)))
 
 
 class TestSolveLp:

@@ -125,18 +125,26 @@ class TestEliminateVariable:
         assert out.is_marked_empty
 
 
+def minimal(poly):
+    """The minimal-row description `project_onto` gives on every column."""
+    return pj.project_onto(poly, range(poly.dim))
+
+
 class TestRemoveRedundant:
+    """Redundant rows go in `project_onto`, by `_prune_rows` around one
+    interior point; equality pairs and emptiness are kept."""
+
     def test_duplicate_removed(self):
         sq = box(2)
         dup = pj.Polyhedron(2, np.vstack([sq.A, [[1.0, 0.0]]]),
                             np.concatenate([sq.b, [1.0]]), sq.labels)
-        out = pj.remove_redundant(dup)
+        out = minimal(dup)
         assert out.n_rows == 4
 
     def test_dominated_removed(self):
         poly = pj.Polyhedron(1, np.array([[1.0], [1.0], [-1.0]]),
                              np.array([1.0, 2.0, 0.0]), ("x",))
-        out = pj.remove_redundant(poly)
+        out = minimal(poly)
         assert out.n_rows == 2
         assert pj.contains(out, [1.0]) and not pj.contains(out, [1.5])
 
@@ -145,7 +153,7 @@ class TestRemoveRedundant:
         A = np.vstack([rng.normal(size=(14, 3)), np.eye(3), -np.eye(3)])
         b = np.concatenate([rng.uniform(0.5, 2.0, 14), np.full(6, 3.0)])
         poly = pj.Polyhedron(3, A, b, ("a", "b", "c"))
-        out = pj.remove_redundant(poly)
+        out = minimal(poly)
         assert out.n_rows <= poly.n_rows
         for _ in range(500):
             p = rng.uniform(-3.5, 3.5, size=3)
@@ -154,7 +162,7 @@ class TestRemoveRedundant:
     def test_keeps_equality_pairs(self):
         A = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
         b = np.array([1.0, -1.0, 5.0, 5.0])
-        out = pj.remove_redundant(pj.Polyhedron(2, A, b, ("x", "y")))
+        out = minimal(pj.Polyhedron(2, A, b, ("x", "y")))
         assert out.n_rows == 4  # the x = 1 pair survives
         assert pj.contains(out, [1.0, 2.0])
         assert not pj.contains(out, [1.1, 2.0])
@@ -162,7 +170,7 @@ class TestRemoveRedundant:
     def test_infeasible_becomes_marker(self):
         poly = pj.Polyhedron(1, np.array([[1.0], [-1.0]]),
                              np.array([0.0, -1.0]), ("x",))
-        assert pj.remove_redundant(poly).is_marked_empty
+        assert minimal(poly).is_marked_empty
 
 
 def assert_same_set(A, b, A_out, b_out, rng, half_width, n=500):
@@ -225,7 +233,7 @@ class TestHullPruning:
         assert_same_set(A, b, A_out, b_out, np.random.default_rng(3), 1.5)
 
     def test_one_dimensional_keeps_tightest_bounds(self, lp_forbidden):
-        out = pj.remove_redundant(pj.Polyhedron(
+        out = minimal(pj.Polyhedron(
             1, np.array([[1.0], [1.0], [-1.0]]), np.array([1.0, 2.0, 0.0]),
             ("x",)))
         np.testing.assert_array_equal(np.column_stack([out.A, out.b]),
@@ -310,8 +318,7 @@ class TestProjectOnto:
         poly = pj.Polyhedron(4, np.vstack([bx.A, A]),
                              np.concatenate([bx.b, b]), bx.labels)
         fast = pj.project_onto(poly, [2, 3])
-        slow = pj.remove_redundant(
-            pj.eliminate_variable(pj.eliminate_variable(poly, 1), 0))
+        slow = pj.eliminate_variable(pj.eliminate_variable(poly, 1), 0)
         rng = np.random.default_rng(13)
         for _ in range(300):
             p = rng.uniform(-2.5, 2.5, size=2)

@@ -8,6 +8,7 @@ from gridcoord import opt_core as oc
 from gridcoord import powerflow_models as pm
 from gridcoord import projection as pj
 from gridcoord import value_function as vf
+from gridcoord.opt_core import split_svd
 
 LINK = gm.Interconnection(1, 8, 1)
 
@@ -36,29 +37,50 @@ def synthetic_samples(fn, n=40, seed=1):
     return out
 
 
-def spy_solves(monkeypatch):
-    """Record (qp, solution) of every solve_qp call the sampler makes."""
+def spy_family(monkeypatch):
+    """Record (qp, b_eqs, solutions) of every solve_family call the sampler
+    makes."""
     seen = []
 
-    def spy(qp, *args, **kwargs):
-        sol = oc.solve_qp(qp, *args, **kwargs)
-        seen.append((qp, sol))
-        return sol
+    def spy(qp, b_eqs, *args, **kwargs):
+        sols = oc.solve_family(qp, b_eqs, *args, **kwargs)
+        seen.append((qp, b_eqs, sols))
+        return sols
 
-    monkeypatch.setattr(vf, "solve_qp", spy)
+    monkeypatch.setattr(vf, "solve_family", spy)
     return seen
 
 
-def spy_factorizations(monkeypatch):
-    """Record the order of every matrix the interior point method factors."""
+def spy_solved_orders(monkeypatch):
+    """Record the order of every matrix the interior point methods solve
+    with: scalar LU factorizations and batched normal matrices."""
     orders = []
 
-    def spy(M, *args, **kwargs):
+    def lu_spy(M, *args, **kwargs):
         orders.append(M.shape[0])
         return lu_factor(M, *args, **kwargs)
 
-    monkeypatch.setattr(oc, "lu_factor", spy)
+    solve_each = oc._solve_each
+
+    def batch_spy(K, r):
+        orders.append(K.shape[-1])
+        return solve_each(K, r)
+
+    monkeypatch.setattr(oc, "lu_factor", lu_spy)
+    monkeypatch.setattr(oc, "_solve_each", batch_spy)
     return orders
+
+
+def spy_svds(monkeypatch):
+    """Record the shape of every matrix split_svd factors."""
+    shapes = []
+
+    def spy(A):
+        shapes.append(A.shape)
+        return split_svd(A)
+
+    monkeypatch.setattr(oc, "split_svd", spy)
+    return shapes
 
 
 def pin_points(monkeypatch, z):
@@ -190,18 +212,26 @@ class TestSampling:
     def test_samples_solved_without_equality_rows(self, monkeypatch,
                                                   benchmark_dso_models,
                                                   benchmark_fors):
-        # Every sample carries the one reduction of its model (no SVD per
-        # sample), and no factored matrix holds an equality block.
+        # One family call a model, one SVD of its pinned equality rows, and
+        # no matrix larger than the k x k normal matrix solved.  The points
+        # are drawn before the spies, so that the Chebyshev LP of the
+        # hit-and-run start is not counted.
         key = next(iter(benchmark_dso_models))
-        solves = spy_solves(monkeypatch)
-        orders = spy_factorizations(monkeypatch)
-        vf.sample_value_function(benchmark_dso_models[key],
-                                 benchmark_fors[key], n=15, seed=2)
-        assert len(solves) == 15
-        red = solves[0][0].reduction
-        assert red is not None
-        assert all(qp.reduction is red for qp, _ in solves)
-        assert orders and max(orders) <= red.N.shape[1] + red.A_ineq.shape[0]
+        model, region = benchmark_dso_models[key], benchmark_fors[key]
+        pts = vf._hit_and_run(region, 15, np.random.default_rng(2), burn=9)
+        monkeypatch.setattr(vf, "_hit_and_run",
+                            lambda region, n, rng, burn: pts)
+        calls = spy_family(monkeypatch)
+        orders = spy_solved_orders(monkeypatch)
+        svds = spy_svds(monkeypatch)
+        samples = vf.sample_value_function(model, region, n=15, seed=2)
+        assert len(calls) == 1
+        qp, b_eqs, sols = calls[0]
+        assert b_eqs.shape == (15, qp.b_eq.size) and len(sols) == 15
+        assert svds.count(qp.A_eq.shape) == 1
+        k = oc.EqualityReduction.of(qp).N.shape[1]
+        assert orders and max(orders) <= k
+        assert all(s.feasible for s in samples)
 
     def test_off_for_point_flagged(self, monkeypatch, benchmark_dso_models,
                                    benchmark_fors):
@@ -210,22 +240,24 @@ class TestSampling:
         key = next(iter(benchmark_dso_models))
         region = benchmark_fors[key]
         pin_points(monkeypatch, just_outside(region))
-        solves = spy_solves(monkeypatch)
+        calls = spy_family(monkeypatch)
         samples = vf.sample_value_function(benchmark_dso_models[key], region,
                                            n=10, seed=0)
-        assert solves and all(sol.status != oc.OPTIMAL for _, sol in solves)
+        assert calls and all(sol.status != oc.OPTIMAL
+                             for _, _, sols in calls for sol in sols)
         assert all(not s.feasible and s.value == np.inf for s in samples)
 
     def test_off_for_point_flagged_empty_nullspace(self, monkeypatch):
-        # Tests feeder: the pin fixes every column, so solve_qp decides from
-        # the one candidate point with no iteration.
+        # Tests feeder: the pin fixes every column, so each member is decided
+        # from the one candidate point with no iteration.
         model = feeder_dso()
         region = pj.coupling_region(model)
         pin_points(monkeypatch, just_outside(region))
-        solves = spy_solves(monkeypatch)
+        calls = spy_family(monkeypatch)
         samples = vf.sample_value_function(model, region, n=10, seed=0)
-        assert solves and all(sol.status == oc.INFEASIBLE
-                              and sol.iterations == 0 for _, sol in solves)
+        assert calls and all(sol.status == oc.INFEASIBLE
+                             and sol.iterations == 0
+                             for _, _, sols in calls for sol in sols)
         assert all(not s.feasible and s.value == np.inf for s in samples)
 
     def test_inconsistent_pin_flagged(self, monkeypatch):
@@ -233,12 +265,13 @@ class TestSampling:
         model = pm.build_lindistflow_model(
             gm.GridCase(100.0, (gm.Bus(1, "slack"),), (), ()), LINK)
         pin_points(monkeypatch, np.array([1e-3, 0.0, 1.0]))
-        solves = spy_solves(monkeypatch)
+        calls = spy_family(monkeypatch)
         region = pj.Polyhedron(3, np.vstack([np.eye(3), -np.eye(3)]),
                                np.ones(6), ("p_if", "q_if", "nu_if"))
         samples = vf.sample_value_function(model, region, n=10, seed=0)
-        assert solves and all(sol.status == oc.INFEASIBLE
-                              and sol.iterations == 0 for _, sol in solves)
+        assert calls and all(sol.status == oc.INFEASIBLE
+                             and sol.iterations == 0
+                             for _, _, sols in calls for sol in sols)
         assert all(not s.feasible and s.value == np.inf for s in samples)
 
     def test_empty_region_raises(self):
