@@ -35,6 +35,7 @@ rows), while a family's members are well-posed QPs with k small.
 """
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -45,6 +46,8 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 MAX_ITER = "max_iter"
 
+logger = logging.getLogger(__name__)
+
 # Hessians with min eigenvalue in [-_PSD_SLACK, 0] are lifted by _PSD_LIFT.
 _PSD_SLACK = 1e-9
 _PSD_LIFT = 1e-10
@@ -52,6 +55,8 @@ _REG = 1e-11
 _DIVERGED = 1e12
 # Singular values at or below this fraction of the largest count as zero.
 _RANK_TOL = 1e-9
+# Default scaled residual tolerance of solve_qp; solve_family always uses it.
+_TOL = 1e-8
 
 
 def _as_matrix(a, rows: int, cols: int) -> np.ndarray:
@@ -352,7 +357,7 @@ def _solve_each(K: np.ndarray, r: np.ndarray):
         return out, singular
 
 
-def _lockstep_interior_point(H, A_in, G, B_in, C0, tol: float,
+def _lockstep_interior_point(H, A_in, G, B_in, C0,
                              max_iter: int) -> list[QpSolution]:
     """`_interior_point` on the QPs min 0.5 y'Hy + G[b]'y + C0[b] subject to
     A_in y <= B_in[b], all advanced in lockstep.
@@ -378,6 +383,7 @@ def _lockstep_interior_point(H, A_in, G, B_in, C0, tol: float,
     best_x, best_mu = X.copy(), MU.copy()
     its = np.full(fam, max_iter)
     certified = np.zeros(fam, dtype=bool)
+    broken = 0  # members stopped uncertified by a singular normal matrix
     live = np.arange(fam)  # members still iterating
     for it in range(1, max_iter + 1):
         x, s, mu, g = X[live], S[live], MU[live], G[live]
@@ -398,7 +404,7 @@ def _lockstep_interior_point(H, A_in, G, B_in, C0, tol: float,
         better = score < best[live]
         best[live[better]] = score[better]
         best_x[live[better]], best_mu[live[better]] = x[better], mu[better]
-        done = (res_d <= tol) & (res_p <= tol) & (res_gap <= tol)
+        done = (res_d <= _TOL) & (res_p <= _TOL) & (res_gap <= _TOL)
         stop = done | (np.abs(x).max(axis=1) > _DIVERGED)
 
         e = s / mu + _REG
@@ -411,6 +417,7 @@ def _lockstep_interior_point(H, A_in, G, B_in, C0, tol: float,
         # Predictor (affine scaling).
         dx_aff, dmu_aff, singular = step(s - r_pi)
         stop |= singular
+        broken += int((singular & ~done).sum())
         ds_aff = (-s * mu - s * dmu_aff) / mu
         a_p = _max_steps(s, ds_aff)[:, None]
         a_d = _max_steps(mu, dmu_aff)[:, None]
@@ -437,10 +444,13 @@ def _lockstep_interior_point(H, A_in, G, B_in, C0, tol: float,
         if not live.size:
             break
 
+    if broken:
+        logger.debug("%d of %d family members met a singular normal matrix "
+                     "and take the uncertified verdict", broken, fam)
     return [QpSolution(OPTIMAL, X[b], OBJ[b], np.zeros(0), MU[b], int(its[b]))
             if certified[b] else
             _undecided(QuadraticProgram(H, G[b], A_in, B_in[b], c0=C0[b]),
-                       X[b], MU[b], best_x[b], best_mu[b], int(its[b]), tol)
+                       X[b], MU[b], best_x[b], best_mu[b], int(its[b]), _TOL)
             for b in range(fam)]
 
 
@@ -489,7 +499,7 @@ def _presolve(qp: QuadraticProgram, red: EqualityReduction, b_eq: np.ndarray,
     return _lift(qp, red, x_p, sol)
 
 
-def solve_qp(qp: QuadraticProgram, tol: float = 1e-8, max_iter: int = 200) -> QpSolution:
+def solve_qp(qp: QuadraticProgram, tol: float = _TOL, max_iter: int = 200) -> QpSolution:
     """Solve a convex QP. Status is one of optimal/infeasible/unbounded/max_iter.
 
     The problem is solved over y in x = x_p + N y (qp.reduction, or one SVD
@@ -508,7 +518,7 @@ def solve_qp(qp: QuadraticProgram, tol: float = 1e-8, max_iter: int = 200) -> Qp
     return sol
 
 
-def solve_family(qp: QuadraticProgram, b_eqs, tol: float = 1e-8,
+def solve_family(qp: QuadraticProgram, b_eqs,
                  max_iter: int = 200) -> list[QpSolution]:
     """solve_qp on each QP that is qp with b_eq replaced by a row of b_eqs.
 
@@ -518,22 +528,17 @@ def solve_family(qp: QuadraticProgram, b_eqs, tol: float = 1e-8,
     interior-point method on the k x k normal matrix.  Each member stops on
     its own test and keeps its own status and iteration count.
     """
-    b_eqs = np.asarray(b_eqs, dtype=float)
-    if b_eqs.ndim != 2 or b_eqs.shape[1] != qp.b_eq.size:
-        raise ValueError(f"b_eqs must be (members, {qp.b_eq.size}), "
-                         f"got {b_eqs.shape}")
     red = qp.reduction if qp.reduction is not None else EqualityReduction.of(qp)
-    X_p = _rows(_rows(b_eqs, red.U) / red.s, red.V.T)
-    sols = [_presolve(qp, red, b, x_p, tol) for b, x_p in zip(b_eqs, X_p)]
+    b_eqs = np.asarray(b_eqs, dtype=float)
+    X_p = [red.particular(b) for b in b_eqs]
+    sols = [_presolve(qp, red, b, x_p, _TOL) for b, x_p in zip(b_eqs, X_p)]
     todo = [i for i, sol in enumerate(sols) if sol is None]
     if todo:
-        X_t = X_p[todo]
-        HX = _rows(X_t, qp.H)
-        G = _rows(qp.g + HX, red.N)
-        B_in = qp.b_ineq - _rows(X_t, qp.A_ineq.T)
-        C0 = qp.c0 + (X_t * (qp.g + 0.5 * HX)).sum(axis=1)
-        ipm = _lockstep_interior_point(red.H, red.A_ineq, G, B_in, C0, tol,
-                                       max_iter)
+        rs = [_reduced(qp, red, X_p[i]) for i in todo]
+        ipm = _lockstep_interior_point(
+            red.H, red.A_ineq, np.array([r.g for r in rs]),
+            np.array([r.b_ineq for r in rs]), np.array([r.c0 for r in rs]),
+            max_iter)
         for i, sol in zip(todo, ipm):
             sols[i] = _lift(qp, red, X_p[i], sol)
     return sols

@@ -9,10 +9,10 @@ up to the TSO objective.
 
 The pinned QPs of one model share H, g and every constraint row; only the
 pinned triple z in b_eq moves.  So the samples of one model are one
-`opt_core.solve_family` call: one SVD of the pinned equality rows, every
-x_p(z) from one stacked product, and one lockstep interior-point run in y
-(x = x_p(z) + N y) whose steps solve only the members' k x k normal
-matrices.
+`opt_core.solve_family` call: one SVD of the pinned equality rows, each
+x_p(z) and reduced problem formed as solve_qp forms them, and one lockstep
+interior-point run in y (x = x_p(z) + N y) whose steps solve only the
+members' k x k normal matrices.
 """
 import logging
 from dataclasses import dataclass

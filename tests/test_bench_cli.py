@@ -1,9 +1,8 @@
 """Command-line harness: parsing, exit codes, report files, determinism."""
 import dataclasses
 import json
+import importlib.util
 import os
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -404,14 +403,14 @@ class TestExportReport:
 
 
 class TestMakeBenchmarkScript:
-    def test_help_writes_nothing(self):
-        root = Path(__file__).resolve().parent.parent
-        data = [root / "src" / "gridcoord" / "data" / name
-                for name in ("case9.json", "case15.json")]
-        before = [path.read_bytes() for path in data]
-        done = subprocess.run(
-            [sys.executable, str(root / "scripts" / "make_benchmark.py"),
-             "--help"], capture_output=True, text=True, timeout=120)
-        assert done.returncode == 0 and done.stdout.startswith("usage:")
-        assert "wrote" not in done.stdout
-        assert [path.read_bytes() for path in data] == before
+    def test_help_writes_nothing(self, monkeypatch, tmp_path, capsys):
+        path = Path(__file__).resolve().parent.parent / "scripts" / "make_benchmark.py"
+        spec = importlib.util.spec_from_file_location("make_benchmark", path)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        monkeypatch.setattr(script, "OUT_DIR", str(tmp_path))
+        with pytest.raises(SystemExit) as stop:
+            script.main(["--help"])
+        assert stop.value.code == 0
+        assert capsys.readouterr().out.startswith("usage:")
+        assert not any(tmp_path.iterdir())

@@ -1,4 +1,5 @@
 """QP/LP kernel tests: statuses, dual conventions, KKT certificates, oracles."""
+import logging
 from dataclasses import replace
 
 import numpy as np
@@ -393,7 +394,7 @@ class TestSolveFamily:
                 1.0 + abs(ref.objective))
 
     def test_singular_member_takes_the_scalar_verdict(
-            self, monkeypatch, benchmark_dso_models, benchmark_fors):
+            self, monkeypatch, caplog, benchmark_dso_models, benchmark_fors):
         # Member 1 meets a singular normal matrix at the first step: it
         # leaves with its first iterate; the others are not disturbed.
         key = (2, "lindistflow")
@@ -410,8 +411,10 @@ class TestSolveFamily:
             return solve_each(K, r)
 
         monkeypatch.setattr(oc, "_solve_each", singular_member_one)
-        sols = oc.solve_family(family, b_eqs)
+        with caplog.at_level(logging.DEBUG, logger=oc.__name__):
+            sols = oc.solve_family(family, b_eqs)
         assert sols[1].status == oc.MAX_ITER and sols[1].iterations == 1
+        assert "1 of 3 family members met a singular" in caplog.text
         for sol, ref in zip(sols[::2], alone):
             assert_same_solution(sol, ref)
 
@@ -428,12 +431,6 @@ class TestSolveFamily:
         np.testing.assert_array_equal(out[[0, 2]], [[1.0, 1.0], [0.5, 0.5]])
         assert np.isnan(out[1]).all()
         np.testing.assert_array_equal(singular, [False, True, False])
-
-    def test_rows_must_match_b_eq(self):
-        qp = oc.QuadraticProgram(np.eye(2), np.zeros(2), A_eq=[[1.0, 1.0]],
-                                 b_eq=[1.0])
-        with pytest.raises(ValueError):
-            oc.solve_family(qp, np.ones((3, 2)))
 
 
 class TestSolveLp:
