@@ -7,6 +7,13 @@ current consensus, averages the copies, and updates the multipliers.
 With zero-initialized multipliers the averaging update keeps the two
 multiplier vectors exact negatives of each other at every iteration.
 
+Each round makes one TSO solve and one `solve_family` call for all DSO
+subproblems, so the DSOs of one reduced shape (copies of one feeder
+topology) run as one lockstep interior-point family.  The fixed part of
+every pull, rho on each coupling block of H and of the model's equality
+reduction, is added once per model and run; a round changes only the
+linear and constant terms of each subproblem.
+
 Termination: both primal residuals (each copy against the consensus) and
 the dual residual rho * ||z_new - z_old|| in the infinity norm must drop
 to the tolerance.  On max_iter the best iterate seen is returned with
@@ -17,13 +24,15 @@ from __future__ import annotations
 
 import logging
 import time
+from copy import copy
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .adp_coordinator import CoordinationError, _dso_agent, _skeleton_cost
 from .messaging import CommLog
-from .opt_core import OPTIMAL, QpSolution, kkt_residuals, solve_qp
+from .opt_core import (OPTIMAL, QpSolution, QuadraticProgram, kkt_residuals,
+                       solve_family, solve_qp)
 from .powerflow_models import (DEFAULT_INTERFACE_RATING, PolyhedralModel,
                                assemble_centralized, attach_quadratic_cost,
                                build_dc_model, build_dso_model,
@@ -108,6 +117,65 @@ def _pull_term(lam: np.ndarray, z_bar: np.ndarray, rho: float
                             0.5 * rho * float(z_bar @ z_bar))
 
 
+class _Pull:
+    """A model's pulled subproblems over one run.
+
+    The fixed part of every pull, (rho/2)||z||^2 on each coupling triple in
+    `slots`, is added to H and to its equality reduction once; each round
+    then adds only the linear and constant parts of
+    lambda' z + (rho/2)||z - z_bar||^2.
+    """
+
+    def __init__(self, model: PolyhedralModel, rho: float, slots):
+        self.model, self.rho, self.slots = model, rho, tuple(slots)
+        penalty = QuadraticValueFn(rho * np.eye(3), np.zeros(3), 0.0)
+        for slot in self.slots:
+            model = attach_quadratic_cost(model, penalty, slot)
+        self.penalized = model.qp_skeleton
+
+    def qp(self, lams, z_bars) -> QuadraticProgram:
+        """The subproblem pulled by lams toward z_bars, one per slot."""
+        qp = self.model.qp_skeleton
+        g, c0 = qp.g.copy(), qp.c0
+        for slot, lam, z_bar in zip(self.slots, lams, z_bars):
+            term = _pull_term(lam, z_bar, self.rho)
+            g[list(self.model.vmap.coupling_triple(slot))] += term.c
+            c0 += term.d
+        qp = copy(self.penalized)  # shares H, the rows and the reduction
+        qp.g, qp.c0 = g, c0
+        return qp
+
+    def copies(self, sol: QpSolution) -> list:
+        return [sol.x[list(self.model.vmap.coupling_triple(slot))].copy()
+                for slot in self.slots]
+
+
+def _optimal(sol: QpSolution, stage: str) -> QpSolution:
+    if sol.status != OPTIMAL:
+        raise CoordinationError(stage, f"status {sol.status}")
+    return sol
+
+
+def _tso_step(pull: _Pull, state: AdmmState, solver_tol: float):
+    qp = pull.qp(state.lambda_tau, state.z)
+    sol = _optimal(solve_qp(qp, tol=solver_tol),
+                   f"admm iteration {state.iteration + 1} tso_step")
+    return pull.copies(sol), sol, qp
+
+
+def _dso_steps(pulls: dict, state: AdmmState, solver_tol: float):
+    """The pulled dispatch of every DSO i of `pulls` (i -> its _Pull), all
+    solved in one `solve_family` call.  Returns (z_delta list, solutions,
+    solved qps) in the order of `pulls`."""
+    qps = [pull.qp([state.lambda_delta[i]], [state.z[i]])
+           for i, pull in pulls.items()]
+    sols = solve_family(qps, tol=solver_tol)
+    for i, sol in zip(pulls, sols):
+        _optimal(sol, f"admm iteration {state.iteration + 1} dso_step {i}")
+    return ([pull.copies(sol)[0] for pull, sol in zip(pulls.values(), sols)],
+            sols, qps)
+
+
 def tso_step(tso_model: PolyhedralModel, state: AdmmState, *,
              solver_tol: float = SOLVER_TOL):
     """TSO dispatch with every coupling copy pulled to its consensus.
@@ -115,18 +183,8 @@ def tso_step(tso_model: PolyhedralModel, state: AdmmState, *,
     Returns (new z_tau list, solution, solved qp).  Does not mutate the
     state.
     """
-    model = tso_model
-    for k in range(len(state.z)):
-        model = attach_quadratic_cost(
-            model, _pull_term(state.lambda_tau[k], state.z[k], state.rho), k)
-    sol = solve_qp(model.qp_skeleton, tol=solver_tol)
-    if sol.status != OPTIMAL:
-        raise CoordinationError(
-            f"admm iteration {state.iteration + 1} tso_step",
-            f"status {sol.status}")
-    z_tau = [sol.x[list(tso_model.vmap.coupling_triple(k))].copy()
-             for k in range(len(state.z))]
-    return z_tau, sol, model.qp_skeleton
+    return _tso_step(_Pull(tso_model, state.rho, range(len(state.z))), state,
+                     solver_tol)
 
 
 def dso_step(dso_model: PolyhedralModel, state: AdmmState, i: int, *,
@@ -135,15 +193,9 @@ def dso_step(dso_model: PolyhedralModel, state: AdmmState, i: int, *,
 
     Returns (z_delta_i, solution, solved qp).
     """
-    model = attach_quadratic_cost(
-        dso_model, _pull_term(state.lambda_delta[i], state.z[i], state.rho), 0)
-    sol = solve_qp(model.qp_skeleton, tol=solver_tol)
-    if sol.status != OPTIMAL:
-        raise CoordinationError(
-            f"admm iteration {state.iteration + 1} dso_step {i}",
-            f"status {sol.status}")
-    return (sol.x[list(dso_model.vmap.coupling_triple(0))].copy(), sol,
-            model.qp_skeleton)
+    (z,), (sol,), (qp,) = _dso_steps({i: _Pull(dso_model, state.rho, (0,))},
+                                     state, solver_tol)
+    return z, sol, qp
 
 
 def consensus_step(state: AdmmState) -> None:
@@ -161,9 +213,10 @@ START_REG_WEIGHT = 1e-3
 START_MARGIN = 0.01
 
 
-def _informed_start(case, dso_model: PolyhedralModel, *,
-                    solver_tol: float = SOLVER_TOL) -> np.ndarray:
-    """Feeder's own dispatch, tie-broken toward a small interface exchange.
+def _informed_start(cases, dso_models, *,
+                    solver_tol: float = SOLVER_TOL) -> list:
+    """Each feeder's own dispatch, tie-broken toward a small interface
+    exchange; the feeders are solved in one `solve_family` call.
 
     The local cost prices active output only, so directions such as reactive
     support are flat and would otherwise start far from any consensus worth
@@ -173,22 +226,26 @@ def _informed_start(case, dso_model: PolyhedralModel, *,
     step toward the passive net-load exchange: the tie-break lands exactly
     on the capability boundary, and starting the consensus on a boundary
     the objective is flat along makes every subsequent subproblem solve
-    degenerate there.  Falls back to the net-load point if the local solve
-    fails, so a broken feeder surfaces inside the main loop where the
-    failure is attributed to an iteration.
+    degenerate there.  A feeder whose local solve fails starts at the
+    net-load point, so a broken feeder surfaces inside the main loop where
+    the failure is attributed to an iteration.
     """
-    passive = np.array([sum(b.p_load for b in case.buses),
-                        sum(b.q_load for b in case.buses), 1.0])
     anchor = np.array([0.0, 0.0, 1.0])
     reg = QuadraticValueFn(2.0 * START_REG_WEIGHT * np.eye(3),
                            -2.0 * START_REG_WEIGHT * anchor,
                            START_REG_WEIGHT * float(anchor @ anchor))
-    model = attach_quadratic_cost(dso_model, reg, 0)
-    sol = solve_qp(model.qp_skeleton, tol=solver_tol)
-    if sol.status != OPTIMAL:
-        return passive
-    own = sol.x[list(dso_model.vmap.coupling_triple(0))]
-    return own + START_MARGIN * (passive - own)
+    sols = solve_family([attach_quadratic_cost(m, reg, 0).qp_skeleton
+                         for m in dso_models], tol=solver_tol)
+    starts = []
+    for case, model, sol in zip(cases, dso_models, sols):
+        passive = np.array([sum(b.p_load for b in case.buses),
+                            sum(b.q_load for b in case.buses), 1.0])
+        if sol.status != OPTIMAL:
+            starts.append(passive)
+            continue
+        own = sol.x[list(model.vmap.coupling_triple(0))]
+        starts.append(own + START_MARGIN * (passive - own))
+    return starts
 
 
 def _reduced(model: PolyhedralModel) -> PolyhedralModel:
@@ -212,17 +269,18 @@ def run_admm(part, model_kind: str = "loss_linearized",
 
     # One equality reduction per model serves the subproblems of every
     # round: the pull term leaves A_ineq and A_eq alone and adds the fixed
-    # rho on the coupling block of H, which attach_quadratic_cost carries
-    # into the reduction.
+    # rho on the coupling block of H, which each _Pull adds to H and to the
+    # reduction once.
     tso_model = _reduced(build_dc_model(part.tso, part.links,
                                         interface_rating))
     dso_models = [_reduced(build_dso_model(case, link, model_kind))
                   for case, link in zip(part.dsos, part.links)]
+    tso_pull = _Pull(tso_model, rho, range(len(part.links)))
+    dso_pulls = {i: _Pull(m, rho, (0,)) for i, m in enumerate(dso_models)}
     agents = ("tso",) + tuple(_dso_agent(lk.dso_index) for lk in part.links)
     log = CommLog(agents)
     state = AdmmState.fresh(
-        [_informed_start(c, m, solver_tol=solver_tol)
-         for c, m in zip(part.dsos, dso_models)], rho)
+        _informed_start(part.dsos, dso_models, solver_tol=solver_tol), rho)
     t_loop = time.perf_counter()
 
     history = []
@@ -232,16 +290,8 @@ def run_admm(part, model_kind: str = "loss_linearized",
     tso_qp, dso_qps = None, ()
     for _ in range(max_iter):
         z_prev = [z.copy() for z in state.z]
-        z_tau, tso_sol, tso_qp = tso_step(tso_model, state,
-                                          solver_tol=solver_tol)
-        dso_sols = []
-        dso_qps = []
-        z_delta = []
-        for i, model in enumerate(dso_models):
-            zd, sol, qp = dso_step(model, state, i, solver_tol=solver_tol)
-            z_delta.append(zd)
-            dso_sols.append(sol)
-            dso_qps.append(qp)
+        z_tau, tso_sol, tso_qp = _tso_step(tso_pull, state, solver_tol)
+        z_delta, dso_sols, dso_qps = _dso_steps(dso_pulls, state, solver_tol)
         state.z_tau, state.z_delta = z_tau, z_delta
         consensus_step(state)
 

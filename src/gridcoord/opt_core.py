@@ -20,18 +20,24 @@ the inequalities is decided by an auxiliary phase-1 LP (minimize the largest
 constraint violation), never by divergence heuristics alone; unboundedness
 is certified by a feasible descent ray.
 
-A family of QPs that share H, g, A_ineq and A_eq and differ only in b_eq
-(solve_family) shares one EqualityReduction and runs one lockstep
+A family (solve_family) is any list of QPs. Its members with the same
+reduced shape (k free directions, m inequality rows) run one lockstep
 interior-point method on stacked iterates, as in OptNet's batched solver
-(Amos & Kolter, ICML 2017). Each step eliminates the slacks and
-multipliers into one k x k normal matrix per member, H + A' diag(mu/s) A
-(Wright, Primal-Dual Interior-Point Methods, 1997, ch. 11), and solves
-all of them in one batched call. Each member stops on the scalar test and
-keeps its own status; members not certified get the scalar verdict.
-Single solves keep the (k + m) system: on degenerate LPs the normal
-matrix loses accuracy (the exact redundancy pass of projection, which
-decides rows on LP values near its keep threshold, then keeps different
-rows), while a family's members are well-posed QPs with k small.
+(Amos & Kolter, ICML 2017); they share a shape, not data, and each keeps
+its own H, g, constraints and EqualityReduction. Members of one reduction
+(the value samples of one model, which differ only in b_eq) share its H
+and A_ineq. Each step eliminates the slacks and multipliers into one
+k x k normal matrix per member, H + A' diag(mu/s) A (Wright, Primal-Dual
+Interior-Point Methods, 1997, ch. 11), and solves all of them in one
+batched call; every product is taken per member, so a member's result
+does not depend on the others. Each member stops on the scalar test and
+keeps its own status; members not certified get the scalar verdict. A
+member alone in its shape takes the scalar path, solve_qp. Single solves
+keep the (k + m) system: on degenerate LPs the normal matrix loses
+accuracy (the exact redundancy pass of projection, which decides rows on
+LP values near its keep threshold, then keeps different rows), while a
+family's members are well-posed QPs with k small. Both methods leave at
+the first step that is not finite and keep their last iterate.
 """
 from __future__ import annotations
 
@@ -55,7 +61,7 @@ _REG = 1e-11
 _DIVERGED = 1e12
 # Singular values at or below this fraction of the largest count as zero.
 _RANK_TOL = 1e-9
-# Default scaled residual tolerance of solve_qp; solve_family always uses it.
+# Default scaled residual tolerance of solve_qp and solve_family.
 _TOL = 1e-8
 
 
@@ -251,8 +257,14 @@ def _undecided(qp: QuadraticProgram, x, mu, best_x, best_mu, it: int,
                       best_mu, it)
 
 
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def _interior_point(qp: QuadraticProgram, tol: float, max_iter: int) -> QpSolution:
-    """Mehrotra predictor-corrector on a QP with inequality rows only."""
+    """Mehrotra predictor-corrector on a QP with inequality rows only.
+
+    The run leaves at the first step that is not finite (a multiplier
+    floored at 1e-300 can overflow the corrector) and keeps its last
+    iterate for the verdict.
+    """
     H, g, A_in, b_in = _psd_lift(qp.H), qp.g, qp.A_ineq, qp.b_ineq
     n, m = qp.n, b_in.size
 
@@ -315,6 +327,8 @@ def _interior_point(qp: QuadraticProgram, tol: float, max_iter: int) -> QpSoluti
         d = lu_solve(lu, rhs, check_finite=False)
         dx, dmu = d[:n], d[n:]
         ds = (rhs_c - s * dmu) / mu
+        if not (np.isfinite(d).all() and np.isfinite(ds).all()):
+            break
 
         eta = max(0.99, 1.0 - mu_bar)
         alpha = min(1.0, eta * min(_max_step(s, ds), _max_step(mu, dmu)))
@@ -341,36 +355,54 @@ def _max_steps(v: np.ndarray, dv: np.ndarray) -> np.ndarray:
     return np.minimum(1.0, ratio.min(axis=1))
 
 
-def _solve_each(K: np.ndarray, r: np.ndarray):
-    """(x, singular): x[b] = K[b]^-1 r[b] from one batched call, NaN where
-    K[b] is singular (marked in the boolean array `singular`)."""
-    singular = np.zeros(len(K), dtype=bool)
+def _solve_each(K: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """x[b] = K[b]^-1 r[b] from one batched call, NaN where K[b] is
+    singular."""
     try:
-        return np.linalg.solve(K, r[..., None])[..., 0], singular
+        return np.linalg.solve(K, r[..., None])[..., 0]
     except LinAlgError:
         out = np.full(r.shape, np.nan)
         for b in range(len(K)):
             try:
                 out[b] = np.linalg.solve(K[b], r[b])
             except LinAlgError:
-                singular[b] = True
-        return out, singular
+                pass
+        return out
 
 
-def _lockstep_interior_point(H, A_in, G, B_in, C0,
+def _psd_lifts(H: np.ndarray) -> np.ndarray:
+    """`_psd_lift` of a Hessian or of each Hessian of a stack; H itself
+    when nothing is lifted."""
+    if H.ndim == 2:
+        return _psd_lift(H)
+    each = list(H)
+    lifted = [_psd_lift(h) for h in each]
+    if all(a is b for a, b in zip(lifted, each)):
+        return H
+    return np.stack(lifted)
+
+
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
+def _lockstep_interior_point(H, A_in, G, B_in, C0, tol: float,
                              max_iter: int) -> list[QpSolution]:
-    """`_interior_point` on the QPs min 0.5 y'Hy + G[b]'y + C0[b] subject to
-    A_in y <= B_in[b], all advanced in lockstep.
+    """`_interior_point` on the QPs min 0.5 y'H[b]y + G[b]'y + C0[b] subject
+    to A_in[b] y <= B_in[b], all advanced in lockstep.
 
-    Each step eliminates ds and dmu into one k x k normal matrix per member,
+    H (k x k) and A_in (m x k) are either shared by every member or stacked
+    one per member, (B, k, k) and (B, m, k).  Each step eliminates ds and
+    dmu into one k x k normal matrix per member,
     H + reg I + A_in' diag(1/(s/mu + reg)) A_in, solves all of them in one
-    batched call and recovers dmu from dy.  A member leaves the family when
-    it certifies (OPTIMAL), diverges or meets a singular matrix; the others
-    run on.  Members not certified within max_iter get `_undecided`.
+    batched call and recovers dmu from dy.  Every product is taken per
+    member, so a member's iterates do not depend on the others.  A member
+    leaves the family when it certifies (OPTIMAL), diverges or meets a step
+    that is not finite (a singular normal matrix gives NaN); the others run
+    on.  Members not certified within max_iter get `_undecided`.
     """
-    H = 0.5 * (H + H.T)
-    H_ipm = _psd_lift(H)
-    H_reg = H_ipm + _REG * np.eye(H.shape[0])
+    H = 0.5 * (H + np.swapaxes(H, -1, -2))
+    H_ipm = _psd_lifts(H)
+    stacked = H.ndim == 3
+    mats = (H, H_ipm, H_ipm + _REG * np.eye(H.shape[-1]), A_in,
+            np.swapaxes(A_in, -1, -2))
     fam, m = B_in.shape
     g_scale = 1.0 + np.abs(G).max(axis=1)
     b_scale = 1.0 + np.abs(B_in).max(axis=1)
@@ -383,15 +415,16 @@ def _lockstep_interior_point(H, A_in, G, B_in, C0,
     best_x, best_mu = X.copy(), MU.copy()
     its = np.full(fam, max_iter)
     certified = np.zeros(fam, dtype=bool)
-    broken = 0  # members stopped uncertified by a singular normal matrix
+    broken = 0  # members stopped uncertified by a step that is not finite
     live = np.arange(fam)  # members still iterating
     for it in range(1, max_iter + 1):
         x, s, mu, g = X[live], S[live], MU[live], G[live]
-        Hx, At_mu = _rows(x, H_ipm), _rows(mu, A_in)
+        h, h_ipm, h_reg, a, at = [M[live] for M in mats] if stacked else mats
+        Hx, At_mu = _rows(x, h_ipm), _rows(mu, a)
         r_d = Hx + g + At_mu
-        r_pi = _rows(x, A_in.T) + s - B_in[live]
+        r_pi = _rows(x, at) + s - B_in[live]
         mu_bar = (s * mu).sum(axis=1) / m
-        Hx_obj = Hx if H_ipm is H else _rows(x, H)
+        Hx_obj = Hx if H_ipm is H else _rows(x, h)
         obj = 0.5 * (x * Hx_obj).sum(axis=1) + (g * x).sum(axis=1) + C0[live]
 
         d_scale = g_scale[live] + np.abs(Hx).max(axis=1) \
@@ -404,20 +437,18 @@ def _lockstep_interior_point(H, A_in, G, B_in, C0,
         better = score < best[live]
         best[live[better]] = score[better]
         best_x[live[better]], best_mu[live[better]] = x[better], mu[better]
-        done = (res_d <= _TOL) & (res_p <= _TOL) & (res_gap <= _TOL)
+        done = (res_d <= tol) & (res_p <= tol) & (res_gap <= tol)
         stop = done | (np.abs(x).max(axis=1) > _DIVERGED)
 
         e = s / mu + _REG
-        K = H_reg + (A_in.T / e[:, None, :]) @ A_in
+        K = h_reg + (at / e[:, None, :]) @ a
 
         def step(r2):
-            dx, singular = _solve_each(K, _rows(r2 / e, A_in) - r_d)
-            return dx, (_rows(dx, A_in.T) - r2) / e, singular
+            dx = _solve_each(K, _rows(r2 / e, a) - r_d)
+            return dx, (_rows(dx, at) - r2) / e
 
         # Predictor (affine scaling).
-        dx_aff, dmu_aff, singular = step(s - r_pi)
-        stop |= singular
-        broken += int((singular & ~done).sum())
+        dx_aff, dmu_aff = step(s - r_pi)
         ds_aff = (-s * mu - s * dmu_aff) / mu
         a_p = _max_steps(s, ds_aff)[:, None]
         a_d = _max_steps(mu, dmu_aff)[:, None]
@@ -428,12 +459,16 @@ def _lockstep_interior_point(H, A_in, G, B_in, C0,
 
         # Corrector.
         rhs_c = (sigma * mu_bar)[:, None] - s * mu - ds_aff * dmu_aff
-        dx, dmu, _ = step(-r_pi - rhs_c / mu)
+        dx, dmu = step(-r_pi - rhs_c / mu)
         ds = (rhs_c - s * dmu) / mu
 
         eta = np.maximum(0.99, 1.0 - mu_bar)
         alpha = np.minimum(1.0, eta * np.minimum(_max_steps(s, ds),
                                                  _max_steps(mu, dmu)))[:, None]
+        finite = np.isfinite(dx).all(axis=1) & np.isfinite(dmu).all(axis=1) \
+            & np.isfinite(ds).all(axis=1)
+        broken += int((~finite & ~done).sum())
+        stop |= ~finite
         go = ~stop
         gone = live[stop]
         certified[gone], its[gone], OBJ[gone] = done[stop], it, obj[stop]
@@ -446,11 +481,14 @@ def _lockstep_interior_point(H, A_in, G, B_in, C0,
 
     if broken:
         logger.debug("%d of %d family members met a singular normal matrix "
-                     "and take the uncertified verdict", broken, fam)
+                     "or a step that is not finite and take the uncertified "
+                     "verdict", broken, fam)
     return [QpSolution(OPTIMAL, X[b], OBJ[b], np.zeros(0), MU[b], int(its[b]))
             if certified[b] else
-            _undecided(QuadraticProgram(H, G[b], A_in, B_in[b], c0=C0[b]),
-                       X[b], MU[b], best_x[b], best_mu[b], int(its[b]), _TOL)
+            _undecided(QuadraticProgram(H[b] if stacked else H, G[b],
+                                        A_in[b] if stacked else A_in,
+                                        B_in[b], c0=C0[b]),
+                       X[b], MU[b], best_x[b], best_mu[b], int(its[b]), tol)
             for b in range(fam)]
 
 
@@ -474,19 +512,19 @@ def _lift(qp: QuadraticProgram, red: EqualityReduction, x_p: np.ndarray,
     return QpSolution(sol.status, x, objective, y, mu, sol.iterations)
 
 
-def _presolve(qp: QuadraticProgram, red: EqualityReduction, b_eq: np.ndarray,
-              x_p: np.ndarray, tol: float) -> QpSolution | None:
-    """The solution of qp with equality right-hand side b_eq when no
-    interior-point iteration is needed, else None.
+def _presolve(qp: QuadraticProgram, red: EqualityReduction, x_p: np.ndarray,
+              tol: float) -> QpSolution | None:
+    """The solution of qp when no interior-point iteration is needed, else
+    None.
 
     Equalities no x meets within tol (scaled) are infeasible; with an empty
     nullspace x_p is optimal or infeasible by its inequality residual; with
     no inequality rows one pseudoinverse solve decides.
     """
-    m, p = qp.b_ineq.size, b_eq.size
+    m, p = qp.b_ineq.size, qp.b_eq.size
     b_scale = 1.0 + max(np.abs(qp.b_ineq).max(initial=0.0),
-                        np.abs(b_eq).max(initial=0.0))
-    if np.abs(qp.A_eq @ x_p - b_eq).max(initial=0.0) > tol * b_scale:
+                        np.abs(qp.b_eq).max(initial=0.0))
+    if np.abs(qp.A_eq @ x_p - qp.b_eq).max(initial=0.0) > tol * b_scale:
         return QpSolution(INFEASIBLE, x_p, np.nan, np.zeros(p), np.zeros(m), 0)
     if red.N.shape[1] == 0:
         feasible = (qp.A_ineq @ x_p - qp.b_ineq).max(initial=0.0) <= tol * b_scale
@@ -499,6 +537,10 @@ def _presolve(qp: QuadraticProgram, red: EqualityReduction, b_eq: np.ndarray,
     return _lift(qp, red, x_p, sol)
 
 
+def _reduction(qp: QuadraticProgram) -> EqualityReduction:
+    return qp.reduction if qp.reduction is not None else EqualityReduction.of(qp)
+
+
 def solve_qp(qp: QuadraticProgram, tol: float = _TOL, max_iter: int = 200) -> QpSolution:
     """Solve a convex QP. Status is one of optimal/infeasible/unbounded/max_iter.
 
@@ -509,38 +551,59 @@ def solve_qp(qp: QuadraticProgram, tol: float = _TOL, max_iter: int = 200) -> Qp
     Infeasible means the phase-1 optimum exceeded tol; unbounded is
     certified by a descent ray.
     """
-    red = qp.reduction if qp.reduction is not None else EqualityReduction.of(qp)
+    red = _reduction(qp)
     x_p = red.particular(qp.b_eq)
-    sol = _presolve(qp, red, qp.b_eq, x_p, tol)
+    sol = _presolve(qp, red, x_p, tol)
     if sol is None:
         sol = _lift(qp, red, x_p, _interior_point(_reduced(qp, red, x_p), tol,
                                                   max_iter))
     return sol
 
 
-def solve_family(qp: QuadraticProgram, b_eqs,
+def solve_family(qps, tol: float = _TOL,
                  max_iter: int = 200) -> list[QpSolution]:
-    """solve_qp on each QP that is qp with b_eq replaced by a row of b_eqs.
+    """solve_qp on each QP of qps, the QPs of one reduced shape together.
 
-    The members share H, g, the inequalities and A_eq, hence one equality
-    reduction (qp.reduction, or one SVD).  Members that need no iteration
-    are decided as solve_qp decides them; the rest run one lockstep
-    interior-point method on the k x k normal matrix.  Each member stops on
-    its own test and keeps its own status and iteration count.
+    Each QP is written on the nullspace of its own equality rows
+    (qp.reduction, or one SVD).  QPs with the same reduced shape (k free
+    directions, m inequality rows) form a group, and a group of one goes to
+    solve_qp.  In a larger group, members that need no iteration are decided
+    as solve_qp decides them; the rest run one lockstep interior-point
+    method on the k x k normal matrix.  Each member stops on its own test
+    and keeps its own status and iteration count.
     """
-    red = qp.reduction if qp.reduction is not None else EqualityReduction.of(qp)
-    b_eqs = np.asarray(b_eqs, dtype=float)
-    X_p = [red.particular(b) for b in b_eqs]
-    sols = [_presolve(qp, red, b, x_p, _TOL) for b, x_p in zip(b_eqs, X_p)]
-    todo = [i for i, sol in enumerate(sols) if sol is None]
-    if todo:
-        rs = [_reduced(qp, red, X_p[i]) for i in todo]
+    qps = list(qps)
+    reds = [_reduction(qp) for qp in qps]
+    groups = {}
+    for i, (qp, red) in enumerate(zip(qps, reds)):
+        groups.setdefault((red.N.shape[1], qp.b_ineq.size), []).append(i)
+    sols = [None] * len(qps)
+    for group in groups.values():
+        if len(group) == 1:
+            qp = qps[group[0]]
+            if qp.reduction is None:
+                qp = replace(qp, reduction=reds[group[0]])
+            sols[group[0]] = solve_qp(qp, tol, max_iter)
+            continue
+        X_p = {i: reds[i].particular(qps[i].b_eq) for i in group}
+        for i in group:
+            sols[i] = _presolve(qps[i], reds[i], X_p[i], tol)
+        todo = [i for i in group if sols[i] is None]
+        if not todo:
+            continue
+        rs = [_reduced(qps[i], reds[i], X_p[i]) for i in todo]
+        # Members of one reduction share its H and A_ineq as 2-D arrays.
+        if all(reds[i] is reds[todo[0]] for i in todo):
+            H, A_in = reds[todo[0]].H, reds[todo[0]].A_ineq
+        else:
+            H = np.array([reds[i].H for i in todo])
+            A_in = np.array([reds[i].A_ineq for i in todo])
         ipm = _lockstep_interior_point(
-            red.H, red.A_ineq, np.array([r.g for r in rs]),
+            H, A_in, np.array([r.g for r in rs]),
             np.array([r.b_ineq for r in rs]), np.array([r.c0 for r in rs]),
-            max_iter)
+            tol, max_iter)
         for i, sol in zip(todo, ipm):
-            sols[i] = _lift(qp, red, X_p[i], sol)
+            sols[i] = _lift(qps[i], reds[i], X_p[i], sol)
     return sols
 
 

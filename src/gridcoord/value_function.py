@@ -9,12 +9,14 @@ up to the TSO objective.
 
 The pinned QPs of one model share H, g and every constraint row; only the
 pinned triple z in b_eq moves.  So the samples of one model are one
-`opt_core.solve_family` call: one SVD of the pinned equality rows, each
-x_p(z) and reduced problem formed as solve_qp forms them, and one lockstep
+`opt_core.solve_family` call on QPs that share one EqualityReduction (one
+SVD of the pinned equality rows): each x_p(z) and reduced problem formed as
+solve_qp forms them, and one lockstep
 interior-point run in y (x = x_p(z) + N y) whose steps solve only the
 members' k x k normal matrices.
 """
 import logging
+from copy import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,11 +131,16 @@ def sample_value_function(model, for_region: Polyhedron,
         raise EmptyRegion("cannot sample an empty region")
     rng = np.random.default_rng(seed)
     pts = _hit_and_run(for_region, n, rng, burn=3 * for_region.dim)
-    family = pin_coupling(model, np.zeros(3))
+    family = pin_coupling(model, np.zeros(3)).with_reduction()
     b_eqs = np.tile(family.b_eq, (n, 1))
     b_eqs[:, -3:] = pts
+    # Shallow copies share H, the constraint rows and the reduction, and
+    # skip re-validating H (dataclasses.replace would, once per sample).
+    members = [copy(family) for _ in b_eqs]
+    for member, b_eq in zip(members, b_eqs):
+        member.b_eq = b_eq
     samples = []
-    for z, sol in zip(pts, solve_family(family, b_eqs)):
+    for z, sol in zip(pts, solve_family(members)):
         ok = sol.status == OPTIMAL
         samples.append(ValueSample(z, sol.objective if ok else np.inf, ok))
     return samples

@@ -12,6 +12,8 @@ from gridcoord import powerflow_models as pm
 from gridcoord import projection as pj
 from gridcoord.opt_core import QuadraticProgram, kkt_residuals, solve_qp
 
+from conftest import feeder_copies
+
 LINK = gm.Interconnection(1, 2, 1)
 
 
@@ -72,6 +74,33 @@ def two_slot_model(box=50.0):
                           ("p_if:1", "q_if:1", "nu_if:1",
                            "p_if:2", "q_if:2", "nu_if:2"), 2)
     return pm.PolyhedralModel(qp, vmap, None, "toy", None, ())
+
+
+def reference_admm(part, kind="loss_linearized", rho=ad.DEFAULT_RHO,
+                   tol=ad.DEFAULT_TOL, max_iter=ad.DEFAULT_MAX_ITER):
+    """run_admm as a loop of single tso_step and dso_step solves:
+    (rounds, cost of the last round, converged)."""
+    tso = pm.build_dc_model(part.tso, part.links, pm.DEFAULT_INTERFACE_RATING)
+    dsos = [pm.build_dso_model(c, lk, kind)
+            for c, lk in zip(part.dsos, part.links)]
+    state = ad.AdmmState.fresh(
+        [ad._informed_start([c], [m])[0] for c, m in zip(part.dsos, dsos)],
+        rho)
+    for _ in range(max_iter):
+        z_prev = [z.copy() for z in state.z]
+        state.z_tau, tso_sol, _ = ad.tso_step(tso, state)
+        steps = [ad.dso_step(m, state, i) for i, m in enumerate(dsos)]
+        state.z_delta = [zd for zd, _, _ in steps]
+        ad.consensus_step(state)
+        copies = zip(state.z_tau + state.z_delta, state.z + state.z)
+        residual = max(max(float(np.abs(c - z).max()) for c, z in copies),
+                       rho * max(float(np.abs(z - zp).max())
+                                 for z, zp in zip(state.z, z_prev)))
+        cost = ad._skeleton_cost(tso, tso_sol.x) + sum(
+            ad._skeleton_cost(m, sol.x) for m, (_, sol, _) in zip(dsos, steps))
+        if residual <= tol:
+            return state.iteration, cost, True
+    return state.iteration, cost, False
 
 
 def centralized_cost(part, kind):
@@ -205,7 +234,7 @@ class TestConsensusStep:
 class TestInformedStart:
     def test_leaf_feeder_resolves_flat_reactive(self):
         model = pm.build_dso_model(leaf_dso(), LINK, "lindistflow")
-        z0 = ad._informed_start(leaf_dso(), model)
+        z0 = ad._informed_start([leaf_dso()], [model])[0]
         assert z0[0] == pytest.approx(0.5, abs=1e-5)
         assert abs(z0[1]) <= 0.05
         assert z0[2] == pytest.approx(1.0, abs=0.01)
@@ -214,7 +243,7 @@ class TestInformedStart:
         part = gm.load_builtin_benchmark()
         model = pm.build_dso_model(part.dsos[0], part.links[0],
                                    "loss_linearized")
-        z0 = ad._informed_start(part.dsos[0], model)
+        z0 = ad._informed_start([part.dsos[0]], [model])[0]
         net_q = sum(b.q_load for b in part.dsos[0].buses)
         floor = net_q - sum(g.q_max for g in part.dsos[0].gens)
         assert floor + 1e-4 < z0[1] < net_q
@@ -224,13 +253,13 @@ class TestInformedStart:
     def test_fallback_on_infeasible_feeder(self):
         case = forced_export_dso()
         model = pm.build_dso_model(case, LINK, "lindistflow")
-        z0 = ad._informed_start(case, model)
+        z0 = ad._informed_start([case], [model])[0]
         assert z0 == pytest.approx([0.5, 0.2, 1.0], abs=1e-12)
 
     def test_deterministic(self):
         model = pm.build_dso_model(leaf_dso(), LINK, "loss_linearized")
-        a = ad._informed_start(leaf_dso(), model)
-        b = ad._informed_start(leaf_dso(), model)
+        a = ad._informed_start([leaf_dso()], [model])[0]
+        b = ad._informed_start([leaf_dso()], [model])[0]
         assert np.array_equal(a, b)
 
 
@@ -374,3 +403,49 @@ class TestRunAdmm:
         assert lines[0] == "iter,primal_tau,primal_delta,dual,cost"
         assert len(lines) == res.iterations + 1
         assert lines[1].startswith("1,")
+
+
+
+class TestBatchedDsoSteps:
+    """The DSO subproblems of a round, solved as one family."""
+
+    @pytest.fixture(scope="class")
+    def copies(self):
+        return feeder_copies(4)
+
+    def test_matches_loop_of_single_steps(self, copies):
+        res = ad.run_admm(copies, "loss_linearized")
+        rounds, cost, converged = reference_admm(copies)
+        assert res.converged and converged
+        assert res.iterations == rounds
+        assert abs(res.total_cost - cost) <= 1e-9 * abs(cost)
+
+    def test_one_family_call_per_round(self, copies, monkeypatch):
+        sizes = []
+
+        def spy(qps, *args, **kwargs):
+            qps = list(qps)
+            sizes.append(len(qps))
+            return oc.solve_family(qps, *args, **kwargs)
+
+        monkeypatch.setattr(ad, "solve_family", spy)
+        res = ad.run_admm(copies, "loss_linearized")
+        # one call for the informed starts, then one a round
+        assert sizes == [len(copies.dsos)] * (res.iterations + 1)
+
+    def test_failed_member_names_dso_and_round(self, copies, monkeypatch):
+        calls = []
+
+        def fail_member_two_in_round_three(qps, *args, **kwargs):
+            sols = oc.solve_family(qps, *args, **kwargs)
+            calls.append(None)
+            if len(calls) == 4:  # the informed starts, then rounds 1..3
+                sols[2].status = oc.MAX_ITER
+            return sols
+
+        monkeypatch.setattr(ad, "solve_family", fail_member_two_in_round_three)
+        with pytest.raises(ad.CoordinationError,
+                           match="admm iteration 3 dso_step 2: status "
+                                 "max_iter") as err:
+            ad.run_admm(copies, "loss_linearized")
+        assert err.value.stage == "admm iteration 3 dso_step 2"

@@ -13,6 +13,8 @@ from gridcoord import powerflow_models as pm
 from gridcoord import projection as pj
 from gridcoord.value_function import QuadraticValueFn
 
+from conftest import feeder_copies
+
 
 def certify(qp, sol, tol=1e-8):
     """Every optimal return must pass the independent KKT certificate."""
@@ -281,6 +283,13 @@ def pinned_rows(qp, pins):
     return b_eqs
 
 
+def family_of(qp, b_eqs):
+    """qp with b_eq replaced by each row of b_eqs, all sharing one equality
+    reduction."""
+    qp = qp.with_reduction()
+    return [replace(qp, b_eq=b_eq) for b_eq in b_eqs]
+
+
 def beyond_facet(region, gap=1e-3):
     """A point `gap` beyond the first facet, along its normal from the center."""
     x, _ = pj.chebyshev_center(region)
@@ -305,7 +314,8 @@ class TestSolveFamily:
         for key, model in benchmark_dso_models.items():
             pins = interior_pins(benchmark_fors[key], 20, seed=key[0])
             family = pm.pin_coupling(model, np.zeros(3))
-            sols = oc.solve_family(family, pinned_rows(family, pins))
+            sols = oc.solve_family(
+                family_of(family, pinned_rows(family, pins)))
             assert len(sols) == 20
             for z, sol in zip(pins, sols):
                 qp = pm.pin_coupling(model, z)
@@ -329,7 +339,7 @@ class TestSolveFamily:
                           b_eq=np.append(plain.b_eq, 0.0))
         b_eqs = np.column_stack([pinned_rows(plain, pins), pins[:, 2]])
         b_eqs[1, -1] += 1e-3
-        sols = oc.solve_family(doubled, b_eqs)
+        sols = oc.solve_family(family_of(doubled, b_eqs))
         refs = [oc.solve_qp(replace(doubled, b_eq=b_eq)) for b_eq in b_eqs[:2]]
         assert sols[1].status == refs[1].status == oc.INFEASIBLE
         assert sols[1].iterations == refs[1].iterations == 0
@@ -337,7 +347,8 @@ class TestSolveFamily:
         # a member leaves before the scalar solve only when its normal
         # matrix turns exactly singular
         assert sols[0].iterations <= refs[0].iterations
-        for sol, ref in zip(sols[2:], oc.solve_family(doubled, b_eqs[2:])):
+        rest = oc.solve_family(family_of(doubled, b_eqs[2:]))
+        for sol, ref in zip(sols[2:], rest):
             assert sol.status == oc.OPTIMAL
             assert_same_solution(sol, ref)
 
@@ -348,7 +359,7 @@ class TestSolveFamily:
         family = pm.pin_coupling(benchmark_dso_models[key], np.zeros(3))
         pins = np.vstack([interior_pins(region, 5, seed=4),
                           beyond_facet(region)])
-        sol = oc.solve_family(family, pinned_rows(family, pins))[-1]
+        sol = oc.solve_family(family_of(family, pinned_rows(family, pins)))[-1]
         ref = oc.solve_qp(pm.pin_coupling(benchmark_dso_models[key], pins[-1]))
         assert sol.status == ref.status == oc.INFEASIBLE
         assert sol.iterations == ref.iterations == 200
@@ -368,7 +379,7 @@ class TestSolveFamily:
         for qp, b_eqs, statuses in (
                 (fixed, fixed_rows, [oc.OPTIMAL, oc.INFEASIBLE]),
                 (free, free_rows, [oc.OPTIMAL, oc.OPTIMAL])):
-            sols = oc.solve_family(qp, b_eqs)
+            sols = oc.solve_family(family_of(qp, b_eqs))
             assert [sol.status for sol in sols] == statuses
             for b_eq, sol in zip(b_eqs, sols):
                 ref = oc.solve_qp(replace(qp, b_eq=b_eq))
@@ -381,7 +392,8 @@ class TestSolveFamily:
         key = (2, "loss_linearized")
         pins = interior_pins(benchmark_fors[key], 5, seed=8)
         family = pm.pin_coupling(benchmark_dso_models[key], np.zeros(3))
-        sols = oc.solve_family(family, pinned_rows(family, pins), max_iter=2)
+        sols = oc.solve_family(family_of(family, pinned_rows(family, pins)),
+                               max_iter=2)
         for z, sol in zip(pins, sols):
             ref = oc.solve_qp(pm.pin_coupling(benchmark_dso_models[key], z),
                               max_iter=2)
@@ -401,7 +413,7 @@ class TestSolveFamily:
         pins = interior_pins(benchmark_fors[key], 3, seed=1)
         family = pm.pin_coupling(benchmark_dso_models[key], np.zeros(3))
         b_eqs = pinned_rows(family, pins)
-        alone = oc.solve_family(family, b_eqs[[0, 2]])
+        alone = oc.solve_family(family_of(family, b_eqs[[0, 2]]))
         solve_each = oc._solve_each
 
         def singular_member_one(K, r):
@@ -412,7 +424,7 @@ class TestSolveFamily:
 
         monkeypatch.setattr(oc, "_solve_each", singular_member_one)
         with caplog.at_level(logging.DEBUG, logger=oc.__name__):
-            sols = oc.solve_family(family, b_eqs)
+            sols = oc.solve_family(family_of(family, b_eqs))
         assert sols[1].status == oc.MAX_ITER and sols[1].iterations == 1
         assert "1 of 3 family members met a singular" in caplog.text
         for sol, ref in zip(sols[::2], alone):
@@ -427,10 +439,100 @@ class TestSolveFamily:
 
     def test_batched_solve_marks_singular_members(self):
         K = np.stack([np.eye(2), np.zeros((2, 2)), 2.0 * np.eye(2)])
-        out, singular = oc._solve_each(K, np.ones((3, 2)))
+        out = oc._solve_each(K, np.ones((3, 2)))
         np.testing.assert_array_equal(out[[0, 2]], [[1.0, 1.0], [0.5, 0.5]])
         assert np.isnan(out[1]).all()
-        np.testing.assert_array_equal(singular, [False, True, False])
+
+
+def pulled_dispatch(model):
+    """A DSO model's dispatch with a quadratic pull on its interface
+    triple, carrying its own equality reduction."""
+    pull = QuadraticValueFn(10.0 * np.eye(3), [-0.5, 0.2, -10.0], 5.0)
+    return pm.attach_quadratic_cost(model, pull, 0).qp_skeleton \
+        .with_reduction()
+
+
+@pytest.fixture(scope="module")
+def copy_qps():
+    """Pulled dispatch QPs of 14 feeder copies: one reduced shape, 14
+    different A_eq."""
+    part = feeder_copies(14)
+    return [pulled_dispatch(pm.build_dso_model(case, link, "loss_linearized"))
+            for case, link in zip(part.dsos, part.links)]
+
+
+class TestHeterogeneousFamily:
+    """QPs of one reduced shape, each with its own H, A_eq and A_ineq."""
+
+    def test_copies_share_a_shape_not_data(self, copy_qps):
+        shapes = {(qp.n, qp.reduction.N.shape[1], qp.b_ineq.size)
+                  for qp in copy_qps}
+        assert shapes == {(50, 5, 38)}
+        assert not any(np.array_equal(copy_qps[0].A_eq, qp.A_eq)
+                       for qp in copy_qps[1:])
+
+    @pytest.mark.parametrize("tol", [1e-8, 1e-9])
+    def test_members_match_solve_qp(self, copy_qps, tol):
+        sols = oc.solve_family(copy_qps, tol=tol)
+        for qp, sol in zip(copy_qps, sols):
+            ref = oc.solve_qp(qp, tol=tol)
+            assert sol.status == ref.status == oc.OPTIMAL
+            assert abs(sol.objective - ref.objective) <= \
+                1e-8 * abs(ref.objective)
+            certify(qp, sol, tol)
+
+    def test_member_does_not_depend_on_the_others(self, copy_qps):
+        full = oc.solve_family(copy_qps)
+        for b in (0, 5, 13):
+            pair = oc.solve_family([copy_qps[b], copy_qps[b - 1]])
+            assert_same_solution(pair[0], full[b])
+
+    def test_mixed_shapes_split_into_groups(self, copy_qps, monkeypatch,
+                                            benchmark_partition):
+        part = benchmark_partition
+        builtin = [pulled_dispatch(pm.build_dso_model(c, lk,
+                                                      "loss_linearized"))
+                   for c, lk in zip(part.dsos, part.links)]
+        lone = next(qp for qp in builtin if qp.reduction.N.shape[1] != 5)
+        qps = copy_qps[:3] + [lone]
+        scalar, lockstep = [], []
+        solve_qp, run = oc.solve_qp, oc._lockstep_interior_point
+
+        def solve_qp_spy(qp, *args, **kwargs):
+            scalar.append(qp)
+            return solve_qp(qp, *args, **kwargs)
+
+        def lockstep_spy(H, A_in, G, *args, **kwargs):
+            lockstep.append((H.shape, len(G)))
+            return run(H, A_in, G, *args, **kwargs)
+
+        monkeypatch.setattr(oc, "solve_qp", solve_qp_spy)
+        monkeypatch.setattr(oc, "_lockstep_interior_point", lockstep_spy)
+        sols = oc.solve_family(qps)
+        assert lockstep == [((3, 5, 5), 3)]
+        assert scalar == [lone]
+        assert_same_solution(sols[-1], solve_qp(lone))
+        for qp, sol in zip(qps, sols):
+            certify(qp, sol)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_pin_stops_at_first_nonfinite_step(
+            self, benchmark_dso_models, benchmark_fors):
+        # The nu pin carried twice, 1e-3 beyond a FOR facet: a multiplier
+        # reaches its 1e-300 floor and the next corrector would overflow.
+        key = (1, "lindistflow")
+        plain = pm.pin_coupling(benchmark_dso_models[key],
+                                beyond_facet(benchmark_fors[key]))
+        doubled = replace(plain, A_eq=np.vstack([plain.A_eq, plain.A_eq[-1]]),
+                          b_eq=np.append(plain.b_eq, plain.b_eq[-1]))
+        sol = oc.solve_qp(doubled)
+        assert sol.status == oc.INFEASIBLE
+        assert sol.iterations < 200
+        assert np.isfinite(sol.x).all() and np.isfinite(sol.duals_ineq).all()
+        red = oc.EqualityReduction.of(doubled)
+        x_p = red.particular(doubled.b_eq)
+        assert not oc.check_feasible(red.A_ineq,
+                                     doubled.b_ineq - doubled.A_ineq @ x_p)[0]
 
 
 class TestSolveLp:

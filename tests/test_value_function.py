@@ -38,13 +38,14 @@ def synthetic_samples(fn, n=40, seed=1):
 
 
 def spy_family(monkeypatch):
-    """Record (qp, b_eqs, solutions) of every solve_family call the sampler
+    """Record (qps, solutions) of every solve_family call the sampler
     makes."""
     seen = []
 
-    def spy(qp, b_eqs, *args, **kwargs):
-        sols = oc.solve_family(qp, b_eqs, *args, **kwargs)
-        seen.append((qp, b_eqs, sols))
+    def spy(qps, *args, **kwargs):
+        qps = list(qps)
+        sols = oc.solve_family(qps, *args, **kwargs)
+        seen.append((qps, sols))
         return sols
 
     monkeypatch.setattr(vf, "solve_family", spy)
@@ -226,10 +227,11 @@ class TestSampling:
         svds = spy_svds(monkeypatch)
         samples = vf.sample_value_function(model, region, n=15, seed=2)
         assert len(calls) == 1
-        qp, b_eqs, sols = calls[0]
-        assert b_eqs.shape == (15, qp.b_eq.size) and len(sols) == 15
-        assert svds.count(qp.A_eq.shape) == 1
-        k = oc.EqualityReduction.of(qp).N.shape[1]
+        qps, sols = calls[0]
+        assert len(qps) == len(sols) == 15
+        assert all(qp.reduction is qps[0].reduction for qp in qps)
+        assert svds.count(qps[0].A_eq.shape) == 1
+        k = qps[0].reduction.N.shape[1]
         assert orders and max(orders) <= k
         assert all(s.feasible for s in samples)
 
@@ -244,7 +246,7 @@ class TestSampling:
         samples = vf.sample_value_function(benchmark_dso_models[key], region,
                                            n=10, seed=0)
         assert calls and all(sol.status != oc.OPTIMAL
-                             for _, _, sols in calls for sol in sols)
+                             for _, sols in calls for sol in sols)
         assert all(not s.feasible and s.value == np.inf for s in samples)
 
     def test_off_for_point_flagged_empty_nullspace(self, monkeypatch):
@@ -257,7 +259,7 @@ class TestSampling:
         samples = vf.sample_value_function(model, region, n=10, seed=0)
         assert calls and all(sol.status == oc.INFEASIBLE
                              and sol.iterations == 0
-                             for _, _, sols in calls for sol in sols)
+                             for _, sols in calls for sol in sols)
         assert all(not s.feasible and s.value == np.inf for s in samples)
 
     def test_inconsistent_pin_flagged(self, monkeypatch):
@@ -271,7 +273,7 @@ class TestSampling:
         samples = vf.sample_value_function(model, region, n=10, seed=0)
         assert calls and all(sol.status == oc.INFEASIBLE
                              and sol.iterations == 0
-                             for _, _, sols in calls for sol in sols)
+                             for _, sols in calls for sol in sols)
         assert all(not s.feasible and s.value == np.inf for s in samples)
 
     def test_empty_region_raises(self):
