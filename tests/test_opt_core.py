@@ -464,15 +464,13 @@ def copy_qps():
 class TestHeterogeneousFamily:
     """QPs of one reduced shape, each with its own H, A_eq and A_ineq."""
 
-    def test_copies_share_a_shape_not_data(self, copy_qps):
-        shapes = {(qp.n, qp.reduction.N.shape[1], qp.b_ineq.size)
-                  for qp in copy_qps}
-        assert shapes == {(50, 5, 38)}
-        assert not any(np.array_equal(copy_qps[0].A_eq, qp.A_eq)
-                       for qp in copy_qps[1:])
-
     @pytest.mark.parametrize("tol", [1e-8, 1e-9])
     def test_members_match_solve_qp(self, copy_qps, tol):
+        # one shape, fourteen different A_eq
+        assert {(qp.n, qp.reduction.N.shape[1], qp.b_ineq.size)
+                for qp in copy_qps} == {(50, 5, 38)}
+        assert not any(np.array_equal(copy_qps[0].A_eq, qp.A_eq)
+                       for qp in copy_qps[1:])
         sols = oc.solve_family(copy_qps, tol=tol)
         for qp, sol in zip(copy_qps, sols):
             ref = oc.solve_qp(qp, tol=tol)
