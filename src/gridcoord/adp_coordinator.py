@@ -28,7 +28,7 @@ from .powerflow_models import (DEFAULT_INTERFACE_RATING, PolyhedralModel,
 from .projection import (EmptyRegion, Polyhedron, RowExplosion,
                          coupling_region)
 from .value_function import (DEFAULT_SAMPLES, QuadraticValueFn, fit_quadratic,
-                             sample_value_function)
+                             sample_value_functions)
 
 logger = logging.getLogger(__name__)
 
@@ -160,32 +160,44 @@ def backward_sweep(part, model_kind: str, value_mode: str = "quadratic",
                    n_samples: int = DEFAULT_SAMPLES, seed: int = 0):
     """Per-DSO region projection and surrogate fit; one upload round.
 
-    Returns (packages, comm_log).  DSO k samples with seed + k so the
-    streams are distinct but the whole sweep is reproducible.
+    Three stages: every DSO's model is built and its region projected; the
+    sample points of all DSOs are drawn by one lockstep hit-and-run; then
+    each DSO's samples are solved as one family and fitted, and the
+    packages are sent in link order.  Returns (packages, comm_log).  DSO k
+    samples with seed + k so the streams are distinct but the whole sweep
+    is reproducible.
     """
     model_kind = normalize_model_kind(model_kind)
     if value_mode not in VALUE_MODES:
         raise ValueError(f"unknown value_mode {value_mode!r}")
-    agents = ("tso",) + tuple(_dso_agent(lk.dso_index) for lk in part.links)
-    log = CommLog(agents)
-    log.begin_round()
-    packages = []
-    for k, (case, link) in enumerate(zip(part.dsos, part.links)):
+    models, regions = [], []
+    for case, link in zip(part.dsos, part.links):
         try:
             model = build_dso_model(case, link, model_kind)
             region = coupling_region(model)
             if region.is_marked_empty:
                 raise EmptyRegion("interface region is empty")
-            if value_mode == "zero":
-                vf = QuadraticValueFn.zero(domain_hint=region)
-            else:
-                samples = sample_value_function(model, region, n_samples,
-                                                seed + k)
-                vf, rms = fit_quadratic(samples, domain_hint=region)
-                logger.info("dso %d: value fit over %d samples, rms %.3e",
-                            link.dso_index, n_samples, rms)
         except (RowExplosion, EmptyRegion) as exc:
             raise type(exc)(f"dso {link.dso_index}: {exc}") from exc
+        models.append(model)
+        regions.append(region)
+    if value_mode == "zero":
+        value_fns = [QuadraticValueFn.zero(domain_hint=region)
+                     for region in regions]
+    else:
+        value_fns = []
+        for link, region, samples in zip(
+                part.links, regions,
+                sample_value_functions(models, regions, n_samples, seed)):
+            vf, rms = fit_quadratic(samples, domain_hint=region)
+            logger.info("dso %d: value fit over %d samples, rms %.3e",
+                        link.dso_index, n_samples, rms)
+            value_fns.append(vf)
+    agents = ("tso",) + tuple(_dso_agent(lk.dso_index) for lk in part.links)
+    log = CommLog(agents)
+    log.begin_round()
+    packages = []
+    for link, region, vf in zip(part.links, regions, value_fns):
         pkg = ForPackage(link.dso_index, region, vf, model_kind)
         packages.append(pkg)
         log.send(_dso_agent(link.dso_index), "tso", "for_package",

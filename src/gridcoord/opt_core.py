@@ -36,8 +36,10 @@ member alone in its shape takes the scalar path, solve_qp. Single solves
 keep the (k + m) system: on degenerate LPs the normal matrix loses
 accuracy (the exact redundancy pass of projection, which decides rows on
 LP values near its keep threshold, then keeps different rows), while a
-family's members are well-posed QPs with k small. Both methods leave at
-the first step that is not finite and keep their last iterate.
+family's members are well-posed QPs with k small. solve_qp leaves at the
+first step that is not finite and keeps its last iterate; a family member
+whose step is not finite (its normal matrix turned singular) is solved
+again by solve_qp.
 """
 from __future__ import annotations
 
@@ -384,7 +386,7 @@ def _psd_lifts(H: np.ndarray) -> np.ndarray:
 
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def _lockstep_interior_point(H, A_in, G, B_in, C0, tol: float,
-                             max_iter: int) -> list[QpSolution]:
+                             max_iter: int) -> list[QpSolution | None]:
     """`_interior_point` on the QPs min 0.5 y'H[b]y + G[b]'y + C0[b] subject
     to A_in[b] y <= B_in[b], all advanced in lockstep.
 
@@ -396,7 +398,9 @@ def _lockstep_interior_point(H, A_in, G, B_in, C0, tol: float,
     member, so a member's iterates do not depend on the others.  A member
     leaves the family when it certifies (OPTIMAL), diverges or meets a step
     that is not finite (a singular normal matrix gives NaN); the others run
-    on.  Members not certified within max_iter get `_undecided`.
+    on.  A member stopped by a step that is not finite gets None, for the
+    caller to solve on its own; members not certified within max_iter or
+    diverged get `_undecided`.
     """
     H = 0.5 * (H + np.swapaxes(H, -1, -2))
     H_ipm = _psd_lifts(H)
@@ -415,7 +419,7 @@ def _lockstep_interior_point(H, A_in, G, B_in, C0, tol: float,
     best_x, best_mu = X.copy(), MU.copy()
     its = np.full(fam, max_iter)
     certified = np.zeros(fam, dtype=bool)
-    broken = 0  # members stopped uncertified by a step that is not finite
+    broken = np.zeros(fam, dtype=bool)  # stopped by a step not finite
     live = np.arange(fam)  # members still iterating
     for it in range(1, max_iter + 1):
         x, s, mu, g = X[live], S[live], MU[live], G[live]
@@ -467,7 +471,7 @@ def _lockstep_interior_point(H, A_in, G, B_in, C0, tol: float,
                                                  _max_steps(mu, dmu)))[:, None]
         finite = np.isfinite(dx).all(axis=1) & np.isfinite(dmu).all(axis=1) \
             & np.isfinite(ds).all(axis=1)
-        broken += int((~finite & ~done).sum())
+        broken[live[~finite & ~stop]] = True
         stop |= ~finite
         go = ~stop
         gone = live[stop]
@@ -479,12 +483,12 @@ def _lockstep_interior_point(H, A_in, G, B_in, C0, tol: float,
         if not live.size:
             break
 
-    if broken:
+    if broken.any():
         logger.debug("%d of %d family members met a singular normal matrix "
-                     "or a step that is not finite and take the uncertified "
-                     "verdict", broken, fam)
+                     "or a step that is not finite and are solved alone",
+                     int(broken.sum()), fam)
     return [QpSolution(OPTIMAL, X[b], OBJ[b], np.zeros(0), MU[b], int(its[b]))
-            if certified[b] else
+            if certified[b] else None if broken[b] else
             _undecided(QuadraticProgram(H[b] if stacked else H, G[b],
                                         A_in[b] if stacked else A_in,
                                         B_in[b], c0=C0[b]),
@@ -570,7 +574,9 @@ def solve_family(qps, tol: float = _TOL,
     solve_qp.  In a larger group, members that need no iteration are decided
     as solve_qp decides them; the rest run one lockstep interior-point
     method on the k x k normal matrix.  Each member stops on its own test
-    and keeps its own status and iteration count.
+    and keeps its own status and iteration count.  A member whose lockstep
+    step is not finite (a singular normal matrix) is solved again by
+    solve_qp, on the (k + m) system.
     """
     qps = list(qps)
     reds = [_reduction(qp) for qp in qps]
@@ -578,12 +584,16 @@ def solve_family(qps, tol: float = _TOL,
     for i, (qp, red) in enumerate(zip(qps, reds)):
         groups.setdefault((red.N.shape[1], qp.b_ineq.size), []).append(i)
     sols = [None] * len(qps)
+
+    def alone(i):
+        qp = qps[i]
+        if qp.reduction is None:
+            qp = replace(qp, reduction=reds[i])
+        return solve_qp(qp, tol, max_iter)
+
     for group in groups.values():
         if len(group) == 1:
-            qp = qps[group[0]]
-            if qp.reduction is None:
-                qp = replace(qp, reduction=reds[group[0]])
-            sols[group[0]] = solve_qp(qp, tol, max_iter)
+            sols[group[0]] = alone(group[0])
             continue
         X_p = {i: reds[i].particular(qps[i].b_eq) for i in group}
         for i in group:
@@ -603,7 +613,8 @@ def solve_family(qps, tol: float = _TOL,
             np.array([r.b_ineq for r in rs]), np.array([r.c0 for r in rs]),
             tol, max_iter)
         for i, sol in zip(todo, ipm):
-            sols[i] = _lift(qps[i], reds[i], X_p[i], sol)
+            sols[i] = alone(i) if sol is None else \
+                _lift(qps[i], reds[i], X_p[i], sol)
     return sols
 
 

@@ -7,6 +7,13 @@ The TSO cannot see V directly, so the DSO samples it on interior points of
 the FOR and fits the convex quadratic surrogate 0.5 z'Qz + c'z + d that rides
 up to the TSO objective.
 
+The sample points are drawn by hit-and-run (Smith, Operations Research 32,
+1984), one chain a FOR.  A backward sweep draws the points of all its DSOs
+together (`sample_value_functions`): the chains step in lockstep, each step
+one array operation for every chain over their padded FOR rows, while each
+chain keeps its own random stream, seed + k for DSO k, and so the points it
+would draw alone.
+
 The pinned QPs of one model share H, g and every constraint row; only the
 pinned triple z in b_eq moves.  So the samples of one model are one
 `opt_core.solve_family` call on QPs that share one EqualityReduction (one
@@ -16,6 +23,7 @@ interior-point run in y (x = x_p(z) + N y) whose steps solve only the
 members' k x k normal matrices.
 """
 import logging
+import math
 from copy import copy
 from dataclasses import dataclass
 
@@ -85,54 +93,121 @@ def evaluate(vf: QuadraticValueFn, z) -> float:
     return float(0.5 * z @ vf.Q @ z + vf.c @ z + vf.d)
 
 
-def _hit_and_run(region: Polyhedron, n: int, rng, burn: int):
-    """n interior points; each preceded by `burn` chain steps."""
-    x, _ = chebyshev_center(region)
-    A, b = region.A, region.b
-    pts = np.empty((n, region.dim))
+def _dot(P, Q) -> np.ndarray:
+    """sum_j P[j] * Q[j], added in the order j = 0, 1, ...
+
+    Elementwise, so every entry rounds the same whatever the shape of the
+    stack: a chain's points do not depend on the other chains or on the
+    padding.
+    """
+    out = P[0] * Q[0]
+    for j in range(1, len(P)):
+        out += P[j] * Q[j]
+    return out
+
+
+@np.errstate(divide="ignore", invalid="ignore")
+def _hit_and_run(regions, n: int, rngs, burn: int) -> np.ndarray:
+    """(R, n, dim) points: n from each of R regions, by Smith's hit-and-run
+    (Operations Research 32, 1984), each point preceded by `burn` steps.
+
+    Region r's chain starts at its Chebyshev center and draws from rngs[r]
+    alone: a step draws normal(size=dim) for the direction, then one
+    uniform for the position on the chord; a direction of norm below 1e-14
+    draws no uniform and does not move.  The draws do not depend on where
+    a chain is, so each point's draws are made first, chain by chain; the
+    steps then run in lockstep.  The rows are padded with zero rows (A = 0,
+    b = 0, never bounding a step) to one (R, m_max) stack, and the slack,
+    the directions' rates along each row, the chord bounds and the move are
+    each one array operation for every chain.
+    """
+    dim, size = regions[0].dim, len(regions)
+    # At least one row, so that no chord reduction is over an empty axis.
+    rows = max(1, max(region.n_rows for region in regions))
+    A = np.zeros((dim, size, rows))
+    b = np.zeros(A.shape[1:])
+    for r, region in enumerate(regions):
+        A[:, r, :region.n_rows] = region.A.T
+        b[r, :region.n_rows] = region.b
+    x = np.array([chebyshev_center(region)[0] for region in regions])
+    # Views: A x is summed one column at a time as x moves in place.
+    A_cols, x_cols = list(A), [x[:, j:j + 1] for j in range(dim)]
+    pts = np.empty((size, n, dim))
+    u = np.empty((size, burn, dim))
+    norm = np.empty((size, burn))
+    t = np.zeros((size, burn))
     for k in range(n):
-        for _ in range(burn):
-            u = rng.normal(size=region.dim)
-            norm = np.linalg.norm(u)
-            if norm < 1e-14:
-                continue
-            u /= norm
-            slack = b - A @ x
-            along = A @ u
-            hi, lo = 1e6, -1e6
-            pos = along > 1e-14
-            neg = along < -1e-14
-            if pos.any():
-                hi = float((slack[pos] / along[pos]).min())
-            if neg.any():
-                lo = float((slack[neg] / along[neg]).max())
-            lo, hi = min(lo, 0.0), max(hi, 0.0)
-            x = x + rng.uniform(lo, hi) * u
-        pts[k] = x
+        # rng.uniform(lo, hi) is exactly lo + (hi - lo) * rng.random(), so
+        # the uniform is drawn before its chord is known.
+        for r, rng in enumerate(rngs):
+            for s in range(burn):
+                u[r, s] = v = rng.normal(size=dim)
+                norm[r, s] = length = math.sqrt(v @ v)  # = np.linalg.norm(v)
+                if length >= 1e-14:
+                    t[r, s] = rng.random()
+        moves = norm >= 1e-14
+        # A step that does not move gets the zero direction.
+        d = np.divide(u, norm[..., None], out=np.zeros_like(u),
+                      where=moves[..., None])
+        along = _dot(A[:, :, None], d.transpose(2, 0, 1)[..., None])
+        pos, neg = along > 1e-14, along < -1e-14
+        # A chord no row bounds on one side ends at +-1e6 there.
+        hi_cap = np.where(pos.any(axis=2), np.inf, 1e6)
+        lo_cap = np.where(neg.any(axis=2), -np.inf, -1e6)
+        for s in range(burn):
+            ratio = (b - _dot(A_cols, x_cols)) / along[:, s]
+            hi = np.minimum(np.where(pos[:, s], ratio, np.inf).min(axis=1),
+                            hi_cap[:, s])
+            lo = np.maximum(np.where(neg[:, s], ratio, -np.inf).max(axis=1),
+                            lo_cap[:, s])
+            lo, hi = np.minimum(lo, 0.0), np.maximum(hi, 0.0)
+            x += (lo + (hi - lo) * t[:, s])[:, None] * d[:, s]
+        pts[:, k] = x
     return pts
+
+
+def sample_value_functions(models, regions, n: int = DEFAULT_SAMPLES,
+                           seed: int = 0):
+    """Hit-and-run samples of each DSO's best-response cost over its FOR.
+
+    models[k] is sampled over regions[k] from the stream
+    default_rng(seed + k); one list of n samples comes back per model.  The
+    chains of all regions step in lockstep (`_hit_and_run`), each keeping
+    its own draws, so a model's samples do not depend on the others.  Each
+    sample is the pinned QP; since only b_eq moves with z, a model's n
+    samples are solved as one family (`solve_family`), each with its own
+    status.  A sample whose pin is inconsistent with the equalities, whose
+    pin fixes every column at a point that breaks an inequality, or whose
+    solve is not optimal is flagged feasible=False with value +inf, never
+    dropped.
+    """
+    models, regions = list(models), list(regions)
+    if len(models) != len(regions):
+        raise ValueError("need one FOR per model")
+    if any(region.dim != 3 for region in regions):
+        raise ValueError("FOR must be 3-dimensional")
+    if n < 10:
+        raise ValueError("need at least 10 samples")
+    if any(region.is_marked_empty for region in regions):
+        raise EmptyRegion("cannot sample an empty region")
+    if not regions:
+        return []
+    rngs = [np.random.default_rng(seed + k) for k in range(len(regions))]
+    points = _hit_and_run(regions, n, rngs, burn=9)  # 3 steps a dimension
+    return [_pinned_samples(model, pts) for model, pts in zip(models, points)]
 
 
 def sample_value_function(model, for_region: Polyhedron,
                           n: int = DEFAULT_SAMPLES, seed: int = 0):
-    """Hit-and-run samples of the DSO best-response cost over the FOR.
+    """`sample_value_functions` of one model: n samples over its FOR,
+    deterministic for a fixed seed."""
+    return sample_value_functions([model], [for_region], n, seed)[0]
 
-    Deterministic for a fixed seed.  Each sample is the pinned QP; since
-    only b_eq moves with z, all n are solved as one family (`solve_family`),
-    each with its own status.  A sample whose pin is inconsistent with the
-    equalities, whose pin fixes every column at a point that breaks an
-    inequality, or whose solve is not optimal is flagged feasible=False
-    with value +inf, never dropped.
-    """
-    if for_region.dim != 3:
-        raise ValueError("FOR must be 3-dimensional")
-    if n < 10:
-        raise ValueError("need at least 10 samples")
-    if for_region.is_marked_empty:
-        raise EmptyRegion("cannot sample an empty region")
-    rng = np.random.default_rng(seed)
-    pts = _hit_and_run(for_region, n, rng, burn=3 * for_region.dim)
+
+def _pinned_samples(model, pts: np.ndarray):
+    """One ValueSample per point: the model's pinned QPs, one family."""
     family = pin_coupling(model, np.zeros(3)).with_reduction()
-    b_eqs = np.tile(family.b_eq, (n, 1))
+    b_eqs = np.tile(family.b_eq, (len(pts), 1))
     b_eqs[:, -3:] = pts
     # Shallow copies share H, the constraint rows and the reduction, and
     # skip re-validating H (dataclasses.replace would, once per sample).

@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 import pytest
-from conftest import MODEL_KINDS, record_criterion
+from suite_helpers import MODEL_KINDS, record_criterion
 from test_opt_core import dual_projected_gradient, random_feasible_qp
 
 from gridcoord import admm_coordinator as ad

@@ -12,7 +12,7 @@ from gridcoord import powerflow_models as pm
 from gridcoord import projection as pj
 from gridcoord.opt_core import QuadraticProgram, kkt_residuals, solve_qp
 
-from conftest import feeder_copies
+from suite_helpers import feeder_copies
 
 LINK = gm.Interconnection(1, 2, 1)
 

@@ -9,7 +9,9 @@ from gridcoord import grid_model as gm
 from gridcoord import powerflow_models as pm
 from gridcoord import projection as pj
 from gridcoord.opt_core import OPTIMAL, solve_qp
-from gridcoord.value_function import QuadraticValueFn, RankDeficient
+from gridcoord.value_function import (QuadraticValueFn, RankDeficient,
+                                      sample_value_function,
+                                      sample_value_functions)
 
 LINK = gm.Interconnection(1, 2, 1)
 
@@ -135,6 +137,52 @@ class TestBackwardSweep:
     def test_rejects_unknown_value_mode(self):
         with pytest.raises(ValueError):
             adp.backward_sweep(toy_partition(), "lindistflow", "cubic")
+
+    def test_empty_region_of_a_later_dso_reports_it(self):
+        # The first DSO is fine; the second's forced export empties its FOR.
+        buses = (gm.Bus(1, "slack"), gm.Bus(2, "load", 0.01, 0.0))
+        gens = (gm.Generator(2, 10.0, 10.0, -3.0, 3.0, 0.0, 1.0),)
+        stuck = gm.GridCase(100.0, buses, (gm.Line(1, 2, 0.05, 0.05),), gens)
+        part = gm.Partition(two_bus_tso(), (leaf_dso(), stuck),
+                            (LINK, gm.Interconnection(7, 2, 1)))
+        with pytest.raises(pj.EmptyRegion, match="dso 7"):
+            adp.backward_sweep(part, "lindistflow", "quadratic")
+
+    def test_packages_shipped_in_link_order(self, benchmark_partition):
+        part = benchmark_partition
+        packages, log = adp.backward_sweep(part, "loss_linearized",
+                                           n_samples=20, seed=5)
+        assert [pkg.dso_index for pkg in packages] == \
+            [lk.dso_index for lk in part.links] == [1, 2]
+        # FORs of 19 and 6 rows: 4 floats a row plus 13 for the surrogate
+        assert [(m.from_agent, m.to_agent, m.round, m.kind, m.payload_floats)
+                for m in log.messages] == [
+            ("dso1", "tso", 1, "for_package", 89),
+            ("dso2", "tso", 1, "for_package", 37)]
+
+    def test_sweep_samples_match_one_dso_calls(self, monkeypatch,
+                                               benchmark_partition):
+        # DSO k's samples are those of a sampler call on it alone with
+        # seed + k.
+        swept = []
+
+        def spy(models, regions, n, seed):
+            sets = sample_value_functions(models, regions, n, seed)
+            swept.append((models, regions, sets))
+            return sets
+
+        monkeypatch.setattr(adp, "sample_value_functions", spy)
+        adp.backward_sweep(benchmark_partition, "lindistflow",
+                           n_samples=20, seed=5)
+        (models, regions, sets), = swept
+        assert len(sets) == len(benchmark_partition.dsos) == 2
+        for k, (model, region, samples) in enumerate(zip(models, regions,
+                                                         sets)):
+            alone = sample_value_function(model, region, 20, 5 + k)
+            for s, a in zip(samples, alone, strict=True):
+                np.testing.assert_allclose(s.z, a.z, rtol=0, atol=1e-12)
+                assert s.feasible and a.feasible
+                assert abs(s.value - a.value) <= 1e-12 * (1 + abs(a.value))
 
 
 class TestBuildTsoProblem:

@@ -13,7 +13,7 @@ from gridcoord import powerflow_models as pm
 from gridcoord import projection as pj
 from gridcoord.value_function import QuadraticValueFn
 
-from conftest import feeder_copies
+from suite_helpers import feeder_copies
 
 
 def certify(qp, sol, tol=1e-8):
@@ -343,10 +343,10 @@ class TestSolveFamily:
         refs = [oc.solve_qp(replace(doubled, b_eq=b_eq)) for b_eq in b_eqs[:2]]
         assert sols[1].status == refs[1].status == oc.INFEASIBLE
         assert sols[1].iterations == refs[1].iterations == 0
+        # member 0's normal matrix turns exactly singular: solve_qp solves
+        # it again
         assert sols[0].status == refs[0].status == oc.INFEASIBLE
-        # a member leaves before the scalar solve only when its normal
-        # matrix turns exactly singular
-        assert sols[0].iterations <= refs[0].iterations
+        assert_same_solution(sols[0], refs[0])
         rest = oc.solve_family(family_of(doubled, b_eqs[2:]))
         for sol, ref in zip(sols[2:], rest):
             assert sol.status == oc.OPTIMAL
@@ -408,12 +408,13 @@ class TestSolveFamily:
     def test_singular_member_takes_the_scalar_verdict(
             self, monkeypatch, caplog, benchmark_dso_models, benchmark_fors):
         # Member 1 meets a singular normal matrix at the first step: it
-        # leaves with its first iterate; the others are not disturbed.
+        # leaves the family and solve_qp solves it; the others are not
+        # disturbed.
         key = (2, "lindistflow")
         pins = interior_pins(benchmark_fors[key], 3, seed=1)
         family = pm.pin_coupling(benchmark_dso_models[key], np.zeros(3))
-        b_eqs = pinned_rows(family, pins)
-        alone = oc.solve_family(family_of(family, b_eqs[[0, 2]]))
+        qps = family_of(family, pinned_rows(family, pins))
+        alone = oc.solve_family(qps[::2])
         solve_each = oc._solve_each
 
         def singular_member_one(K, r):
@@ -424,11 +425,40 @@ class TestSolveFamily:
 
         monkeypatch.setattr(oc, "_solve_each", singular_member_one)
         with caplog.at_level(logging.DEBUG, logger=oc.__name__):
-            sols = oc.solve_family(family_of(family, b_eqs))
-        assert sols[1].status == oc.MAX_ITER and sols[1].iterations == 1
+            sols = oc.solve_family(qps)
+        assert sols[1].status == oc.OPTIMAL
+        assert_same_solution(sols[1], oc.solve_qp(qps[1]))
         assert "1 of 3 family members met a singular" in caplog.text
         for sol, ref in zip(sols[::2], alone):
             assert_same_solution(sol, ref)
+
+    def test_member_with_a_nan_step_is_solved_by_solve_qp(
+            self, monkeypatch, benchmark_dso_models, benchmark_fors):
+        # A sample family; member 3's step turns NaN in the third
+        # iteration.  It must come back OPTIMAL, as solve_qp solves it, not
+        # flagged, and the other members as they are without the fault.
+        key = (1, "loss_linearized")
+        family = pm.pin_coupling(benchmark_dso_models[key], np.zeros(3))
+        qps = family_of(family, pinned_rows(
+            family, interior_pins(benchmark_fors[key], 8, seed=5)))
+        clean = oc.solve_family(qps)
+        assert all(sol.iterations > 3 for sol in clean)
+        solve_each, calls = oc._solve_each, []
+
+        def nan_step_member_three(K, r):
+            out = solve_each(K, r)
+            calls.append(len(K))
+            if len(calls) == 5:  # predictor of iteration 3
+                out[3] = np.nan
+            return out
+
+        monkeypatch.setattr(oc, "_solve_each", nan_step_member_three)
+        sols = oc.solve_family(qps)
+        assert calls[4] == 8
+        assert sols[3].status == oc.OPTIMAL
+        assert_same_solution(sols[3], oc.solve_qp(qps[3]))
+        for b in (0, 1, 2, 4, 5, 6, 7):
+            assert_same_solution(sols[b], clean[b])
 
     def test_member_products_do_not_depend_on_the_others(self):
         rng = np.random.default_rng(6)

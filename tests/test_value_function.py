@@ -85,9 +85,10 @@ def spy_svds(monkeypatch):
 
 
 def pin_points(monkeypatch, z):
-    """Make hit-and-run return z for every sample."""
-    monkeypatch.setattr(vf, "_hit_and_run",
-                        lambda region, n, rng, burn: np.tile(z, (n, 1)))
+    """Make hit-and-run return z for every sample of every region."""
+    monkeypatch.setattr(
+        vf, "_hit_and_run",
+        lambda regions, n, rngs, burn: np.tile(z, (len(regions), n, 1)))
 
 
 def just_outside(region, gap=1e-3):
@@ -170,6 +171,86 @@ class TestFitQuadratic:
         assert abs(rms - np.sqrt(np.mean(np.square(resid)))) <= 1e-12
 
 
+def builtin_fors(benchmark_fors):
+    """The loss-linearized FORs of the two packaged feeders: 19 and 6 rows,
+    so the shorter one is padded in a lockstep run."""
+    regions = [benchmark_fors[(k, "loss_linearized")] for k in (1, 2)]
+    assert [region.n_rows for region in regions] == [19, 6]
+    return regions
+
+
+def scalar_chain(region, n, rng, burn):
+    """The one-chain hit-and-run loop, step by step: the reference the
+    lockstep chains must reproduce."""
+    x, _ = pj.chebyshev_center(region)
+    pts = np.empty((n, region.dim))
+    for k in range(n):
+        for _ in range(burn):
+            u = rng.normal(size=region.dim)
+            norm = np.linalg.norm(u)
+            if norm < 1e-14:
+                continue
+            u /= norm
+            slack = region.b - region.A @ x
+            along = region.A @ u
+            hi, lo = 1e6, -1e6
+            pos, neg = along > 1e-14, along < -1e-14
+            if pos.any():
+                hi = float((slack[pos] / along[pos]).min())
+            if neg.any():
+                lo = float((slack[neg] / along[neg]).max())
+            lo, hi = min(lo, 0.0), max(hi, 0.0)
+            x = x + rng.uniform(lo, hi) * u
+        pts[k] = x
+    return pts
+
+
+def chains(regions, seeds, n=30):
+    """Lockstep hit-and-run points, one chain a region."""
+    return vf._hit_and_run(regions, n, [np.random.default_rng(s)
+                                        for s in seeds], burn=9)
+
+
+class TestLockstepChains:
+    def test_each_chain_matches_a_one_region_run(self, benchmark_fors):
+        regions = builtin_fors(benchmark_fors)
+        both = chains(regions, (3, 4))
+        assert both.shape == (2, 30, 3)
+        for region, seed, pts in zip(regions, (3, 4), both):
+            np.testing.assert_allclose(pts, chains([region], [seed])[0],
+                                       rtol=0, atol=1e-12)
+
+    def test_matches_the_scalar_chain(self, benchmark_fors):
+        # The third region has no rows: every chord ends at the +-1e6
+        # defaults, and its points are at that scale, hence the relative
+        # tolerance.
+        free = pj.Polyhedron(3, np.zeros((0, 3)), np.zeros(0),
+                             ("a", "b", "c"))
+        regions = builtin_fors(benchmark_fors) + [free]
+        for group, seeds in ((regions, (3, 4, 5)), ([free], (5,))):
+            for region, seed, pts in zip(group, seeds, chains(group, seeds)):
+                ref = scalar_chain(region, 30, np.random.default_rng(seed), 9)
+                np.testing.assert_allclose(pts, ref, rtol=0, atol=1e-12 * (
+                    1.0 + np.abs(ref).max()))
+
+    def test_another_region_leaves_the_chains_unchanged(self,
+                                                        benchmark_fors):
+        regions = builtin_fors(benchmark_fors)
+        # 40 rows: the padding of the first two chains grows.
+        normals = np.random.default_rng(0).normal(size=(40, 3))
+        third = pj.Polyhedron(3, normals, np.ones(40), ("a", "b", "c"))
+        three = chains(regions + [third], (3, 4, 5))
+        np.testing.assert_array_equal(three[:2], chains(regions, (3, 4)))
+
+    def test_points_lie_in_their_own_for(self, benchmark_fors):
+        regions = builtin_fors(benchmark_fors)
+        for region, pts in zip(regions, chains(regions, (3, 4), n=100)):
+            assert (pts @ region.A.T - region.b).max() <= 1e-9
+        # each chain stays out of the other's FOR somewhere
+        for region, pts in zip(regions[::-1], chains(regions, (3, 4))):
+            assert (pts @ region.A.T - region.b).max() > 1e-3
+
+
 class TestSampling:
     def test_deterministic(self):
         model = feeder_dso()
@@ -219,9 +300,10 @@ class TestSampling:
         # hit-and-run start is not counted.
         key = next(iter(benchmark_dso_models))
         model, region = benchmark_dso_models[key], benchmark_fors[key]
-        pts = vf._hit_and_run(region, 15, np.random.default_rng(2), burn=9)
+        pts = vf._hit_and_run([region], 15, [np.random.default_rng(2)],
+                              burn=9)
         monkeypatch.setattr(vf, "_hit_and_run",
-                            lambda region, n, rng, burn: pts)
+                            lambda regions, n, rngs, burn: pts)
         calls = spy_family(monkeypatch)
         orders = spy_solved_orders(monkeypatch)
         svds = spy_svds(monkeypatch)
