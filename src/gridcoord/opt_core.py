@@ -34,9 +34,9 @@ does not depend on the others. Each member stops on the scalar test and
 keeps its own status; members not certified get the scalar verdict. A
 member alone in its shape takes the scalar path, solve_qp. Single solves
 keep the (k + m) system: on degenerate LPs the normal matrix loses
-accuracy (the exact redundancy pass of projection, which decides rows on
-LP values near its keep threshold, then keeps different rows), while a
-family's members are well-posed QPs with k small. solve_qp leaves at the
+accuracy, so a caller that decides on LP values near a threshold (the
+exact redundancy pass of projection) settles those cases by single
+solves. solve_qp leaves at the
 first step that is not finite and keeps its last iterate; a family member
 whose step is not finite (its normal matrix turned singular) is solved
 again by solve_qp.

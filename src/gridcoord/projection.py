@@ -6,7 +6,8 @@ computes that shadow exactly with Fourier-Motzkin elimination, kept tractable
 by two measures: variables pinned down by equality rows are eliminated by
 substitution (no row growth), and genuine cross-product eliminations are
 followed by redundancy pruning with one convex hull of the polar dual on the
-equality set (one exact LP per row only for flat or high-dimensional input).
+equality set.  Flat or high-dimensional input falls to one lockstep family of
+LPs, one per row, with scalar LPs only for weakly redundant rows.
 It also provides membership tests, feasibility lifting back to full model
 vectors, axis slicing, and 2-D vertex enumeration for polygon export.
 
@@ -17,21 +18,23 @@ marker row 0*x <= -1.
 import csv
 import json
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
 from .opt_core import (INFEASIBLE, MAX_ITER, OPTIMAL, UNBOUNDED,
-                       QuadraticProgram, check_feasible, solve_lp, solve_qp,
-                       split_svd)
+                       QuadraticProgram, check_feasible, solve_family,
+                       solve_lp, solve_qp, split_svd)
 
 log = logging.getLogger(__name__)
 
 ROW_CAP_DEFAULT = 200_000
 _SNAP = 1e-11          # coefficients below this collapse to exact zero
 _KEEP_TOL = 1e-9       # a row survives pruning iff it can be violated by this
+_WEAK_SLACK = 1e-7     # a row whose maximum stays this far below its bound
+                       # never touches the region
 _PAIR_TOL = 1e-9       # match threshold for equality pair detection
 
 
@@ -204,15 +207,32 @@ def _interior_point(A_in, b_in, A_eq, b_eq, radius_cap=1e3):
 
 
 def _prune_rows_exact(A_in, b_in, A_eq, b_eq):
-    """One LP per row against all surviving rows; quadratic but exact."""
-    m = b_in.size
-    active = np.ones(m, dtype=bool)
-    for i in range(m):
-        if not active[i]:
-            continue
+    """Survivor mask from one LP per row, solved as one lockstep family.
+
+    Member i maximises a_i.x over the system with row i relaxed to b_i + 1;
+    every member shares one EqualityReduction.  A row whose maximum exceeds
+    b_i + `_KEEP_TOL`, or whose LP is not optimal, is kept: it is kept
+    against any subset of the other rows as well.  A row whose maximum stays
+    below b_i - `_WEAK_SLACK` never touches the region, and dropping all such
+    rows leaves the region unchanged.  Only the weakly redundant rows in
+    between depend on the order of removal; they get one scalar LP each, in
+    index order, against the rows still active, so of two copies of a row
+    on the equality set the later one survives.
+    """
+    m, n = A_in.shape
+    base = QuadraticProgram(np.zeros((n, n)), np.zeros(n), A_in, b_in,
+                            A_eq, b_eq).with_reduction()
+    relaxed = b_in + np.eye(m)
+    sols = solve_family([replace(base, g=-A_in[i], b_ineq=relaxed[i])
+                         for i in range(m)], tol=1e-10)
+    best = np.array([-sol.objective if sol.status == OPTIMAL else np.inf
+                     for sol in sols])
+    active = best > b_in - _WEAK_SLACK
+    no_eq = A_eq is None or A_eq.shape[0] == 0
+    for i in np.flatnonzero(active & (best <= b_in + _KEEP_TOL)):
         others = active.copy()
         others[i] = False
-        if not others.any() and (A_eq is None or A_eq.shape[0] == 0):
+        if not others.any() and no_eq:
             continue
         trial_A = np.vstack([A_in[others], A_in[i:i + 1]])
         trial_b = np.concatenate([b_in[others], [b_in[i] + 1.0]])
@@ -224,7 +244,8 @@ def _prune_rows_exact(A_in, b_in, A_eq, b_eq):
 
 # Qhull's facet count grows like m^floor(k/2) in the affine dimension k of the
 # polar points; the first FM steps of a feeder with nine generators sit at
-# k = 9..18 with 28..66 rows, where one exact LP per row is bounded by m.
+# k = 9..18 with 28..66 rows, where the exact pass (one lockstep family of m
+# LPs, scalar LPs only for weakly redundant rows) is bounded by m.
 _HULL_MAX_DIM = 8
 
 
@@ -277,7 +298,8 @@ def _prune_rows(A_in, b_in, A_eq, b_eq, *, z0=None):
     when given (strictly inside the inequalities, exact on the equalities),
     else one ball-inflation LP.  Only a system without an interior point
     (after a feasibility check) or of polar rank above `_HULL_MAX_DIM` falls
-    to one exact LP per row.
+    to the exact pass, `_prune_rows_exact`: one lockstep LP family, scalar
+    LPs only for weakly redundant rows.
     """
     A_in, b_in = _normalize(A_in, b_in)
     A_in, b_in, feasible = _drop_trivial(A_in, b_in)
@@ -567,11 +589,13 @@ def vertices_2d(poly: Polyhedron) -> np.ndarray:
     ok, _ = check_feasible(A, b, tol=1e-9)
     if not ok:
         raise EmptyRegion("infeasible rows")
-    for direction in (np.array([1.0, 0]), np.array([-1.0, 0]),
-                      np.array([0, 1.0]), np.array([0, -1.0])):
-        status, _ = _lp_max(direction, A, b, None, None)
-        if status == UNBOUNDED:
-            raise UnboundedRegion("polytope unbounded")
+    # bounded iff x and y are bounded both ways: four LPs on shared rows
+    base = QuadraticProgram(np.zeros((2, 2)), np.zeros(2), A,
+                            b).with_reduction()
+    axes = np.vstack([np.eye(2), -np.eye(2)])
+    sols = solve_family([replace(base, g=-d) for d in axes], tol=1e-10)
+    if any(sol.status == UNBOUNDED for sol in sols):
+        raise UnboundedRegion("polytope unbounded")
     m = b.size
     points = []
     for i in range(m):

@@ -1,6 +1,8 @@
 """Projection tests: Fourier-Motzkin, redundancy pruning, FOR extraction."""
 import json
 import time
+from dataclasses import replace
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from gridcoord import grid_model as gm
 from gridcoord import opt_core as oc
 from gridcoord import powerflow_models as pm
 from gridcoord import projection as pj
+from suite_helpers import MODEL_KINDS
 
 
 def box(dim, lo=0.0, hi=1.0):
@@ -184,6 +187,27 @@ def assert_same_set(A, b, A_out, b_out, rng, half_width, n=500):
         assert pj.contains(before, p, 1e-9) == pj.contains(after, p, 1e-9)
 
 
+def sequential_prune(A_in, b_in, A_eq, b_eq):
+    """Reference survivor mask: one scalar LP per row, in index order,
+    against the rows still active.  Row i goes when its maximum over the
+    other active rows (row i relaxed to b_i + 1) stays within the keep
+    tolerance of b_i; of two copies of a row the later one survives."""
+    active = np.ones(b_in.size, dtype=bool)
+    no_eq = A_eq is None or A_eq.shape[0] == 0
+    for i in range(b_in.size):
+        others = active.copy()
+        others[i] = False
+        if not others.any() and no_eq:
+            continue
+        trial_A = np.vstack([A_in[others], A_in[i:i + 1]])
+        trial_b = np.concatenate([b_in[others], [b_in[i] + 1.0]])
+        sol = oc.solve_lp(-A_in[i], trial_A, trial_b, A_eq, b_eq, tol=1e-10)
+        if sol.status == oc.OPTIMAL and \
+                -sol.objective <= b_in[i] + pj._KEEP_TOL:
+            active[i] = False
+    return active
+
+
 # (seed, equality rows); the equality-free cases keep their plain seed ids
 HULL_CASES = [pytest.param(seed, 0, id=str(seed)) for seed in range(5)] + [
     pytest.param(seed, 1 + seed % 2, id=f"{seed}-eq{1 + seed % 2}")
@@ -212,7 +236,7 @@ class TestHullPruning:
         A_eq[:, 0] = 0.0  # x0 stays free on the equality set
         b_eq = np.zeros(n_eq)
         hull = pj._prune_rows_hull(A, b, z0, A_eq)
-        exact = pj._prune_rows_exact(A, b, A_eq, b_eq)
+        exact = sequential_prune(A, b, A_eq, b_eq)
         np.testing.assert_array_equal(hull, exact)
         assert 0 < hull.sum() < 25
         N = null_space(A_eq) if n_eq else np.eye(dim)
@@ -247,20 +271,23 @@ class TestHullPruning:
         A_out, _, _ = pj._prune_rows(np.array([[2.0]]), np.ones(1), None, None)
         assert A_out.shape == (1, 1)
 
-    @pytest.mark.parametrize("n_eq", [0, 3])
+    @pytest.mark.parametrize("n_eq", [0, 1, 2, 3])
     def test_high_affine_dimension_agrees_with_exact(self, n_eq):
-        # 11 columns: polar rank 11 exceeds _HULL_MAX_DIM and the exact pass
-        # decides; three equalities leave an 8-dimensional affine hull
+        # 11 columns: polar rank 11 - n_eq exceeds _HULL_MAX_DIM and the
+        # exact pass decides unless three equalities leave an 8-dimensional
+        # affine hull
         rng = np.random.default_rng(40 + n_eq)
         A, b = rng.normal(size=(30, 11)), rng.uniform(0.5, 2.0, size=30)
         i, j = rng.choice(30, size=(2, 10))  # ten rows implied by two others
         A, b = pj._normalize(np.vstack([A, 0.5 * (A[i] + A[j])]),
                              np.concatenate([b, 0.5 * (b[i] + b[j]) + 0.1]))
         A_eq, b_eq = rng.normal(size=(n_eq, 11)), np.zeros(n_eq)
-        exact = pj._prune_rows_exact(A, b, A_eq, b_eq)
+        exact = sequential_prune(A, b, A_eq, b_eq)
         assert exact.sum() < b.size
+        np.testing.assert_array_equal(pj._prune_rows_exact(A, b, A_eq, b_eq),
+                                      exact)
         hull = pj._prune_rows_hull(A, b, np.zeros(11), A_eq)
-        assert (hull is None) == (n_eq == 0)
+        assert (hull is None) == (n_eq < 3)
         A_out, _, _ = pj._prune_rows(A, b, A_eq, b_eq, z0=np.zeros(11))
         np.testing.assert_array_equal(A_out, A[exact])
 
@@ -284,6 +311,144 @@ class TestHullPruning:
         A_out, b_out, feasible = pj._prune_rows(A, b, None, None, z0=z0)
         assert feasible and b_out.size == 8
         assert_same_set(A, b, A_out, b_out, np.random.default_rng(5), 2.0)
+
+
+def nine_generator_feeder():
+    """Feeder 1 of the benchmark's `deep` workload: the packaged 15-bus
+    feeder with the loads at buses 2..10 turned into generators of their
+    active load, attached at transmission bus 8."""
+    data = resources.files("gridcoord").joinpath("data")
+    feeder = gm.load_case(data.joinpath("case15.json").read_text(
+        encoding="utf-8"))
+    a2, a1, a0 = gm.DEFAULT_DSO_GEN_COST
+    ids = range(2, 11)
+    caps = {b.id: b.p_load for b in feeder.buses if b.id in ids}
+    gens = tuple(gm.Generator(bus=i, p_min=0.0, p_max=caps[i],
+                              q_min=-0.5 * caps[i], q_max=0.5 * caps[i],
+                              cost_a2=a2, cost_a1=a1, cost_a0=a0)
+                 for i in ids)
+    buses = tuple(replace(b, kind="generator", p_load=0.0, q_load=0.0)
+                  if b.id in ids else b for b in feeder.buses)
+    case = replace(feeder, buses=buses, gens=feeder.gens + gens)
+    return case, gm.Interconnection(1, 8, feeder.slack_id())
+
+
+def rank_11_system(seed, n_eq=0):
+    """50 normalised rows on 11 columns, no two alike: 20 random ones, the
+    box [-1, 1]^11 and eight rows each implied by two of the random ones;
+    with n_eq random equalities the polar rank 11 - n_eq stays above
+    _HULL_MAX_DIM for n_eq < 3."""
+    rng = np.random.default_rng(seed)
+    A = np.vstack([rng.normal(size=(20, 11)), np.eye(11), -np.eye(11)])
+    b = np.concatenate([rng.uniform(0.5, 2.0, size=20), np.ones(22)])
+    i, j = rng.choice(20, size=(2, 8), replace=False)
+    A = np.vstack([A, 0.5 * (A[i] + A[j])])
+    b = np.concatenate([b, 0.5 * (b[i] + b[j]) + 0.1])
+    A_eq = rng.normal(size=(n_eq, 11))
+    return (*pj._normalize(A, b), A_eq, np.zeros(n_eq))
+
+
+class TestExactPass:
+    """The lockstep exact pass keeps the rows the sequential pass keeps."""
+
+    def test_duplicate_on_equality_set_keeps_later_copy(self):
+        A, b, A_eq, b_eq = rank_11_system(50, n_eq=2)
+        first = int(np.flatnonzero(sequential_prune(A, b, A_eq, b_eq))[0])
+        # the same constraint on the equality set, written differently
+        A, b = pj._normalize(np.vstack([A, A[first] + 0.7 * A_eq[0]]),
+                             np.append(b, b[first] + 0.7 * b_eq[0]))
+        exact = sequential_prune(A, b, A_eq, b_eq)
+        assert not exact[first] and exact[-1]
+        np.testing.assert_array_equal(pj._prune_rows_exact(A, b, A_eq, b_eq),
+                                      exact)
+
+    def test_weakly_redundant_vertex_row(self):
+        A, b, A_eq, b_eq = rank_11_system(51)
+        # slacken the other rows so that the box corner (1, ..., 1) is in
+        box = np.arange(20, 42)
+        b = np.where(np.isin(np.arange(b.size), box), b,
+                     np.maximum(b, A @ np.ones(11) + 0.1))
+        # x0 + x1 <= 2 touches the region only on its x0 = x1 = 1 face,
+        # x0 + ... + x10 <= 11 only at the (1, ..., 1) vertex
+        A = np.vstack([A, np.eye(11)[0] + np.eye(11)[1], np.ones(11)])
+        b = np.append(b, [2.0, 11.0])
+        exact = sequential_prune(A, b, A_eq, b_eq)
+        assert not exact[-2:].any()
+        np.testing.assert_array_equal(pj._prune_rows_exact(A, b, A_eq, b_eq),
+                                      exact)
+        A_out, _, _ = pj._prune_rows(A, b, A_eq, b_eq, z0=np.zeros(11))
+        np.testing.assert_array_equal(A_out, A[exact])
+
+    def test_no_interior_point(self, monkeypatch):
+        A, b, A_eq, b_eq = rank_11_system(52)
+        # x0 = 0.5 as two opposing inequality rows: no interior point
+        A = np.vstack([A, np.eye(11)[0], -np.eye(11)[0]])
+        b = np.append(b, [0.5, -0.5])
+        exact = sequential_prune(A, b, A_eq, b_eq)
+        assert exact[-2:].all() and not exact.all()
+
+        def fail(*args):
+            raise AssertionError("hull pruning used without an interior point")
+        monkeypatch.setattr(pj, "_prune_rows_hull", fail)
+        A_out, b_out, feasible = pj._prune_rows(A, b, A_eq, b_eq)
+        assert feasible
+        np.testing.assert_array_equal(A_out, A[exact])
+        np.testing.assert_array_equal(b_out, b[exact])
+
+    def test_unbounded_polyhedron(self):
+        # every row allows x0 -> +inf, and each of the 22 random rows is
+        # unbounded over the others: its member LP ends at the relaxed
+        # bound b_i + 1 on an unbounded feasible set, and the row is kept
+        rng = np.random.default_rng(53)
+        A, b = rng.normal(size=(22, 11)), rng.uniform(0.5, 2.0, size=22)
+        A[:, 0] = -np.abs(A[:, 0])
+        i, j = rng.choice(22, size=(2, 8))
+        A, b = pj._normalize(np.vstack([A, 0.5 * (A[i] + A[j])]),
+                             np.concatenate([b, 0.5 * (b[i] + b[j]) + 0.1]))
+        sol = oc.solve_lp(-A[0], A[1:], b[1:], tol=1e-10)
+        assert sol.status == oc.UNBOUNDED
+        exact = sequential_prune(A, b, None, None)
+        assert exact[:22].all() and not exact[22:].any()
+        np.testing.assert_array_equal(pj._prune_rows_exact(A, b, None, None),
+                                      exact)
+        A_out, _, _ = pj._prune_rows(A, b, None, None, z0=np.zeros(11))
+        np.testing.assert_array_equal(A_out, A[exact])
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_nine_generator_feeder(self, kind, monkeypatch):
+        # the first FM steps of this feeder sit above _HULL_MAX_DIM: each
+        # exact pass is one family and at most two scalar LPs, and the FOR
+        # is the one the sequential pass gives, bit for bit
+        model = pm.build_dso_model(*nine_generator_feeder(), kind)
+        calls = {"family": 0, "scalar": 0}
+        passes = []
+
+        def counted(name, fn):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return call
+
+        def counted_pass(*args):
+            before = dict(calls)
+            mask = exact_pass(*args)
+            passes.append((calls["family"] - before["family"],
+                           calls["scalar"] - before["scalar"]))
+            return mask
+
+        exact_pass = pj._prune_rows_exact
+        monkeypatch.setattr(pj, "solve_family",
+                            counted("family", pj.solve_family))
+        monkeypatch.setattr(pj, "_lp_max", counted("scalar", pj._lp_max))
+        monkeypatch.setattr(pj, "_prune_rows_exact", counted_pass)
+        region = pj.coupling_region(model)
+        assert passes
+        assert all(family == 1 and scalar <= 2 for family, scalar in passes)
+        monkeypatch.setattr(pj, "_prune_rows_exact", sequential_prune)
+        reference = pj.coupling_region(model)
+        assert region.labels == reference.labels
+        np.testing.assert_array_equal(region.A, reference.A)
+        np.testing.assert_array_equal(region.b, reference.b)
 
 
 class TestProjectOnto:
