@@ -14,6 +14,13 @@ every pull, rho on each coupling block of H and of the model's equality
 reduction, is added once per model and run; a round changes only the
 linear and constant terms of each subproblem.
 
+Each subproblem carries the rows active at its previous round's solution
+as its `active_hint`.  Once the active set settles, `opt_core` solves the
+subproblem by that set's KKT system and certifies it, with no
+interior-point iteration; Boyd et al. (2011) recommend warm-starting the
+subproblem solves of ADMM this way.  A hint that fails the certificate
+falls back to the interior-point method.
+
 Termination: both primal residuals (each copy against the consensus) and
 the dual residual rho * ||z_new - z_old|| in the infinity norm must drop
 to the tolerance.  On max_iter the best iterate seen is returned with
@@ -45,6 +52,9 @@ DEFAULT_RHO = 100.0
 DEFAULT_TOL = 1e-6
 DEFAULT_MAX_ITER = 2000
 SOLVER_TOL = 1e-9
+# A row is hinted active for the next round when its multiplier exceeds
+# this fraction of max(1, largest multiplier).
+ACTIVE_FRACTION = 1e-6
 
 
 @dataclass
@@ -123,7 +133,10 @@ class _Pull:
     The fixed part of every pull, (rho/2)||z||^2 on each coupling triple in
     `slots`, is added to H and to its equality reduction once; each round
     then adds only the linear and constant parts of
-    lambda' z + (rho/2)||z - z_bar||^2.
+    lambda' z + (rho/2)||z - z_bar||^2.  `remember` keeps the rows active
+    at a round's solution (multiplier above `ACTIVE_FRACTION` of
+    max(1, largest multiplier)), and the next round's subproblem carries
+    them as its `active_hint`.
     """
 
     def __init__(self, model: PolyhedralModel, rho: float, slots):
@@ -132,6 +145,7 @@ class _Pull:
         for slot in self.slots:
             model = attach_quadratic_cost(model, penalty, slot)
         self.penalized = model.qp_skeleton
+        self.active = None
 
     def qp(self, lams, z_bars) -> QuadraticProgram:
         """The subproblem pulled by lams toward z_bars, one per slot."""
@@ -142,8 +156,13 @@ class _Pull:
             g[list(self.model.vmap.coupling_triple(slot))] += term.c
             c0 += term.d
         qp = copy(self.penalized)  # shares H, the rows and the reduction
-        qp.g, qp.c0 = g, c0
+        qp.g, qp.c0, qp.active_hint = g, c0, self.active
         return qp
+
+    def remember(self, sol: QpSolution) -> None:
+        """Hint the rows active at sol to the next round's subproblem."""
+        mu = sol.duals_ineq
+        self.active = mu > ACTIVE_FRACTION * max(1.0, mu.max(initial=0.0))
 
     def copies(self, sol: QpSolution) -> list:
         return [sol.x[list(self.model.vmap.coupling_triple(slot))].copy()
@@ -160,6 +179,7 @@ def _tso_step(pull: _Pull, state: AdmmState, solver_tol: float):
     qp = pull.qp(state.lambda_tau, state.z)
     sol = _optimal(solve_qp(qp, tol=solver_tol),
                    f"admm iteration {state.iteration + 1} tso_step")
+    pull.remember(sol)
     return pull.copies(sol), sol, qp
 
 
@@ -170,8 +190,9 @@ def _dso_steps(pulls: dict, state: AdmmState, solver_tol: float):
     qps = [pull.qp([state.lambda_delta[i]], [state.z[i]])
            for i, pull in pulls.items()]
     sols = solve_family(qps, tol=solver_tol)
-    for i, sol in zip(pulls, sols):
+    for (i, pull), sol in zip(pulls.items(), sols):
         _optimal(sol, f"admm iteration {state.iteration + 1} dso_step {i}")
+        pull.remember(sol)
     return ([pull.copies(sol)[0] for pull, sol in zip(pulls.values(), sols)],
             sols, qps)
 
@@ -288,11 +309,13 @@ def run_admm(part, model_kind: str = "loss_linearized",
     converged = False
     tso_sol, dso_sols = None, ()
     tso_qp, dso_qps = None, ()
+    settled = 0  # subproblem solves the warm start settled
     for _ in range(max_iter):
         z_prev = [z.copy() for z in state.z]
         z_tau, tso_sol, tso_qp = _tso_step(tso_pull, state, solver_tol)
         z_delta, dso_sols, dso_qps = _dso_steps(dso_pulls, state, solver_tol)
         state.z_tau, state.z_delta = z_tau, z_delta
+        settled += sum(sol.iterations == 0 for sol in (tso_sol, *dso_sols))
         consensus_step(state)
 
         # one synchronized exchange: consensus out, copies back
@@ -328,6 +351,9 @@ def run_admm(part, model_kind: str = "loss_linearized",
         logger.warning("no convergence in %d iterations; best residual "
                        "score %.3e at iteration %d", max_iter, best[0],
                        iterations)
+    logger.debug("warm start settled %d of %d tso_step and dso_step solves "
+                 "in %d iterations", settled,
+                 state.iteration * (1 + len(dso_models)), state.iteration)
 
     solves = (("admm_tso_final", tso_qp, tso_sol),) + tuple(
         (f"admm_dso{lk.dso_index}_final", qp, sol)

@@ -40,6 +40,20 @@ solves. solve_qp leaves at the
 first step that is not finite and keeps its last iterate; a family member
 whose step is not finite (its normal matrix turned singular) is solved
 again by solve_qp.
+
+A QP may carry an active-set hint, a boolean mask over its inequality rows
+(the rows active at the solution of a nearby QP, such as the previous round
+of a QP sequence). Before any interior-point iteration, solve_qp and each
+family member take the hinted rows as equalities and solve one
+equality-constrained KKT system of size k + |hint| on the reduced problem
+(the working-set step of active-set QP, Nocedal & Wright sec. 16.5; the
+warm start of the online active set strategy, Ferreau, Bock & Diehl 2008).
+The point is accepted, with 0 iterations, only when kkt_residuals certifies
+it within tol: every other row holds, every multiplier is nonnegative, and
+stationarity and complementarity hold, so it is the optimum a converged
+interior-point run would certify. Otherwise (more hinted rows than k, a
+singular system, a step that is not finite, or a failed check) the
+interior-point method runs exactly as without the hint.
 """
 from __future__ import annotations
 
@@ -143,7 +157,10 @@ class QuadraticProgram:
     """Problem data for min 0.5 x'Hx + g'x + c0, A_ineq x <= b_ineq, A_eq x = b_eq.
 
     `reduction`, when given, must be `EqualityReduction.of` a QP with the
-    same H, A_ineq and A_eq; solve_qp then skips the SVD.
+    same H, A_ineq and A_eq; solve_qp then skips the SVD.  `active_hint`,
+    when given, is a boolean mask over the inequality rows, the rows
+    guessed active at the optimum; solve_qp tries them first (`_warm_start`)
+    and runs the interior-point method when they are not the active set.
     """
 
     H: np.ndarray
@@ -155,6 +172,8 @@ class QuadraticProgram:
     c0: float = 0.0
     reduction: EqualityReduction | None = field(default=None, repr=False,
                                                 compare=False)
+    active_hint: np.ndarray | None = field(default=None, repr=False,
+                                           compare=False)
 
     def __post_init__(self):
         self.g = _as_vector(self.g)
@@ -174,6 +193,11 @@ class QuadraticProgram:
         self.b_eq = _as_vector(self.b_eq)
         self.A_eq = _as_matrix(self.A_eq, self.b_eq.size, n)
         self.c0 = float(self.c0)
+        if self.active_hint is not None:
+            self.active_hint = np.asarray(self.active_hint, dtype=bool)
+            if self.active_hint.shape != self.b_ineq.shape:
+                raise ValueError(f"active_hint must be ({self.b_ineq.size},), "
+                                 f"got {self.active_hint.shape}")
 
     @property
     def n(self) -> int:
@@ -541,6 +565,41 @@ def _presolve(qp: QuadraticProgram, red: EqualityReduction, x_p: np.ndarray,
     return _lift(qp, red, x_p, sol)
 
 
+def _warm_start(qp: QuadraticProgram, active,
+                tol: float) -> QpSolution | None:
+    """The solution of a QP with inequality rows only (a `_reduced` QP)
+    when the rows of the mask `active` are its active set, else None.
+
+    The hinted rows are taken as equalities: one KKT system of size
+    k + |active| gives y and their multipliers, the others get 0.  The point
+    is accepted only if `kkt_residuals` certifies it within tol.  No hint,
+    more hinted rows than k, a singular system or a step that is not finite
+    give None.  An indefinite H is rejected as `_interior_point` rejects it.
+    """
+    if active is None:
+        return None
+    rows = np.flatnonzero(active)
+    k, a = qp.n, rows.size
+    if a > k:
+        return None
+    _psd_lift(qp.H)
+    A = qp.A_ineq[rows]
+    K = np.zeros((k + a, k + a))
+    K[:k, :k] = qp.H
+    K[:k, k:] = A.T
+    K[k:, :k] = A
+    try:
+        z = np.linalg.solve(K, np.concatenate([-qp.g, qp.b_ineq[rows]]))
+    except LinAlgError:
+        return None
+    if not np.isfinite(z).all():
+        return None
+    mu = np.zeros(qp.b_ineq.size)
+    mu[rows] = z[k:]
+    sol = QpSolution(OPTIMAL, z[:k], qp.objective(z[:k]), np.zeros(0), mu, 0)
+    return sol if kkt_residuals(qp, sol)["worst"] <= tol else None
+
+
 def _reduction(qp: QuadraticProgram) -> EqualityReduction:
     return qp.reduction if qp.reduction is not None else EqualityReduction.of(qp)
 
@@ -551,16 +610,22 @@ def solve_qp(qp: QuadraticProgram, tol: float = _TOL, max_iter: int = 200) -> Qp
     The problem is solved over y in x = x_p + N y (qp.reduction, or one SVD
     of A_eq).  Equalities no x meets within tol (scaled) are infeasible with
     0 iterations; with an empty nullspace x_p is optimal or infeasible by its
-    inequality residual.  On max_iter the best iterate seen is returned.
-    Infeasible means the phase-1 optimum exceeded tol; unbounded is
-    certified by a descent ray.
+    inequality residual.  Otherwise qp.active_hint, when given, is tried
+    first: if its rows are the active set, the KKT system of that set gives
+    the optimum with 0 iterations (`_warm_start`), and else the
+    interior-point method runs as without the hint.  On max_iter the best
+    iterate seen is returned.  Infeasible means the phase-1 optimum exceeded
+    tol; unbounded is certified by a descent ray.
     """
     red = _reduction(qp)
     x_p = red.particular(qp.b_eq)
     sol = _presolve(qp, red, x_p, tol)
     if sol is None:
-        sol = _lift(qp, red, x_p, _interior_point(_reduced(qp, red, x_p), tol,
-                                                  max_iter))
+        r = _reduced(qp, red, x_p)
+        sol = _warm_start(r, qp.active_hint, tol)
+        if sol is None:
+            sol = _interior_point(r, tol, max_iter)
+        sol = _lift(qp, red, x_p, sol)
     return sol
 
 
@@ -572,11 +637,12 @@ def solve_family(qps, tol: float = _TOL,
     (qp.reduction, or one SVD).  QPs with the same reduced shape (k free
     directions, m inequality rows) form a group, and a group of one goes to
     solve_qp.  In a larger group, members that need no iteration are decided
-    as solve_qp decides them; the rest run one lockstep interior-point
-    method on the k x k normal matrix.  Each member stops on its own test
-    and keeps its own status and iteration count.  A member whose lockstep
-    step is not finite (a singular normal matrix) is solved again by
-    solve_qp, on the (k + m) system.
+    as solve_qp decides them, and so are members whose active_hint is
+    accepted; the rest run one lockstep interior-point method on the k x k
+    normal matrix.  Each member stops on its own test and keeps its own
+    status and iteration count.  A member whose lockstep step is not finite
+    (a singular normal matrix) is solved again by solve_qp, on the (k + m)
+    system.
     """
     qps = list(qps)
     reds = [_reduction(qp) for qp in qps]
@@ -598,10 +664,16 @@ def solve_family(qps, tol: float = _TOL,
         X_p = {i: reds[i].particular(qps[i].b_eq) for i in group}
         for i in group:
             sols[i] = _presolve(qps[i], reds[i], X_p[i], tol)
-        todo = [i for i in group if sols[i] is None]
+        reduced = {i: _reduced(qps[i], reds[i], X_p[i])
+                   for i in group if sols[i] is None}
+        for i, r in reduced.items():
+            sol = _warm_start(r, qps[i].active_hint, tol)
+            if sol is not None:
+                sols[i] = _lift(qps[i], reds[i], X_p[i], sol)
+        todo = [i for i in reduced if sols[i] is None]
         if not todo:
             continue
-        rs = [_reduced(qps[i], reds[i], X_p[i]) for i in todo]
+        rs = [reduced[i] for i in todo]
         # Members of one reduction share its H and A_ineq as 2-D arrays.
         if all(reds[i] is reds[todo[0]] for i in todo):
             H, A_in = reds[todo[0]].H, reds[todo[0]].A_ineq

@@ -36,6 +36,10 @@ _KEEP_TOL = 1e-9       # a row survives pruning iff it can be violated by this
 _WEAK_SLACK = 1e-7     # a row whose maximum stays this far below its bound
                        # never touches the region
 _PAIR_TOL = 1e-9       # match threshold for equality pair detection
+# Floats one chunk of the exact pass may hold.  A member LP over m rows and
+# n columns holds about (n + 24) m of them in the lockstep run: a k x m
+# product (k <= n) and some twenty m-vectors of iterates, steps and data.
+_EXACT_CHUNK_FLOATS = 1 << 23
 
 
 class RowExplosion(RuntimeError):
@@ -218,15 +222,27 @@ def _prune_rows_exact(A_in, b_in, A_eq, b_eq):
     between depend on the order of removal; they get one scalar LP each, in
     index order, against the rows still active, so of two copies of a row
     on the equality set the later one survives.
+
+    The family runs in chunks of at least two members and under twice
+    `_EXACT_CHUNK_FLOATS` floats, so its memory grows with m, not with
+    m^2 n.  Members are independent, so the chunks give the mask of one
+    family call.
     """
     m, n = A_in.shape
     base = QuadraticProgram(np.zeros((n, n)), np.zeros(n), A_in, b_in,
                             A_eq, b_eq).with_reduction()
-    relaxed = b_in + np.eye(m)
-    sols = solve_family([replace(base, g=-A_in[i], b_ineq=relaxed[i])
-                         for i in range(m)], tol=1e-10)
-    best = np.array([-sol.objective if sol.status == OPTIMAL else np.inf
-                     for sol in sols])
+
+    def member(i):
+        b = b_in.copy()
+        b[i] += 1.0
+        return replace(base, g=-A_in[i], b_ineq=b)
+
+    size = max(2, _EXACT_CHUNK_FLOATS // ((n + 24) * m))
+    best = np.empty(m)
+    for rows in np.array_split(np.arange(m), max(1, m // size)):
+        sols = solve_family([member(i) for i in rows], tol=1e-10)
+        best[rows] = [-sol.objective if sol.status == OPTIMAL else np.inf
+                      for sol in sols]
     active = best > b_in - _WEAK_SLACK
     no_eq = A_eq is None or A_eq.shape[0] == 0
     for i in np.flatnonzero(active & (best <= b_in + _KEEP_TOL)):

@@ -1,5 +1,6 @@
 """Consensus coordination: pulled steps, multiplier identities, full runs."""
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -404,6 +405,65 @@ class TestRunAdmm:
         assert len(lines) == res.iterations + 1
         assert lines[1].startswith("1,")
 
+
+
+class TestWarmStartedRounds:
+    """Each round's subproblems carry the rows active in the last round."""
+
+    @staticmethod
+    def traced_run(part, monkeypatch):
+        """run_admm with the iterations of every subproblem solve recorded,
+        one list a round (the TSO's first), and the multiplier-sum identity
+        after every round."""
+        calls, sums = [], []
+        solve_qp_, solve_family_, step = (ad.solve_qp, ad.solve_family,
+                                          ad.consensus_step)
+
+        def qp_spy(*args, **kwargs):
+            sol = solve_qp_(*args, **kwargs)
+            calls.append([sol.iterations])
+            return sol
+
+        def family_spy(*args, **kwargs):
+            sols = solve_family_(*args, **kwargs)
+            calls.append([sol.iterations for sol in sols])
+            return sols
+
+        def step_spy(state):
+            step(state)
+            sums.append(max(float(np.abs(lt + ld).max()) for lt, ld in
+                            zip(state.lambda_tau, state.lambda_delta)))
+
+        monkeypatch.setattr(ad, "solve_qp", qp_spy)
+        monkeypatch.setattr(ad, "solve_family", family_spy)
+        monkeypatch.setattr(ad, "consensus_step", step_spy)
+        res = ad.run_admm(part, "loss_linearized")
+        # the informed starts' family call, then a TSO solve and a family
+        # call a round
+        rounds = [tso + dsos for tso, dsos in zip(calls[1::2], calls[2::2])]
+        assert len(rounds) == len(sums) == res.iterations
+        return res, rounds, max(sums)
+
+    def test_builtin_keeps_rounds_and_cost(self, monkeypatch, caplog):
+        part = gm.load_builtin_benchmark()
+        with caplog.at_level(logging.DEBUG, logger=ad.__name__):
+            res, rounds, dual_sum = self.traced_run(part, monkeypatch)
+        monkeypatch.undo()
+        monkeypatch.setattr(ad._Pull, "remember", lambda pull, sol: None)
+        cold, cold_rounds, _ = self.traced_run(part, monkeypatch)
+        assert res.converged and cold.converged
+        assert res.iterations == cold.iterations == 52
+        assert abs(res.total_cost - cold.total_cost) <= \
+            1e-9 * abs(cold.total_cost)
+        assert dual_sum <= 1e-12
+        assert all(its > 0 for r in cold_rounds for its in r)
+        assert all(its > 0 for its in rounds[0])
+        later = [its for r in rounds[1:] for its in r]
+        settled = later.count(0)
+        assert settled >= 0.9 * len(later)
+        assert (f"warm start settled {settled} of {len(later) + 3} "
+                f"tso_step and dso_step solves in 52 iterations"
+                in caplog.text)
 
 
 class TestBatchedDsoSteps:

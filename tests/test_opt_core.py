@@ -563,6 +563,119 @@ class TestHeterogeneousFamily:
                                      doubled.b_ineq - doubled.A_ineq @ x_p)[0]
 
 
+def active_rows(sol):
+    """The rows whose multiplier at sol is not negligible."""
+    mu = sol.duals_ineq
+    return mu > 1e-6 * max(1.0, mu.max(initial=0.0))
+
+
+def corner_lp():
+    """min -x - y over the unit square cut by x + y <= 2: three rows meet
+    at the optimum (1, 1), one more than the two free directions."""
+    A = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [-1.0, 0.0],
+                  [0.0, -1.0]])
+    return oc.QuadraticProgram(np.zeros((2, 2)), [-1.0, -1.0], A,
+                               [1.0, 1.0, 2.0, 0.0, 0.0])
+
+
+class TestWarmStart:
+    """QPs carrying an active-set hint: the KKT system of the hinted rows,
+    certified, or the interior-point method as without the hint."""
+
+    @pytest.fixture(scope="class")
+    def qps(self, copy_qps):
+        # random QPs without equality rows, and pulled dispatch QPs with them
+        return [random_feasible_qp(seed)[0] for seed in range(5)] \
+            + copy_qps[:3]
+
+    # The settled point solves its KKT system to rounding error; at the
+    # default 1e-8 an interior-point x may still be 1e-7 off, at 1e-10 it
+    # is not.
+    TIGHT = 1e-10
+
+    def test_correct_hint_settles_without_iteration(self, qps):
+        for qp in qps:
+            ref = oc.solve_qp(qp, tol=self.TIGHT)
+            hint = active_rows(ref)
+            assert hint.any()
+            sol = oc.solve_qp(replace(qp, active_hint=hint), tol=self.TIGHT)
+            assert sol.status == oc.OPTIMAL
+            assert sol.iterations == 0 < ref.iterations
+            np.testing.assert_allclose(sol.x, ref.x, rtol=0, atol=1e-9)
+            assert abs(sol.objective - ref.objective) <= 1e-9
+            assert oc.kkt_residuals(qp, sol)["worst"] <= self.TIGHT
+            assert sol.duals_eq.shape == qp.b_eq.shape
+            np.testing.assert_array_equal(sol.duals_ineq[~hint], 0.0)
+
+    def test_stale_hint_falls_back(self, qps):
+        for qp in qps:
+            ref = oc.solve_qp(qp)
+            hint = active_rows(ref)
+            swapped = hint.copy()
+            swapped[np.flatnonzero(hint)[0]] = False
+            swapped[np.flatnonzero(~hint)[0]] = True
+            for stale in (np.zeros_like(hint), swapped):
+                sol = oc.solve_qp(replace(qp, active_hint=stale))
+                assert_same_solution(sol, ref)
+
+    def test_singular_system_falls_back(self):
+        qp, _ = random_feasible_qp(0)
+        ref = oc.solve_qp(qp)
+        j = int(np.flatnonzero(active_rows(ref))[0])
+        doubled = replace(qp, A_ineq=np.vstack([qp.A_ineq, qp.A_ineq[j]]),
+                          b_ineq=np.append(qp.b_ineq, qp.b_ineq[j]))
+        hint = np.append(active_rows(ref), True)
+        assert oc._warm_start(doubled, hint, oc._TOL) is None
+        sol = oc.solve_qp(replace(doubled, active_hint=hint))
+        assert sol.iterations > 0
+        assert_same_solution(sol, oc.solve_qp(doubled))
+        np.testing.assert_allclose(sol.x, ref.x, rtol=0, atol=1e-7)
+
+    def test_degenerate_vertex_falls_back(self):
+        qp = corner_lp()
+        ref = oc.solve_qp(qp)
+        np.testing.assert_allclose(ref.x, [1.0, 1.0], atol=1e-7)
+        every = np.array([True, True, True, False, False])
+        assert oc._warm_start(qp, every, oc._TOL) is None
+        assert_same_solution(oc.solve_qp(replace(qp, active_hint=every)),
+                             ref)
+        # two of the three rows make a regular system and settle it
+        sol = oc.solve_qp(replace(qp, active_hint=every & [1, 1, 0, 0, 0]))
+        assert sol.iterations == 0
+        np.testing.assert_array_equal(sol.x, [1.0, 1.0])
+
+    def test_hint_shape_checked(self):
+        qp = corner_lp()
+        with pytest.raises(ValueError, match="active_hint"):
+            replace(qp, active_hint=np.ones(4, dtype=bool))
+
+    def test_family_members_take_their_own_hints(self, copy_qps,
+                                                 monkeypatch):
+        plain = oc.solve_family(copy_qps, tol=self.TIGHT)
+        hinted = list(copy_qps)
+        for b in (0, 3, 7):
+            hinted[b] = replace(copy_qps[b], active_hint=active_rows(plain[b]))
+        hinted[5] = replace(copy_qps[5],
+                            active_hint=np.zeros(copy_qps[5].b_ineq.size))
+        sizes, run = [], oc._lockstep_interior_point
+
+        def lockstep_spy(H, A_in, G, *args, **kwargs):
+            sizes.append(len(G))
+            return run(H, A_in, G, *args, **kwargs)
+
+        monkeypatch.setattr(oc, "_lockstep_interior_point", lockstep_spy)
+        sols = oc.solve_family(hinted, tol=self.TIGHT)
+        assert sizes == [len(copy_qps) - 3]
+        for b, (qp, sol, ref) in enumerate(zip(copy_qps, sols, plain)):
+            if b in (0, 3, 7):
+                assert sol.status == oc.OPTIMAL and sol.iterations == 0
+                np.testing.assert_allclose(sol.x, ref.x, rtol=0, atol=1e-9)
+                assert abs(sol.objective - ref.objective) <= 1e-9
+                certify(qp, sol, self.TIGHT)
+            else:
+                assert_same_solution(sol, ref)
+
+
 class TestSolveLp:
     def test_upper_bound(self):
         # max x s.t. x <= 3.

@@ -414,6 +414,27 @@ class TestExactPass:
         A_out, _, _ = pj._prune_rows(A, b, None, None, z0=np.zeros(11))
         np.testing.assert_array_equal(A_out, A[exact])
 
+    @pytest.mark.parametrize("n_eq", [0, 2])
+    def test_chunks_give_the_mask_of_one_family(self, n_eq, monkeypatch):
+        # with the budget at one float every chunk holds two members: 25
+        # lockstep families instead of one, and the same mask bit for bit
+        A, b, A_eq, b_eq = rank_11_system(54, n_eq=n_eq)
+        sizes, family = [], pj.solve_family
+
+        def spy(qps, **kwargs):
+            sizes.append(len(qps))
+            return family(qps, **kwargs)
+
+        monkeypatch.setattr(pj, "solve_family", spy)
+        whole = pj._prune_rows_exact(A, b, A_eq, b_eq)
+        assert sizes == [b.size] == [50]
+        monkeypatch.setattr(pj, "_EXACT_CHUNK_FLOATS", 1)
+        chunked = pj._prune_rows_exact(A, b, A_eq, b_eq)
+        assert sizes[1:] == [2] * 25
+        np.testing.assert_array_equal(chunked, whole)
+        np.testing.assert_array_equal(chunked,
+                                      sequential_prune(A, b, A_eq, b_eq))
+
     @pytest.mark.parametrize("kind", MODEL_KINDS)
     def test_nine_generator_feeder(self, kind, monkeypatch):
         # the first FM steps of this feeder sit above _HULL_MAX_DIM: each
