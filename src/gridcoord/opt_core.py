@@ -9,43 +9,38 @@ and tolerances mean the same thing everywhere.
 Equality rows never enter a factorization (the null-space method, Nocedal &
 Wright, Numerical Optimization, 2nd ed., sec. 16.2). One SVD of A_eq writes
 its solution set as x = x_p + N y, with x_p the minimum-norm particular
-solution and N an orthonormal nullspace basis of dimension k. The solver
-is a primal-dual interior point method with Mehrotra predictor-corrector
-steps on the inequality-only problem in y: one dense LU factorization of
-dimension k + m per iteration for m inequality rows. Equality multipliers
-are recovered from stationarity through the same SVD, so KKT residuals
-certify the original problem. Equalities no x meets are infeasible before
-any iteration, and with k = 0 the point x_p decides alone. Infeasibility of
-the inequalities is decided by an auxiliary phase-1 LP (minimize the largest
-constraint violation), never by divergence heuristics alone; unboundedness
-is certified by a feasible descent ray.
+solution and N an orthonormal nullspace basis of dimension k. Equality
+multipliers are recovered from stationarity through the same SVD, so KKT
+residuals certify the original problem. Equalities no x meets are
+infeasible before any iteration, and with k = 0 the point x_p decides alone.
 
-A family (solve_family) is any list of QPs. Its members with the same
-reduced shape (k free directions, m inequality rows) run one lockstep
-interior-point method on stacked iterates, as in OptNet's batched solver
-(Amos & Kolter, ICML 2017); they share a shape, not data, and each keeps
-its own H, g, constraints and EqualityReduction. Members of one reduction
-(the value samples of one model, which differ only in b_eq) share its H
-and A_ineq. Each step eliminates the slacks and multipliers into one
-k x k normal matrix per member, H + A' diag(mu/s) A (Wright, Primal-Dual
-Interior-Point Methods, 1997, ch. 11), and solves all of them in one
-batched call; every product is taken per member, so a member's result
-does not depend on the others. Each member stops on the scalar test and
-keeps its own status; members not certified get the scalar verdict. A
-member alone in its shape takes the scalar path, solve_qp. Single solves
-keep the (k + m) system: on degenerate LPs the normal matrix loses
-accuracy, so a caller that decides on LP values near a threshold (the
-exact redundancy pass of projection) settles those cases by single
-solves. solve_qp leaves at the
-first step that is not finite and keeps its last iterate; a family member
-whose step is not finite (its normal matrix turned singular) is solved
-again by solve_qp.
+One primal-dual interior-point method with Mehrotra predictor-corrector
+steps solves the inequality-only problems in y. It runs on a family of
+B >= 1 of them (solve_family; solve_qp is a family of one): QPs with the
+same reduced shape (k free directions, m inequality rows) advance in
+lockstep on stacked iterates, as in OptNet's batched solver (Amos & Kolter,
+ICML 2017). They share a shape, not data: each keeps its own H, g,
+constraints and EqualityReduction, and members of one reduction (the value
+samples of one model, which differ only in b_eq) share its H and A_ineq.
+Each step eliminates the slacks and multipliers into one k x k normal
+matrix per member, H + A' diag(mu/s) A (Wright, Primal-Dual Interior-Point
+Methods, 1997, ch. 11), and solves all of them in one batched LU call.
+Every product is taken per member, so a member's iterates do not depend on
+the others, and a QP solved alone runs bit for bit as it runs in a family.
+A member whose normal step is not finite (its normal matrix turned
+singular) takes the step of its (k + m) quasi-definite KKT system for that
+solve; when that is not finite either, it leaves at that iteration with
+its last iterate. Each member stops on its own test and keeps its own
+status. Infeasibility of the inequalities is decided by an auxiliary
+phase-1 LP (minimize the largest constraint violation), never by
+divergence heuristics alone; unboundedness is certified by a feasible
+descent ray.
 
 A QP may carry an active-set hint, a boolean mask over its inequality rows
 (the rows active at the solution of a nearby QP, such as the previous round
-of a QP sequence). Before any interior-point iteration, solve_qp and each
-family member take the hinted rows as equalities and solve one
-equality-constrained KKT system of size k + |hint| on the reduced problem
+of a QP sequence). Before any interior-point iteration, each QP takes the
+hinted rows as equalities and solves one equality-constrained KKT system
+of size k + |hint| on the reduced problem
 (the working-set step of active-set QP, Nocedal & Wright sec. 16.5; the
 warm start of the online active set strategy, Ferreau, Bock & Diehl 2008).
 The point is accepted, with 0 iterations, only when kkt_residuals certifies
@@ -61,7 +56,7 @@ import logging
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import LinAlgError, lu_factor, lu_solve
+from numpy.linalg import LinAlgError, _umath_linalg
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -247,13 +242,6 @@ def _certify_ray(qp: QuadraticProgram, x: np.ndarray) -> bool:
     return float(qp.g @ d) < -1e-9
 
 
-def _max_step(v: np.ndarray, dv: np.ndarray) -> float:
-    neg = dv < 0
-    if not neg.any():
-        return 1.0
-    return min(1.0, float(np.min(-v[neg] / dv[neg])))
-
-
 def _solve_unconstrained(qp: QuadraticProgram, tol: float) -> QpSolution:
     """min 0.5 y'Hy + g'y by pseudoinverse; unbounded when H is singular
     along g."""
@@ -283,90 +271,6 @@ def _undecided(qp: QuadraticProgram, x, mu, best_x, best_mu, it: int,
                       best_mu, it)
 
 
-@np.errstate(over="ignore", divide="ignore", invalid="ignore")
-def _interior_point(qp: QuadraticProgram, tol: float, max_iter: int) -> QpSolution:
-    """Mehrotra predictor-corrector on a QP with inequality rows only.
-
-    The run leaves at the first step that is not finite (a multiplier
-    floored at 1e-300 can overflow the corrector) and keeps its last
-    iterate for the verdict.
-    """
-    H, g, A_in, b_in = _psd_lift(qp.H), qp.g, qp.A_ineq, qp.b_ineq
-    n, m = qp.n, b_in.size
-
-    # Start at the origin (x_p for a reduced problem), slacks shifted positive.
-    x = np.zeros(n)
-    s = np.where(b_in > 1.0, b_in, 1.0)
-    mu = np.ones(m)
-
-    dim = n + m
-    M = np.zeros((dim, dim))
-    M[:n, :n] = H + _REG * np.eye(n)
-    M[:n, n:] = A_in.T
-    M[n:, :n] = A_in
-    diag_idx = (np.arange(n, dim), np.arange(n, dim))
-
-    g_scale = 1.0 + np.abs(g).max(initial=0.0)
-    b_scale = 1.0 + np.abs(b_in).max(initial=0.0)
-
-    best = None
-    it = 0
-    for it in range(1, max_iter + 1):
-        Hx, At_mu = H @ x, A_in.T @ mu
-        r_d = Hx + g + At_mu
-        r_pi = A_in @ x + s - b_in
-        mu_bar = float(s @ mu) / m
-        obj = qp.objective(x)
-
-        d_scale = g_scale + np.abs(Hx).max(initial=0.0) + np.abs(At_mu).max(initial=0.0)
-        res_d = np.abs(r_d).max(initial=0.0) / d_scale
-        res_p = np.abs(r_pi).max() / b_scale
-        res_gap = float(np.abs(mu * (s - r_pi)).max()) / (1.0 + abs(obj))
-
-        score = max(res_d, res_p, res_gap)
-        if best is None or score < best[0]:
-            best = (score, x.copy(), mu.copy())
-        if res_d <= tol and res_p <= tol and res_gap <= tol:
-            return QpSolution(OPTIMAL, x, obj, np.zeros(0), mu, it)
-        if np.abs(x).max(initial=0.0) > _DIVERGED:
-            break
-
-        M[diag_idx] = -(s / mu) - _REG
-        try:
-            lu = lu_factor(M, check_finite=False)
-        except (LinAlgError, ValueError):
-            break
-
-        # Predictor (affine scaling).
-        rhs = np.concatenate([-r_d, -r_pi + s])
-        d_aff = lu_solve(lu, rhs, check_finite=False)
-        dmu_aff = d_aff[n:]
-        ds_aff = (-s * mu - s * dmu_aff) / mu
-        a_p = _max_step(s, ds_aff)
-        a_d = _max_step(mu, dmu_aff)
-        mu_aff = float((s + a_p * ds_aff) @ (mu + a_d * dmu_aff)) / m
-        sigma = (max(mu_aff, 0.0) / mu_bar) ** 3 if mu_bar > 0 else 0.1
-
-        # Corrector.
-        rhs_c = sigma * mu_bar - s * mu - ds_aff * dmu_aff
-        rhs = np.concatenate([-r_d, -r_pi - rhs_c / mu])
-        d = lu_solve(lu, rhs, check_finite=False)
-        dx, dmu = d[:n], d[n:]
-        ds = (rhs_c - s * dmu) / mu
-        if not (np.isfinite(d).all() and np.isfinite(ds).all()):
-            break
-
-        eta = max(0.99, 1.0 - mu_bar)
-        alpha = min(1.0, eta * min(_max_step(s, ds), _max_step(mu, dmu)))
-        x = x + alpha * dx
-        s = np.maximum(s + alpha * ds, 1e-300)
-        mu = np.maximum(mu + alpha * dmu, 1e-300)
-
-    # No convergence: classify via phase-1, then try a ray certificate.
-    _, xb, mub = best
-    return _undecided(qp, x, mu, xb, mub, it, tol)
-
-
 def _rows(X: np.ndarray, M: np.ndarray) -> np.ndarray:
     """Each row of X times M as its own product.  The rows of one 2-D
     matrix product can round differently with the number of rows, these
@@ -375,25 +279,30 @@ def _rows(X: np.ndarray, M: np.ndarray) -> np.ndarray:
 
 
 def _max_steps(v: np.ndarray, dv: np.ndarray) -> np.ndarray:
-    """`_max_step` of every row."""
+    """The largest t <= 1 with v + t dv >= 0, for every row."""
     ratio = np.full(v.shape, np.inf)
     np.divide(-v, dv, out=ratio, where=dv < 0)
     return np.minimum(1.0, ratio.min(axis=1))
 
 
+@np.errstate(invalid="ignore")
 def _solve_each(K: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """x[b] = K[b]^-1 r[b] from one batched call, NaN where K[b] is
-    singular."""
-    try:
-        return np.linalg.solve(K, r[..., None])[..., 0]
-    except LinAlgError:
-        out = np.full(r.shape, np.nan)
-        for b in range(len(K)):
-            try:
-                out[b] = np.linalg.solve(K[b], r[b])
-            except LinAlgError:
-                pass
-        return out
+    """x[b] = K[b]^-1 r[b], each member by its own LU factorization
+    (LAPACK gesv), NaN where K[b] is singular.
+
+    This is np.linalg.solve's own gufunc without the wrapper that raises
+    LinAlgError for the whole stack when one member is singular."""
+    return _umath_linalg.solve1(K, r, signature="dd->d")
+
+
+def _kkt_step(h_reg, a, e, r_d, r2):
+    """(dx, dmu) of one member from its (k + m) quasi-definite system
+    [[H + reg I, A'], [A, -diag(e)]] [dx; dmu] = [-r_d; r2], NaN when it
+    is singular."""
+    k = h_reg.shape[0]
+    M = np.block([[h_reg, a.T], [a, -np.diag(e)]])
+    d = _solve_each(M[None], np.concatenate([-r_d, r2])[None])[0]
+    return d[:k], d[k:]
 
 
 def _psd_lifts(H: np.ndarray) -> np.ndarray:
@@ -409,22 +318,23 @@ def _psd_lifts(H: np.ndarray) -> np.ndarray:
 
 
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
-def _lockstep_interior_point(H, A_in, G, B_in, C0, tol: float,
-                             max_iter: int) -> list[QpSolution | None]:
-    """`_interior_point` on the QPs min 0.5 y'H[b]y + G[b]'y + C0[b] subject
-    to A_in[b] y <= B_in[b], all advanced in lockstep.
+def _interior_point(H, A_in, G, B_in, C0, tol: float,
+                    max_iter: int) -> list[QpSolution]:
+    """Mehrotra predictor-corrector on the QPs min 0.5 y'H[b]y + G[b]'y +
+    C0[b] subject to A_in[b] y <= B_in[b], b = 0..B-1, all advanced in
+    lockstep; B = 1 is a single solve.
 
     H (k x k) and A_in (m x k) are either shared by every member or stacked
     one per member, (B, k, k) and (B, m, k).  Each step eliminates ds and
     dmu into one k x k normal matrix per member,
-    H + reg I + A_in' diag(1/(s/mu + reg)) A_in, solves all of them in one
-    batched call and recovers dmu from dy.  Every product is taken per
-    member, so a member's iterates do not depend on the others.  A member
-    leaves the family when it certifies (OPTIMAL), diverges or meets a step
-    that is not finite (a singular normal matrix gives NaN); the others run
-    on.  A member stopped by a step that is not finite gets None, for the
-    caller to solve on its own; members not certified within max_iter or
-    diverged get `_undecided`.
+    H + reg I + A_in' diag(1/(s/mu + reg)) A_in, solves the members' systems
+    in one batched call and recovers dmu from dy.  Every product is taken
+    per member, so a member's iterates do not depend on the others.  A
+    member whose normal step is not finite (a singular normal matrix gives
+    NaN) takes the step of the (k + m) KKT system instead, for that solve
+    only.  A member leaves the family when it certifies (OPTIMAL), diverges
+    or its step is still not finite, keeping its last iterate; members not
+    certified get `_undecided`'s verdict.
     """
     H = 0.5 * (H + np.swapaxes(H, -1, -2))
     H_ipm = _psd_lifts(H)
@@ -432,92 +342,116 @@ def _lockstep_interior_point(H, A_in, G, B_in, C0, tol: float,
     mats = (H, H_ipm, H_ipm + _REG * np.eye(H.shape[-1]), A_in,
             np.swapaxes(A_in, -1, -2))
     fam, m = B_in.shape
+    sols = [None] * fam
+    rescued = np.zeros(fam, dtype=bool)
+
+    live = np.arange(fam)  # members still iterating
+    g, b, c0 = G, B_in, C0
     g_scale = 1.0 + np.abs(G).max(axis=1)
     b_scale = 1.0 + np.abs(B_in).max(axis=1)
-
-    X = np.zeros(G.shape)
-    S = np.where(B_in > 1.0, B_in, 1.0)
-    MU = np.ones((fam, m))
-    OBJ = np.zeros(fam)
+    x = np.zeros(G.shape)
+    sm = np.hstack([np.where(B_in > 1.0, B_in, 1.0), np.ones((fam, m))])
     best = np.full(fam, np.inf)
-    best_x, best_mu = X.copy(), MU.copy()
-    its = np.full(fam, max_iter)
-    certified = np.zeros(fam, dtype=bool)
-    broken = np.zeros(fam, dtype=bool)  # stopped by a step not finite
-    live = np.arange(fam)  # members still iterating
+    best_x, best_mu = x.copy(), np.ones((fam, m))
     for it in range(1, max_iter + 1):
-        x, s, mu, g = X[live], S[live], MU[live], G[live]
-        h, h_ipm, h_reg, a, at = [M[live] for M in mats] if stacked else mats
+        s, mu = sm[:, :m], sm[:, m:]
+        h, h_ipm, h_reg, a, at = mats
         Hx, At_mu = _rows(x, h_ipm), _rows(mu, a)
         r_d = Hx + g + At_mu
-        r_pi = _rows(x, at) + s - B_in[live]
-        mu_bar = (s * mu).sum(axis=1) / m
+        r_pi = _rows(x, at) + s - b
+        smu = s * mu
+        mu_bar = smu.sum(axis=1) / m
         Hx_obj = Hx if H_ipm is H else _rows(x, h)
-        obj = 0.5 * (x * Hx_obj).sum(axis=1) + (g * x).sum(axis=1) + C0[live]
+        obj = 0.5 * (x * Hx_obj).sum(axis=1) + (g * x).sum(axis=1) + c0
 
-        d_scale = g_scale[live] + np.abs(Hx).max(axis=1) \
-            + np.abs(At_mu).max(axis=1)
+        d_scale = g_scale + np.abs(Hx).max(axis=1) + np.abs(At_mu).max(axis=1)
         res_d = np.abs(r_d).max(axis=1) / d_scale
-        res_p = np.abs(r_pi).max(axis=1) / b_scale[live]
+        res_p = np.abs(r_pi).max(axis=1) / b_scale
         res_gap = np.abs(mu * (s - r_pi)).max(axis=1) / (1.0 + np.abs(obj))
-
         score = np.maximum(np.maximum(res_d, res_p), res_gap)
-        better = score < best[live]
-        best[live[better]] = score[better]
-        best_x[live[better]], best_mu[live[better]] = x[better], mu[better]
-        done = (res_d <= tol) & (res_p <= tol) & (res_gap <= tol)
+        better = (score < best)[:, None]
+        best = np.fmin(score, best)
+        np.copyto(best_x, x, where=better)
+        np.copyto(best_mu, mu, where=better)
+        done = score <= tol
         stop = done | (np.abs(x).max(axis=1) > _DIVERGED)
 
-        e = s / mu + _REG
-        K = h_reg + (at / e[:, None, :]) @ a
+        if not stop.all():
+            e = s / mu + _REG
+            K = h_reg + (at / e[:, None, :]) @ a
 
-        def step(r2):
-            dx = _solve_each(K, _rows(r2 / e, a) - r_d)
-            return dx, (_rows(dx, at) - r2) / e
+            def step(r2):
+                dx = _solve_each(K, _rows(r2 / e, a) - r_d)
+                dmu = (_rows(dx, at) - r2) / e
+                if not np.isfinite(dmu).all():  # NaN in dx reaches dmu
+                    bad = ~np.isfinite(dmu).all(axis=1) & ~stop
+                    for j in np.flatnonzero(bad):
+                        dx[j], dmu[j] = _kkt_step(
+                            h_reg[j] if stacked else h_reg,
+                            a[j] if stacked else a, e[j], r_d[j], r2[j])
+                    rescued[live[bad]] = True
+                return dx, dmu
 
-        # Predictor (affine scaling).
-        dx_aff, dmu_aff = step(s - r_pi)
-        ds_aff = (-s * mu - s * dmu_aff) / mu
-        a_p = _max_steps(s, ds_aff)[:, None]
-        a_d = _max_steps(mu, dmu_aff)[:, None]
-        mu_aff = ((s + a_p * ds_aff) * (mu + a_d * dmu_aff)).sum(axis=1) / m
-        sigma = np.full(live.size, 0.1)
-        pos = mu_bar > 0
-        sigma[pos] = (np.maximum(mu_aff[pos], 0.0) / mu_bar[pos]) ** 3
+            # Predictor (affine scaling).
+            dx_aff, dmu_aff = step(s - r_pi)
+            ds_aff = (-smu - s * dmu_aff) / mu
+            a_p = _max_steps(s, ds_aff)[:, None]
+            a_d = _max_steps(mu, dmu_aff)[:, None]
+            mu_aff = ((s + a_p * ds_aff) * (mu + a_d * dmu_aff)).sum(axis=1) / m
+            sigma = np.where(mu_bar > 0,
+                             (np.maximum(mu_aff, 0.0) / mu_bar) ** 3, 0.1)
 
-        # Corrector.
-        rhs_c = (sigma * mu_bar)[:, None] - s * mu - ds_aff * dmu_aff
-        dx, dmu = step(-r_pi - rhs_c / mu)
-        ds = (rhs_c - s * dmu) / mu
+            # Corrector.
+            rhs_c = (sigma * mu_bar)[:, None] - smu - ds_aff * dmu_aff
+            dx, dmu = step(-r_pi - rhs_c / mu)
+            dsm = np.hstack([(rhs_c - s * dmu) / mu, dmu])
 
-        eta = np.maximum(0.99, 1.0 - mu_bar)
-        alpha = np.minimum(1.0, eta * np.minimum(_max_steps(s, ds),
-                                                 _max_steps(mu, dmu)))[:, None]
-        finite = np.isfinite(dx).all(axis=1) & np.isfinite(dmu).all(axis=1) \
-            & np.isfinite(ds).all(axis=1)
-        broken[live[~finite & ~stop]] = True
-        stop |= ~finite
-        go = ~stop
-        gone = live[stop]
-        certified[gone], its[gone], OBJ[gone] = done[stop], it, obj[stop]
-        live = live[go]
-        X[live] = x[go] + alpha[go] * dx[go]
-        S[live] = np.maximum(s[go] + alpha[go] * ds[go], 1e-300)
-        MU[live] = np.maximum(mu[go] + alpha[go] * dmu[go], 1e-300)
-        if not live.size:
-            break
+            # One ratio test over the stacked [s; mu].
+            eta = np.maximum(0.99, 1.0 - mu_bar)
+            alpha = (eta * _max_steps(sm, dsm))[:, None]
+            if not (np.isfinite(dx).all() and np.isfinite(dsm).all()):
+                stop |= ~(np.isfinite(dx).all(axis=1)
+                          & np.isfinite(dsm).all(axis=1))
 
-    if broken.any():
+        if stop.any():
+            for j in np.flatnonzero(stop):
+                member = live[j]
+                if done[j]:
+                    sols[member] = QpSolution(OPTIMAL, x[j], obj[j], np.zeros(0),
+                                              mu[j], it)
+                else:
+                    sols[member] = _undecided(
+                        _member_qp(H, A_in, G, B_in, C0, member), x[j], mu[j],
+                        best_x[j], best_mu[j], it, tol)
+            go = ~stop
+            if not go.any():
+                break
+            live, g, b, c0, g_scale, b_scale, best, best_x, best_mu = (
+                v[go] for v in (live, g, b, c0, g_scale, b_scale, best,
+                                best_x, best_mu))
+            x, sm, dx, dsm, alpha = x[go], sm[go], dx[go], dsm[go], alpha[go]
+            if stacked:
+                mats = tuple(M[go] for M in mats)
+        x = x + alpha * dx
+        sm = np.maximum(sm + alpha * dsm, 1e-300)
+    else:
+        for j, member in enumerate(live):
+            sols[member] = _undecided(
+                _member_qp(H, A_in, G, B_in, C0, member), x[j], sm[j, m:],
+                best_x[j], best_mu[j], max_iter, tol)
+
+    if rescued.any():
         logger.debug("%d of %d family members met a singular normal matrix "
-                     "or a step that is not finite and are solved alone",
-                     int(broken.sum()), fam)
-    return [QpSolution(OPTIMAL, X[b], OBJ[b], np.zeros(0), MU[b], int(its[b]))
-            if certified[b] else None if broken[b] else
-            _undecided(QuadraticProgram(H[b] if stacked else H, G[b],
-                                        A_in[b] if stacked else A_in,
-                                        B_in[b], c0=C0[b]),
-                       X[b], MU[b], best_x[b], best_mu[b], int(its[b]), tol)
-            for b in range(fam)]
+                     "or a step that is not finite and took the (k + m) KKT "
+                     "step", int(rescued.sum()), fam)
+    return sols
+
+
+def _member_qp(H, A_in, G, B_in, C0, b) -> QuadraticProgram:
+    """Member b of a stacked family as a QuadraticProgram."""
+    stacked = H.ndim == 3
+    return QuadraticProgram(H[b] if stacked else H, G[b],
+                            A_in[b] if stacked else A_in, B_in[b], c0=C0[b])
 
 
 def _reduced(qp: QuadraticProgram, red: EqualityReduction,
@@ -574,7 +508,8 @@ def _warm_start(qp: QuadraticProgram, active,
     k + |active| gives y and their multipliers, the others get 0.  The point
     is accepted only if `kkt_residuals` certifies it within tol.  No hint,
     more hinted rows than k, a singular system or a step that is not finite
-    give None.  An indefinite H is rejected as `_interior_point` rejects it.
+    give None.  An indefinite H is rejected, as the interior-point method
+    rejects it (`_psd_lift`).
     """
     if active is None:
         return None
@@ -613,20 +548,12 @@ def solve_qp(qp: QuadraticProgram, tol: float = _TOL, max_iter: int = 200) -> Qp
     inequality residual.  Otherwise qp.active_hint, when given, is tried
     first: if its rows are the active set, the KKT system of that set gives
     the optimum with 0 iterations (`_warm_start`), and else the
-    interior-point method runs as without the hint.  On max_iter the best
-    iterate seen is returned.  Infeasible means the phase-1 optimum exceeded
-    tol; unbounded is certified by a descent ray.
+    interior-point method runs as without the hint, on the k x k normal
+    matrix.  On max_iter the best iterate seen is returned.  Infeasible
+    means the phase-1 optimum exceeded tol; unbounded is certified by a
+    descent ray.  This is `solve_family` on a family of one.
     """
-    red = _reduction(qp)
-    x_p = red.particular(qp.b_eq)
-    sol = _presolve(qp, red, x_p, tol)
-    if sol is None:
-        r = _reduced(qp, red, x_p)
-        sol = _warm_start(r, qp.active_hint, tol)
-        if sol is None:
-            sol = _interior_point(r, tol, max_iter)
-        sol = _lift(qp, red, x_p, sol)
-    return sol
+    return solve_family([qp], tol, max_iter)[0]
 
 
 def solve_family(qps, tol: float = _TOL,
@@ -634,59 +561,42 @@ def solve_family(qps, tol: float = _TOL,
     """solve_qp on each QP of qps, the QPs of one reduced shape together.
 
     Each QP is written on the nullspace of its own equality rows
-    (qp.reduction, or one SVD).  QPs with the same reduced shape (k free
-    directions, m inequality rows) form a group, and a group of one goes to
-    solve_qp.  In a larger group, members that need no iteration are decided
-    as solve_qp decides them, and so are members whose active_hint is
-    accepted; the rest run one lockstep interior-point method on the k x k
-    normal matrix.  Each member stops on its own test and keeps its own
-    status and iteration count.  A member whose lockstep step is not finite
-    (a singular normal matrix) is solved again by solve_qp, on the (k + m)
-    system.
+    (qp.reduction, or one SVD).  Members that need no iteration, and
+    members whose active_hint is accepted, are decided on their own.  The
+    rest, grouped by reduced shape (k free directions, m inequality rows),
+    run one lockstep interior-point method a group; a group of one is a
+    single solve.  Each member stops on its own test and keeps its own
+    status and iteration count, bit for bit what solve_qp gives it alone.
     """
     qps = list(qps)
     reds = [_reduction(qp) for qp in qps]
+    sols = [None] * len(qps)
     groups = {}
     for i, (qp, red) in enumerate(zip(qps, reds)):
-        groups.setdefault((red.N.shape[1], qp.b_ineq.size), []).append(i)
-    sols = [None] * len(qps)
-
-    def alone(i):
-        qp = qps[i]
-        if qp.reduction is None:
-            qp = replace(qp, reduction=reds[i])
-        return solve_qp(qp, tol, max_iter)
-
+        x_p = red.particular(qp.b_eq)
+        sol = _presolve(qp, red, x_p, tol)
+        if sol is None:
+            r = _reduced(qp, red, x_p)
+            sol = _warm_start(r, qp.active_hint, tol)
+            if sol is None:
+                groups.setdefault(r.A_ineq.shape, []).append((i, x_p, r))
+                continue
+            sol = _lift(qp, red, x_p, sol)
+        sols[i] = sol
     for group in groups.values():
-        if len(group) == 1:
-            sols[group[0]] = alone(group[0])
-            continue
-        X_p = {i: reds[i].particular(qps[i].b_eq) for i in group}
-        for i in group:
-            sols[i] = _presolve(qps[i], reds[i], X_p[i], tol)
-        reduced = {i: _reduced(qps[i], reds[i], X_p[i])
-                   for i in group if sols[i] is None}
-        for i, r in reduced.items():
-            sol = _warm_start(r, qps[i].active_hint, tol)
-            if sol is not None:
-                sols[i] = _lift(qps[i], reds[i], X_p[i], sol)
-        todo = [i for i in reduced if sols[i] is None]
-        if not todo:
-            continue
-        rs = [reduced[i] for i in todo]
+        idx, x_ps, rs = zip(*group)
         # Members of one reduction share its H and A_ineq as 2-D arrays.
-        if all(reds[i] is reds[todo[0]] for i in todo):
-            H, A_in = reds[todo[0]].H, reds[todo[0]].A_ineq
+        if all(reds[i] is reds[idx[0]] for i in idx):
+            H, A_in = rs[0].H, rs[0].A_ineq
         else:
-            H = np.array([reds[i].H for i in todo])
-            A_in = np.array([reds[i].A_ineq for i in todo])
-        ipm = _lockstep_interior_point(
+            H = np.array([r.H for r in rs])
+            A_in = np.array([r.A_ineq for r in rs])
+        ipm = _interior_point(
             H, A_in, np.array([r.g for r in rs]),
             np.array([r.b_ineq for r in rs]), np.array([r.c0 for r in rs]),
             tol, max_iter)
-        for i, sol in zip(todo, ipm):
-            sols[i] = alone(i) if sol is None else \
-                _lift(qps[i], reds[i], X_p[i], sol)
+        for i, x_p, sol in zip(idx, x_ps, ipm):
+            sols[i] = _lift(qps[i], reds[i], x_p, sol)
     return sols
 
 

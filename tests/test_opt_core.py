@@ -5,7 +5,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.linalg import lu_factor
 from scipy.optimize import linprog
 
 from gridcoord import opt_core as oc
@@ -160,12 +159,13 @@ def random_equality_lp(seed, n=8, p=3, m=12):
 def spy_factorizations(monkeypatch):
     """Record the order of every matrix the interior point method factors."""
     orders = []
+    solve_each = oc._solve_each
 
-    def spy(M, *args, **kwargs):
-        orders.append(M.shape[0])
-        return lu_factor(M, *args, **kwargs)
+    def spy(K, r):
+        orders.append(K.shape[-1])
+        return solve_each(K, r)
 
-    monkeypatch.setattr(oc, "lu_factor", spy)
+    monkeypatch.setattr(oc, "_solve_each", spy)
     return orders
 
 
@@ -248,7 +248,7 @@ class TestEqualityReduction:
             self, monkeypatch, benchmark_dso_models):
         # An ADMM-style pulled subproblem of a builtin feeder, solved from a
         # carried reduction and from scratch: same answer, and no factored
-        # matrix is larger than k + m.
+        # matrix is larger than the k x k normal matrix.
         pull = QuadraticValueFn(100.0 * np.eye(3), [1.0, -2.0, 0.5], 0.0)
         for model in benchmark_dso_models.values():
             fresh = pm.attach_quadratic_cost(model, pull).qp_skeleton
@@ -262,6 +262,7 @@ class TestEqualityReduction:
             sol = oc.solve_qp(carried)
             certify(fresh, sol)
             assert orders and max(orders) <= k + m
+            assert max(orders) <= k
             ref = oc.solve_qp(fresh)
             np.testing.assert_allclose(sol.x, ref.x, atol=1e-9)
 
@@ -343,8 +344,7 @@ class TestSolveFamily:
         refs = [oc.solve_qp(replace(doubled, b_eq=b_eq)) for b_eq in b_eqs[:2]]
         assert sols[1].status == refs[1].status == oc.INFEASIBLE
         assert sols[1].iterations == refs[1].iterations == 0
-        # member 0's normal matrix turns exactly singular: solve_qp solves
-        # it again
+        # member 0 runs in the family bit for bit as solve_qp runs it alone
         assert sols[0].status == refs[0].status == oc.INFEASIBLE
         assert_same_solution(sols[0], refs[0])
         rest = oc.solve_family(family_of(doubled, b_eqs[2:]))
@@ -407,27 +407,37 @@ class TestSolveFamily:
 
     def test_singular_member_takes_the_scalar_verdict(
             self, monkeypatch, caplog, benchmark_dso_models, benchmark_fors):
-        # Member 1 meets a singular normal matrix at the first step: it
-        # leaves the family and solve_qp solves it; the others are not
-        # disturbed.
+        # Member 1 meets a singular normal matrix in the first iteration: it
+        # takes the (k + m) KKT step there and stays in the family, ending
+        # bit for bit as solve_qp ends under the same fault; the others are
+        # not disturbed.
         key = (2, "lindistflow")
         pins = interior_pins(benchmark_fors[key], 3, seed=1)
         family = pm.pin_coupling(benchmark_dso_models[key], np.zeros(3))
         qps = family_of(family, pinned_rows(family, pins))
+        k = qps[0].reduction.N.shape[1]
         alone = oc.solve_family(qps[::2])
         solve_each = oc._solve_each
 
-        def singular_member_one(K, r):
-            K = K.copy()
-            if len(K) == 3:
-                K[1] = 0.0
-            return solve_each(K, r)
+        def singular_in_first_iteration(member):
+            normal = []
 
-        monkeypatch.setattr(oc, "_solve_each", singular_member_one)
+            def spy(K, r):
+                if K.shape[-1] == k:  # a normal matrix, not a KKT system
+                    normal.append(len(K))
+                    if len(normal) <= 2:  # predictor and corrector
+                        K = K.copy()
+                        K[member] = 0.0
+                return solve_each(K, r)
+            return spy
+
+        monkeypatch.setattr(oc, "_solve_each", singular_in_first_iteration(1))
         with caplog.at_level(logging.DEBUG, logger=oc.__name__):
             sols = oc.solve_family(qps)
-        assert sols[1].status == oc.OPTIMAL
-        assert_same_solution(sols[1], oc.solve_qp(qps[1]))
+        monkeypatch.setattr(oc, "_solve_each", singular_in_first_iteration(0))
+        ref = oc.solve_qp(qps[1])
+        assert sols[1].status == ref.status == oc.OPTIMAL
+        assert_same_solution(sols[1], ref)
         assert "1 of 3 family members met a singular" in caplog.text
         for sol, ref in zip(sols[::2], alone):
             assert_same_solution(sol, ref)
@@ -435,28 +445,34 @@ class TestSolveFamily:
     def test_member_with_a_nan_step_is_solved_by_solve_qp(
             self, monkeypatch, benchmark_dso_models, benchmark_fors):
         # A sample family; member 3's step turns NaN in the third
-        # iteration.  It must come back OPTIMAL, as solve_qp solves it, not
-        # flagged, and the other members as they are without the fault.
+        # iteration.  It takes the (k + m) KKT step for that solve and must
+        # come back OPTIMAL, bit for bit as solve_qp under the same fault,
+        # not flagged, and the other members as they are without the fault.
         key = (1, "loss_linearized")
         family = pm.pin_coupling(benchmark_dso_models[key], np.zeros(3))
         qps = family_of(family, pinned_rows(
             family, interior_pins(benchmark_fors[key], 8, seed=5)))
         clean = oc.solve_family(qps)
         assert all(sol.iterations > 3 for sol in clean)
-        solve_each, calls = oc._solve_each, []
+        solve_each = oc._solve_each
 
-        def nan_step_member_three(K, r):
-            out = solve_each(K, r)
-            calls.append(len(K))
-            if len(calls) == 5:  # predictor of iteration 3
-                out[3] = np.nan
-            return out
+        def nan_step(member, calls):
+            def spy(K, r):
+                out = solve_each(K, r)
+                calls.append(len(K))
+                if len(calls) == 5:  # predictor of iteration 3
+                    out[member] = np.nan
+                return out
+            return spy
 
-        monkeypatch.setattr(oc, "_solve_each", nan_step_member_three)
+        calls = []
+        monkeypatch.setattr(oc, "_solve_each", nan_step(3, calls))
         sols = oc.solve_family(qps)
         assert calls[4] == 8
-        assert sols[3].status == oc.OPTIMAL
-        assert_same_solution(sols[3], oc.solve_qp(qps[3]))
+        monkeypatch.setattr(oc, "_solve_each", nan_step(0, []))
+        ref = oc.solve_qp(qps[3])
+        assert sols[3].status == ref.status == oc.OPTIMAL
+        assert_same_solution(sols[3], ref)
         for b in (0, 1, 2, 4, 5, 6, 7):
             assert_same_solution(sols[b], clean[b])
 
@@ -466,6 +482,12 @@ class TestSolveFamily:
         full = oc._rows(X, M)
         for rows in (slice(0, 1), slice(3, 4), slice(1, 40), slice(5, 17)):
             np.testing.assert_array_equal(oc._rows(X[rows], M), full[rows])
+
+    def test_step_to_the_boundary_is_at_most_one(self):
+        # rows: a ratio below one, every ratio above one, no entry falling
+        v = np.array([[1.0, 2.0], [1.0, 1.0], [1.0, 1.0]])
+        dv = np.array([[-4.0, 1.0], [-0.5, -0.25], [0.0, 3.0]])
+        np.testing.assert_array_equal(oc._max_steps(v, dv), [0.25, 1.0, 1.0])
 
     def test_batched_solve_marks_singular_members(self):
         K = np.stack([np.eye(2), np.zeros((2, 2)), 2.0 * np.eye(2)])
@@ -524,7 +546,7 @@ class TestHeterogeneousFamily:
         lone = next(qp for qp in builtin if qp.reduction.N.shape[1] != 5)
         qps = copy_qps[:3] + [lone]
         scalar, lockstep = [], []
-        solve_qp, run = oc.solve_qp, oc._lockstep_interior_point
+        solve_qp, run = oc.solve_qp, oc._interior_point
 
         def solve_qp_spy(qp, *args, **kwargs):
             scalar.append(qp)
@@ -535,19 +557,40 @@ class TestHeterogeneousFamily:
             return run(H, A_in, G, *args, **kwargs)
 
         monkeypatch.setattr(oc, "solve_qp", solve_qp_spy)
-        monkeypatch.setattr(oc, "_lockstep_interior_point", lockstep_spy)
+        monkeypatch.setattr(oc, "_interior_point", lockstep_spy)
         sols = oc.solve_family(qps)
-        assert lockstep == [((3, 5, 5), 3)]
-        assert scalar == [lone]
+        # the lone member runs the same loop, as a family of one
+        assert lockstep == [((3, 5, 5), 3), ((7, 7), 1)]
+        assert scalar == []
         assert_same_solution(sols[-1], solve_qp(lone))
         for qp, sol in zip(qps, sols):
             certify(qp, sol)
 
+    def test_wide_centralized_solve_on_the_normal_matrix(self,
+                                                         monkeypatch):
+        # The top rung of the benchmark ladder: the centralized QP of the
+        # wide workload (fourteen feeder copies), one solve of k = 58 free
+        # directions and 594 inequality rows.  It certifies by KKT
+        # residuals, factors nothing larger than k, and a family of one is
+        # the same solve.
+        qp = pm.assemble_centralized(feeder_copies(14),
+                                     "loss_linearized").qp.with_reduction()
+        k, m = qp.reduction.N.shape[1], qp.b_ineq.size
+        assert (k, m) == (58, 594)
+        orders = spy_factorizations(monkeypatch)
+        sol = oc.solve_qp(qp)
+        certify(qp, sol, 1e-8)
+        assert orders and max(orders) <= k
+        assert_same_solution(oc.solve_family([qp])[0], sol)
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_pin_stops_at_first_nonfinite_step(
             self, benchmark_dso_models, benchmark_fors):
-        # The nu pin carried twice, 1e-3 beyond a FOR facet: a multiplier
-        # reaches its 1e-300 floor and the next corrector would overflow.
+        # The nu pin carried twice, 1e-3 beyond a FOR facet: multipliers
+        # reach their 1e-300 floor, where the (k + m) step used to overflow.
+        # The normal step stays finite, so the run ends at max_iter and
+        # phase 1 gives the verdict; the leave at a step that is not finite
+        # is test_single_solve_leaves_at_first_nonfinite_step.
         key = (1, "lindistflow")
         plain = pm.pin_coupling(benchmark_dso_models[key],
                                 beyond_facet(benchmark_fors[key]))
@@ -555,12 +598,36 @@ class TestHeterogeneousFamily:
                           b_eq=np.append(plain.b_eq, plain.b_eq[-1]))
         sol = oc.solve_qp(doubled)
         assert sol.status == oc.INFEASIBLE
-        assert sol.iterations < 200
         assert np.isfinite(sol.x).all() and np.isfinite(sol.duals_ineq).all()
         red = oc.EqualityReduction.of(doubled)
         x_p = red.particular(doubled.b_eq)
         assert not oc.check_feasible(red.A_ineq,
                                      doubled.b_ineq - doubled.A_ineq @ x_p)[0]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_single_solve_leaves_at_first_nonfinite_step(self, monkeypatch):
+        # Both kernels, the normal matrix and the (k + m) KKT system, give
+        # NaN in the third iteration: the solve leaves there and keeps its
+        # last finite iterate for the verdict.
+        qp, _ = random_feasible_qp(3)
+        k, m = qp.n, qp.b_ineq.size
+        assert oc.solve_qp(qp).iterations > 3
+        solve_each, orders = oc._solve_each, []
+
+        def nan_in_iteration_three(K, r):
+            orders.append(K.shape[-1])
+            out = solve_each(K, r)
+            if 5 <= len(orders) <= 8:
+                out[:] = np.nan
+            return out
+
+        monkeypatch.setattr(oc, "_solve_each", nan_in_iteration_three)
+        sol = oc.solve_qp(qp)
+        # predictor and corrector, each normal step and its KKT rescue
+        assert orders[:8] == [k, k, k, k, k, k + m, k, k + m]
+        assert sol.status == oc.MAX_ITER and sol.iterations == 3
+        assert np.isfinite(sol.x).all() and np.isfinite(sol.duals_ineq).all()
+        assert np.isfinite(sol.objective)
 
 
 def active_rows(sol):
@@ -657,13 +724,13 @@ class TestWarmStart:
             hinted[b] = replace(copy_qps[b], active_hint=active_rows(plain[b]))
         hinted[5] = replace(copy_qps[5],
                             active_hint=np.zeros(copy_qps[5].b_ineq.size))
-        sizes, run = [], oc._lockstep_interior_point
+        sizes, run = [], oc._interior_point
 
         def lockstep_spy(H, A_in, G, *args, **kwargs):
             sizes.append(len(G))
             return run(H, A_in, G, *args, **kwargs)
 
-        monkeypatch.setattr(oc, "_lockstep_interior_point", lockstep_spy)
+        monkeypatch.setattr(oc, "_interior_point", lockstep_spy)
         sols = oc.solve_family(hinted, tol=self.TIGHT)
         assert sizes == [len(copy_qps) - 3]
         for b, (qp, sol, ref) in enumerate(zip(copy_qps, sols, plain)):
