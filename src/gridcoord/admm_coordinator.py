@@ -220,13 +220,17 @@ def dso_step(dso_model: PolyhedralModel, state: AdmmState, i: int, *,
 
 
 def consensus_step(state: AdmmState) -> None:
-    """Average the copies and update both multipliers in place."""
+    """Average the copies and update both multipliers in place.
+
+    Both multipliers move by one rounded step rho (z_tau - z_delta) / 2, in
+    opposite directions, so with lambda_delta = -lambda_tau (as `fresh`
+    starts them) the sum lambda_tau + lambda_delta stays exactly zero.
+    """
     for k in range(len(state.z)):
         state.z[k] = 0.5 * (state.z_tau[k] + state.z_delta[k])
-        state.lambda_tau[k] = state.lambda_tau[k] + state.rho * (
-            state.z_tau[k] - state.z[k])
-        state.lambda_delta[k] = state.lambda_delta[k] + state.rho * (
-            state.z_delta[k] - state.z[k])
+        step = state.rho * (0.5 * (state.z_tau[k] - state.z_delta[k]))
+        state.lambda_tau[k] = state.lambda_tau[k] + step
+        state.lambda_delta[k] = state.lambda_delta[k] - step
     state.iteration += 1
 
 

@@ -343,33 +343,33 @@ def _prune_rows(A_in, b_in, A_eq, b_eq, *, z0=None):
 
 
 def _split_pairs(A, b):
-    """Separate exact opposing row pairs (equalities) from plain rows."""
+    """Separate exact opposing row pairs (equalities) from plain rows.
+
+    Rows are keyed by their normalised coefficients and bound rounded to
+    1e-10 (signed zeros made +0); the k-th row of a key pairs with the k-th
+    row of the negated key, and a key that is its own negation pairs its
+    rows two by two.  A pair carries its first row as the equality.
+    Equalities and inequalities keep their row order.
+    """
     A, b = _normalize(A, b)
     m = b.size
-    used = np.zeros(m, dtype=bool)
-    eq_A, eq_b, in_A, in_b = [], [], [], []
-    index = {}
-    for i in range(m):
-        key = (np.round(A[i], 10).tobytes(), round(float(b[i]), 10))
-        index.setdefault(key, []).append(i)
-    for i in range(m):
-        if used[i]:
-            continue
-        nkey = (np.round(-A[i], 10).tobytes(), round(float(-b[i]), 10))
-        partner = next((j for j in index.get(nkey, []) if not used[j] and j != i),
-                       None)
-        if partner is not None and np.abs(A[i] + A[partner]).max() <= _PAIR_TOL \
-                and abs(b[i] + b[partner]) <= _PAIR_TOL:
-            used[i] = used[partner] = True
-            eq_A.append(A[i])
-            eq_b.append(b[i])
-        else:
-            used[i] = True
-            in_A.append(A[i])
-            in_b.append(b[i])
-    eq_A = np.array(eq_A).reshape(-1, A.shape[1])
-    in_A = np.array(in_A).reshape(-1, A.shape[1])
-    return eq_A, np.array(eq_b), in_A, np.array(in_b)
+    key = np.round(np.column_stack([A, b]), 10) + 0.0
+    ids = {}
+    group = np.array([ids.setdefault(row.tobytes(), len(ids))
+                      for row in np.vstack([key, -key + 0.0])], dtype=int)
+    group, neg = group[:m], group[m:]
+    order = np.argsort(group, kind="stable")
+    count = np.bincount(group, minlength=2 * m)
+    start = np.cumsum(count) - count
+    rank = np.empty(m, dtype=int)
+    rank[order] = np.arange(m) - start[group[order]]
+    want = np.where(group == neg, rank ^ 1, rank)
+    paired = want < count[neg]
+    partner = order[np.minimum(start[neg] + want, m - 1)]
+    paired &= (np.abs(A + A[partner]).max(axis=1, initial=0.0) <= _PAIR_TOL) \
+        & (np.abs(b + b[partner]) <= _PAIR_TOL)
+    eq = paired & (np.arange(m) < partner)
+    return A[eq], b[eq], A[~paired], b[~paired]
 
 
 def _independent_equalities(A_eq, b_eq):
@@ -423,9 +423,15 @@ def _canonical(A, b):
 def project_onto(poly: Polyhedron, keep, *, stats: dict = None) -> Polyhedron:
     """Exact projection onto the kept columns, in the order given.
 
-    Columns fixed by equality rows are eliminated by substitution; the rest
-    fall to Fourier-Motzkin, each step followed by redundancy pruning (see
-    `_prune_rows`) around one interior point of the input.
+    Each step eliminates the free column with the fewest nonzeros (an
+    equality row counts twice; the lowest index wins a tie).  A column an
+    equality row fixes goes by substitution (`_substitute`), the rest by
+    Fourier-Motzkin, each step followed by redundancy pruning (see
+    `_prune_rows`) around one interior point of the input.  The rows live
+    in one working matrix [A_eq | b_eq; A_in | b_in] at full width, where
+    an eliminated column stays exactly zero: a substitution is one
+    outer-product update in place, and only Fourier-Motzkin steps and the
+    final pruning take the live columns out.
     """
     keep = list(keep)
     if len(set(keep)) != len(keep):
@@ -436,7 +442,6 @@ def project_onto(poly: Polyhedron, keep, *, stats: dict = None) -> Polyhedron:
     if poly.is_marked_empty:
         return Polyhedron.empty(len(keep), labels)
     A_eq, b_eq, A_in, b_in = _split_pairs(poly.A, poly.b)
-    cols = list(range(poly.dim))
     # a strictly interior point of the input stays strictly interior under
     # both substitution and cross-product elimination, so one small LP here
     # replaces a tall feasibility plus inflation LP at every pruning step
@@ -448,92 +453,93 @@ def project_onto(poly: Polyhedron, keep, *, stats: dict = None) -> Polyhedron:
         stats.setdefault("fm_steps", 0)
         stats.setdefault("subst_steps", 0)
 
-    def record():
+    def record(n_eq, n_in):
         if stats is not None:
-            rows = 2 * b_eq.size + b_in.size
-            stats["max_rows"] = max(stats["max_rows"], rows)
+            stats["max_rows"] = max(stats["max_rows"], 2 * n_eq + n_in)
 
-    record()
-    while len(cols) > len(keep):
-        nnz = {}
-        for c in cols:
-            if c in keep:
-                continue
-            j = cols.index(c)
-            count = int(np.count_nonzero(np.abs(A_in[:, j]) > _SNAP)) \
-                + 2 * int(np.count_nonzero(np.abs(A_eq[:, j]) > _SNAP))
-            nnz[c] = count
-        c = min(nnz, key=lambda k: (nnz[k], k))
-        j = cols.index(c)
-        eq_coef = np.abs(A_eq[:, j]) if b_eq.size else np.zeros(0)
-        if eq_coef.size and eq_coef.max() > 1e-9:
-            pivot = int(np.argmax(eq_coef))
-            A_eq, b_eq, A_in, b_in, feasible = _substitute(
-                A_eq, b_eq, A_in, b_in, pivot, j)
-            if z_int is not None:
-                z_int = np.delete(z_int, j)
+    n = poly.dim
+    W = np.vstack([np.column_stack([A_eq, b_eq]),
+                   np.column_stack([A_in, b_in])])
+    n_eq = b_eq.size
+    live = np.ones(n, dtype=bool)
+    free = live.copy()
+    free[keep] = False
+    clean = False
+    record(n_eq, b_in.size)
+    for _ in range(n - len(keep)):
+        cols = np.flatnonzero(free)
+        big = np.abs(W[:, cols]) > _SNAP
+        j = int(cols[np.argmin(big.sum(axis=0) + big[:n_eq].sum(axis=0))])
+        free[j] = live[j] = False
+        eq_coef = np.abs(W[:n_eq, j])
+        if n_eq and eq_coef.max() > 1e-9:
+            W, n_eq, feasible = _substitute(W, n_eq, int(np.argmax(eq_coef)),
+                                            j, clean)
+            clean = True
             if stats is not None:
                 stats["subst_steps"] += 1
         else:
-            A_eq = np.delete(A_eq, j, axis=1)
-            sub = Polyhedron(len(cols), np.column_stack([A_in]),
-                             b_in, tuple(str(k) for k in cols))
-            sub = eliminate_variable(sub, j)
+            W[:n_eq, j] = 0.0
+            span = np.append(np.flatnonzero(live), j)
+            sub = eliminate_variable(
+                Polyhedron(span.size, W[n_eq:, span], W[n_eq:, n],
+                           tuple(poly.labels[c] for c in span)), span.size - 1)
             if sub.is_marked_empty:
                 return Polyhedron.empty(len(keep), labels)
-            A_in, b_in = sub.A, sub.b
-            if z_int is not None:
-                z_int = np.delete(z_int, j)
-            A_in, b_in, feasible = _prune_rows(A_in, b_in, A_eq, b_eq,
-                                               z0=z_int)
+            A_in, b_in, feasible = _prune_rows(
+                sub.A, sub.b, W[:n_eq, :n][:, live], W[:n_eq, n].copy(),
+                z0=None if z_int is None else z_int[live])
+            rows = np.zeros((b_in.size, n + 1))
+            rows[:, :n][:, live] = A_in
+            rows[:, n] = b_in
+            W = np.vstack([W[:n_eq], rows])
+            clean = False
             if stats is not None:
                 stats["fm_steps"] += 1
         if not feasible:
             return Polyhedron.empty(len(keep), labels)
-        cols.pop(j)
-        record()
+        record(n_eq, W.shape[0] - n_eq)
 
-    perm = [cols.index(c) for c in keep]
-    A_eq = A_eq[:, perm]
-    A_in = A_in[:, perm]
-    if z_int is not None:
-        z_int = z_int[perm]
-    A_eq, b_eq, consistent = _independent_equalities(A_eq, b_eq)
+    A_eq, b_eq, consistent = _independent_equalities(W[:n_eq, keep],
+                                                     W[:n_eq, n].copy())
     if not consistent:
         return Polyhedron.empty(len(keep), labels)
-    A_in, b_in, feasible = _prune_rows(A_in, b_in, A_eq, b_eq, z0=z_int)
+    A_in, b_in, feasible = _prune_rows(
+        W[n_eq:, keep], W[n_eq:, n].copy(), A_eq, b_eq,
+        z0=None if z_int is None else z_int[keep])
     if not feasible:
         return Polyhedron.empty(len(keep), labels)
-    record()
+    record(b_eq.size, b_in.size)
     A, b = _pair_back(A_eq, b_eq, A_in, b_in)
     A, b = _canonical(A, b)
     return Polyhedron(len(keep), A, b, labels)
 
 
-def _substitute(A_eq, b_eq, A_in, b_in, pivot, j):
-    """Eliminate column j using equality row `pivot`; exact, no row growth."""
-    alpha = A_eq[pivot, j]
-    piv_row = A_eq[pivot] / alpha
-    piv_b = b_eq[pivot] / alpha
+def _substitute(W, n_eq, pivot, j, clean):
+    """Eliminate column j of the working matrix [A_eq | b_eq; A_in | b_in]
+    with equality row `pivot`; exact, no row growth.
 
-    def apply(A, b):
-        if b.size == 0:
-            return np.delete(A, j, axis=1), b
-        beta = A[:, j]
-        A = A - np.outer(beta, piv_row)
-        b = b - beta * piv_b
-        return _snap(np.delete(A, j, axis=1)), b
-
-    A_eq2 = np.delete(A_eq, pivot, axis=0)
-    b_eq2 = np.delete(b_eq, pivot)
-    A_eq2, b_eq2 = apply(A_eq2, b_eq2)
-    A_in2, b_in2 = apply(A_in, b_in)
-    zero_eq = ~np.any(A_eq2 != 0.0, axis=1)
-    if np.any(np.abs(b_eq2[zero_eq]) > 1e-9):
-        return A_eq2, b_eq2, A_in2, b_in2, False
-    A_eq2, b_eq2 = A_eq2[~zero_eq], b_eq2[~zero_eq]
-    A_in2, b_in2, feasible = _drop_trivial(A_in2, b_in2, tol=1e-9)
-    return A_eq2, b_eq2, A_in2, b_in2, feasible
+    The update leaves column j exactly zero (its pivot entry is alpha /
+    alpha = 1) and every zero column zero.  On a `clean` matrix (snapped,
+    no zero row: what every substitution leaves) only the rows with a
+    nonzero in column j take the update; the others would come out the
+    same but for the sign of a zero bound, so the bound column is updated
+    in full.  Returns the new matrix, its equality row count and False
+    when a row reduces to 0 = b, b != 0, or to 0 <= b, b < 0 (tolerance
+    1e-9).
+    """
+    piv = W[pivot] / W[pivot, j]
+    rows = np.flatnonzero(W[:, j]) if clean else np.arange(W.shape[0])
+    block = W[rows, :-1] - np.outer(W[rows, j], piv[:-1])
+    W[:, -1] -= W[:, j] * piv[-1]
+    W[rows, :-1] = _snap(block)
+    W[pivot] = 0.0
+    zero = rows[~block.any(axis=1) | (rows == pivot)]
+    b = W[zero, -1]
+    bad = np.where(zero < n_eq, np.abs(b) > 1e-9, b < -1e-9)
+    keep = np.ones(W.shape[0], dtype=bool)
+    keep[zero] = False
+    return W[keep], n_eq - int(np.count_nonzero(zero < n_eq)), not bad.any()
 
 
 def coupling_region(model, *, stats: dict = None) -> Polyhedron:

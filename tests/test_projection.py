@@ -12,7 +12,7 @@ from gridcoord import grid_model as gm
 from gridcoord import opt_core as oc
 from gridcoord import powerflow_models as pm
 from gridcoord import projection as pj
-from suite_helpers import MODEL_KINDS
+from suite_helpers import MODEL_KINDS, feeder_copies
 
 
 def box(dim, lo=0.0, hi=1.0):
@@ -313,15 +313,15 @@ class TestHullPruning:
         assert_same_set(A, b, A_out, b_out, np.random.default_rng(5), 2.0)
 
 
-def nine_generator_feeder():
-    """Feeder 1 of the benchmark's `deep` workload: the packaged 15-bus
-    feeder with the loads at buses 2..10 turned into generators of their
-    active load, attached at transmission bus 8."""
+def deep_feeder(ids=range(2, 11), dso_index=1, tso_bus=8):
+    """A feeder of the benchmark's `deep` workload: the packaged 15-bus
+    feeder with the loads at `ids` turned into generators of their active
+    load, attached at transmission bus `tso_bus`.  The defaults give
+    feeder 1, the one with nine generators."""
     data = resources.files("gridcoord").joinpath("data")
     feeder = gm.load_case(data.joinpath("case15.json").read_text(
         encoding="utf-8"))
     a2, a1, a0 = gm.DEFAULT_DSO_GEN_COST
-    ids = range(2, 11)
     caps = {b.id: b.p_load for b in feeder.buses if b.id in ids}
     gens = tuple(gm.Generator(bus=i, p_min=0.0, p_max=caps[i],
                               q_min=-0.5 * caps[i], q_max=0.5 * caps[i],
@@ -330,7 +330,7 @@ def nine_generator_feeder():
     buses = tuple(replace(b, kind="generator", p_load=0.0, q_load=0.0)
                   if b.id in ids else b for b in feeder.buses)
     case = replace(feeder, buses=buses, gens=feeder.gens + gens)
-    return case, gm.Interconnection(1, 8, feeder.slack_id())
+    return case, gm.Interconnection(dso_index, tso_bus, feeder.slack_id())
 
 
 def rank_11_system(seed, n_eq=0):
@@ -440,7 +440,7 @@ class TestExactPass:
         # the first FM steps of this feeder sit above _HULL_MAX_DIM: each
         # exact pass is one family and at most two scalar LPs, and the FOR
         # is the one the sequential pass gives, bit for bit
-        model = pm.build_dso_model(*nine_generator_feeder(), kind)
+        model = pm.build_dso_model(*deep_feeder(), kind)
         calls = {"family": 0, "scalar": 0}
         passes = []
 
@@ -551,6 +551,251 @@ class TestProjectOnto:
         e = pj.Polyhedron.empty(3, ("a", "b", "c"))
         out = pj.project_onto(e, [0, 2])
         assert out.is_marked_empty and out.dim == 2
+
+
+def reference_split_pairs(A, b):
+    """Reference pair split: rows in index order, each pairing with the
+    first unused row of the negated key."""
+    A, b = pj._normalize(A, b)
+    m = b.size
+    used = np.zeros(m, dtype=bool)
+    eq_A, eq_b, in_A, in_b = [], [], [], []
+    index = {}
+    for i in range(m):
+        key = ((np.round(A[i], 10) + 0.0).tobytes(), round(float(b[i]), 10))
+        index.setdefault(key, []).append(i)
+    for i in range(m):
+        if used[i]:
+            continue
+        nkey = ((np.round(-A[i], 10) + 0.0).tobytes(),
+                round(float(-b[i]), 10))
+        partner = next((j for j in index.get(nkey, [])
+                        if not used[j] and j != i), None)
+        if partner is not None \
+                and np.abs(A[i] + A[partner]).max() <= pj._PAIR_TOL \
+                and abs(b[i] + b[partner]) <= pj._PAIR_TOL:
+            used[i] = used[partner] = True
+            eq_A.append(A[i])
+            eq_b.append(b[i])
+        else:
+            used[i] = True
+            in_A.append(A[i])
+            in_b.append(b[i])
+    eq_A = np.array(eq_A).reshape(-1, A.shape[1])
+    in_A = np.array(in_A).reshape(-1, A.shape[1])
+    return eq_A, np.array(eq_b), in_A, np.array(in_b)
+
+
+def reference_substitute(A_eq, b_eq, A_in, b_in, pivot, j):
+    """Reference substitution: drop the pivot row, update, delete column j."""
+    alpha = A_eq[pivot, j]
+    piv_row = A_eq[pivot] / alpha
+    piv_b = b_eq[pivot] / alpha
+
+    def apply(A, b):
+        if b.size == 0:
+            return np.delete(A, j, axis=1), b
+        beta = A[:, j]
+        A = A - np.outer(beta, piv_row)
+        b = b - beta * piv_b
+        return pj._snap(np.delete(A, j, axis=1)), b
+
+    A_eq2, b_eq2 = apply(np.delete(A_eq, pivot, axis=0),
+                         np.delete(b_eq, pivot))
+    A_in2, b_in2 = apply(A_in, b_in)
+    zero_eq = ~np.any(A_eq2 != 0.0, axis=1)
+    if np.any(np.abs(b_eq2[zero_eq]) > 1e-9):
+        return A_eq2, b_eq2, A_in2, b_in2, False
+    A_eq2, b_eq2 = A_eq2[~zero_eq], b_eq2[~zero_eq]
+    A_in2, b_in2, feasible = pj._drop_trivial(A_in2, b_in2, tol=1e-9)
+    return A_eq2, b_eq2, A_in2, b_in2, feasible
+
+
+def reference_project_onto(poly, keep, *, stats=None):
+    """Reference projection: one column at a time, deleting each eliminated
+    column, with the greedy column choice counted column by column."""
+    keep = list(keep)
+    labels = tuple(poly.labels[c] for c in keep)
+    if poly.is_marked_empty:
+        return pj.Polyhedron.empty(len(keep), labels)
+    A_eq, b_eq, A_in, b_in = reference_split_pairs(poly.A, poly.b)
+    cols = list(range(poly.dim))
+    z_int, radius = pj._interior_point(A_in, b_in, A_eq, b_eq)
+    if z_int is not None and radius <= 1e-7:
+        z_int = None
+    if stats is not None:
+        stats.setdefault("max_rows", 0)
+        stats.setdefault("fm_steps", 0)
+        stats.setdefault("subst_steps", 0)
+
+    def record():
+        if stats is not None:
+            rows = 2 * b_eq.size + b_in.size
+            stats["max_rows"] = max(stats["max_rows"], rows)
+
+    record()
+    while len(cols) > len(keep):
+        nnz = {}
+        for c in cols:
+            if c in keep:
+                continue
+            j = cols.index(c)
+            nnz[c] = int(np.count_nonzero(np.abs(A_in[:, j]) > pj._SNAP)) \
+                + 2 * int(np.count_nonzero(np.abs(A_eq[:, j]) > pj._SNAP))
+        c = min(nnz, key=lambda k: (nnz[k], k))
+        j = cols.index(c)
+        eq_coef = np.abs(A_eq[:, j]) if b_eq.size else np.zeros(0)
+        if eq_coef.size and eq_coef.max() > 1e-9:
+            A_eq, b_eq, A_in, b_in, feasible = reference_substitute(
+                A_eq, b_eq, A_in, b_in, int(np.argmax(eq_coef)), j)
+            if z_int is not None:
+                z_int = np.delete(z_int, j)
+            if stats is not None:
+                stats["subst_steps"] += 1
+        else:
+            A_eq = np.delete(A_eq, j, axis=1)
+            sub = pj.eliminate_variable(
+                pj.Polyhedron(len(cols), A_in, b_in,
+                              tuple(str(k) for k in cols)), j)
+            if sub.is_marked_empty:
+                return pj.Polyhedron.empty(len(keep), labels)
+            A_in, b_in = sub.A, sub.b
+            if z_int is not None:
+                z_int = np.delete(z_int, j)
+            A_in, b_in, feasible = pj._prune_rows(A_in, b_in, A_eq, b_eq,
+                                                  z0=z_int)
+            if stats is not None:
+                stats["fm_steps"] += 1
+        if not feasible:
+            return pj.Polyhedron.empty(len(keep), labels)
+        cols.pop(j)
+        record()
+
+    perm = [cols.index(c) for c in keep]
+    A_eq, A_in = A_eq[:, perm], A_in[:, perm]
+    if z_int is not None:
+        z_int = z_int[perm]
+    A_eq, b_eq, consistent = pj._independent_equalities(A_eq, b_eq)
+    if not consistent:
+        return pj.Polyhedron.empty(len(keep), labels)
+    A_in, b_in, feasible = pj._prune_rows(A_in, b_in, A_eq, b_eq, z0=z_int)
+    if not feasible:
+        return pj.Polyhedron.empty(len(keep), labels)
+    record()
+    A, b = pj._canonical(*pj._pair_back(A_eq, b_eq, A_in, b_in))
+    return pj.Polyhedron(len(keep), A, b, labels)
+
+
+def assert_same_projection(poly, keep):
+    """`project_onto` and the reference give the same rows, bit for bit,
+    and the same stats; returns the projection."""
+    stats, ref_stats = {}, {}
+    out = pj.project_onto(poly, keep, stats=stats)
+    ref = reference_project_onto(poly, keep, stats=ref_stats)
+    assert out.labels == ref.labels
+    assert out.A.shape == ref.A.shape
+    assert out.A.tobytes() == ref.A.tobytes()
+    assert out.b.tobytes() == ref.b.tobytes()
+    assert stats == ref_stats
+    return out, stats
+
+
+def equality_polytope(seed, *, contradictory=False):
+    """Seven columns, keep (0, 1, 2): 14 dense inequality rows on columns
+    0-2, 4 and 5 around an interior point, five rows bounding column 6
+    against the kept columns, and four sparse equalities written as
+    shuffled opposing row pairs.  Column 3 lives in one equality only (two
+    nonzeros, against five for column 6), so the elimination order is
+    substitution (3), FM (6), substitution (4), substitution (5); the
+    equality on columns 0 and 1 survives into the projection.
+    `contradictory` adds a copy of the equality on columns 0 and 3 with its
+    bound moved by 0.5, which the first substitution leaves as 0 = 0.5."""
+    rng = np.random.default_rng(seed)
+    x0 = 0.5 * rng.normal(size=7)
+    A_in = np.zeros((19, 7))
+    A_in[:14, [0, 1, 2, 4, 5]] = rng.normal(size=(14, 5))
+    A_in[14:, :3] = rng.normal(size=(5, 3))
+    A_in[14:, 6] = [1.0, 1.0, 1.0, -1.0, -1.0]
+    b_in = A_in @ x0 + rng.uniform(0.2, 1.0, size=19)
+    A_eq = np.zeros((4, 7))
+    for row, cols in enumerate([(0, 3), (1, 4, 5), (2, 5), (0, 1)]):
+        A_eq[row, cols] = rng.uniform(0.5, 2.0, size=len(cols))
+    b_eq = A_eq @ x0
+    if contradictory:
+        A_eq = np.vstack([A_eq, A_eq[0]])
+        b_eq = np.append(b_eq, b_eq[0] + 0.5)
+    A = np.vstack([A_in, A_eq, -A_eq])
+    b = np.concatenate([b_in, b_eq, -b_eq])
+    order = rng.permutation(b.size)
+    return pj.Polyhedron(7, A[order], b[order],
+                         tuple(f"x{j}" for j in range(7)))
+
+
+class TestProjectionParity:
+    """`project_onto` gives the rows and stats of the column-by-column
+    reference bit for bit."""
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_benchmark_feeders(self, kind, benchmark_partition):
+        part = benchmark_partition
+        wide = feeder_copies(14)
+        cases = list(zip(part.dsos, part.links)) + [
+            deep_feeder(), deep_feeder((8, 14), 2, 6),
+            (wide.dsos[0], wide.links[0]), (wide.dsos[13], wide.links[13])]
+        for case, link in cases:
+            model = pm.build_dso_model(case, link, kind)
+            out, stats = assert_same_projection(
+                pj.from_model(model), model.vmap.coupling_triple(0))
+            assert not out.is_marked_empty and stats["subst_steps"] > 0
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_fm_between_substitutions(self, seed, monkeypatch):
+        steps = []
+        for name, tag in (("_substitute", "S"), ("eliminate_variable", "F")):
+            def spy(*args, fn=getattr(pj, name), tag=tag):
+                steps.append(tag)
+                return fn(*args)
+            monkeypatch.setattr(pj, name, spy)
+        pj.project_onto(equality_polytope(seed), [0, 1, 2])
+        assert "".join(steps) == "SFSS"
+        monkeypatch.undo()
+        out, stats = assert_same_projection(equality_polytope(seed), [0, 1, 2])
+        assert stats["subst_steps"] == 3 and stats["fm_steps"] == 1
+        # the equality on the kept columns survives as an opposing pair
+        eq, _, _, _ = pj._split_pairs(out.A, out.b)
+        assert eq.shape[0] == 1
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_contradictory_equality(self, seed):
+        out, stats = assert_same_projection(
+            equality_polytope(seed, contradictory=True), [0, 1, 2])
+        assert out.is_marked_empty
+        assert stats["subst_steps"] == 1 and stats["fm_steps"] == 0
+
+    def test_split_pairs_matches_reference(self):
+        # few distinct rows, many copies, scaled and negated, some zero:
+        # every pairing rule of the reference is exercised
+        rng = np.random.default_rng(8)
+        for _ in range(300):
+            n = int(rng.integers(1, 5))
+            base = rng.integers(-2, 3, size=(4, n)).astype(float)
+            bound = rng.integers(-1, 2, size=4).astype(float)
+            pick = rng.integers(0, 4, size=int(rng.integers(0, 12)))
+            sign = rng.choice([-1.0, 1.0, 0.5, 2.0], size=pick.size)
+            A, b = base[pick] * sign[:, None], bound[pick] * sign
+            for got, want in zip(pj._split_pairs(A, b),
+                                 reference_split_pairs(A, b)):
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+
+    def test_equality_pair_with_zero_entry(self):
+        # -A of a row written with +0.0 entries: np.round keeps the sign
+        # of zero, so the keys must drop it for the rows to pair
+        A = np.array([[1.0, 0.0, 2.0], [-1.0, 0.0, -2.0]])
+        A_eq, b_eq, A_in, b_in = pj._split_pairs(A, np.array([1.0, -1.0]))
+        np.testing.assert_array_equal(A_eq, [[0.5, 0.0, 1.0]])
+        np.testing.assert_array_equal(b_eq, [0.5])
+        assert A_in.shape == (0, 3) and b_in.size == 0
 
 
 class TestLiftPoint:
