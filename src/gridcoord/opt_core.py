@@ -14,6 +14,14 @@ multipliers are recovered from stationarity through the same SVD, so KKT
 residuals certify the original problem. Equalities no x meets are
 infeasible before any iteration, and with k = 0 the point x_p decides alone.
 
+A stacked QP (the centralized problem of several subsystems) carries its
+blocks, the column offsets of its subsystems. Its equality rows are then
+reduced in two stages: one SVD per block of the rows that lie in it gives
+the block diagonal nullspace N_b, and one SVD of the remaining tie rows T on
+it, T N_b, gives N = N_b N_t. That is many small SVDs and one of the tie
+rows instead of one of all of A_eq; x_p and the multipliers come from the
+same two stages. A QP without blocks is one block, reduced as above.
+
 One primal-dual interior-point method with Mehrotra predictor-corrector
 steps solves the inequality-only problems in y. It runs on a family of
 B >= 1 of them (solve_family; solve_qp is a family of one): QPs with the
@@ -77,10 +85,8 @@ _TOL = 1e-8
 
 
 def _as_matrix(a, rows: int, cols: int) -> np.ndarray:
-    if a is None:
-        return np.zeros((0, cols))
-    a = np.asarray(a, dtype=float)
-    if a.size == 0:
+    a = np.zeros((0, cols)) if a is None else np.asarray(a, dtype=float)
+    if a.size == 0 and rows == 0:
         return np.zeros((0, cols))
     a = np.atleast_2d(a)
     if a.shape != (rows, cols):
@@ -94,16 +100,20 @@ def _as_vector(b) -> np.ndarray:
     return np.asarray(b, dtype=float).ravel()
 
 
-def split_svd(A: np.ndarray):
+def split_svd(A: np.ndarray, scale: float = 0.0):
     """(U, s, V, N) from one SVD of A at its numerical rank r.
 
     A = U diag(s) V' with U and V of r orthonormal columns, and the columns
     of N are an orthonormal basis of the nullspace of A.  The rank counts
-    singular values above 1e-9 times the largest; this is the package's one
-    rank rule.
+    singular values above 1e-9 times the largest, or times `scale` when
+    that is larger; this is the package's one rank rule.  A matrix that is
+    a product, such as T N for orthonormal N, passes the scale of T, so
+    that the rounding noise of a product that should vanish is not counted
+    as rank.
     """
     u, sv, vt = np.linalg.svd(A, full_matrices=A.shape[0] < A.shape[1])
-    r = int(np.count_nonzero(sv > _RANK_TOL * sv[0])) if sv.size else 0
+    r = (int(np.count_nonzero(sv > _RANK_TOL * max(sv[0], scale)))
+         if sv.size else 0)
     return u[:, :r], sv[:r], vt[:r].T, vt[r:].T
 
 
@@ -111,34 +121,86 @@ def split_svd(A: np.ndarray):
 class EqualityReduction:
     """A QP written on the nullspace of its equality rows: x = x_p + N y.
 
-    U, s, V factor A_eq = U diag(s) V' and N spans its nullspace (one SVD,
-    `split_svd`).  H and A_ineq hold the projected N'HN and A_ineq N, so one
+    Built one block at a time (`of`).  `parts` holds, per block of columns
+    (cols, a slice), the rows whose first and last nonzero lie in it and
+    the factors U, s, V of those rows on those columns (`split_svd`); N_b is
+    the block diagonal of the blocks' nullspace bases.  The tie rows, every
+    other row, are factored on that nullspace: `tie` holds their indices,
+    their matrix T and U, s, V of T N_b, or is None when there are none, and
+    then N is N_b.  Otherwise N = N_b N_t, with N_t the nullspace basis of
+    T N_b, and N is orthonormal.  The rank of T N_b counts against the scale
+    of T (its Frobenius norm): a tie row the blocks imply leaves only
+    rounding noise there.  A QP without blocks is one block owning every
+    row.  H and A_ineq hold the projected N'HN and A_ineq N, so one
     reduction serves every QP sharing H, A_ineq and A_eq, whatever its g,
     b_ineq, b_eq and c0.
     """
 
-    U: np.ndarray
-    s: np.ndarray
-    V: np.ndarray
+    parts: tuple  # per block: (cols, rows, U, s, V)
+    tie: tuple | None  # (rows, T, U, s, V) of T N_b
+    N_b: np.ndarray
     N: np.ndarray
     H: np.ndarray
     A_ineq: np.ndarray
+    p: int  # equality rows
 
     @classmethod
     def of(cls, qp: "QuadraticProgram") -> "EqualityReduction":
-        U, s, V, N = split_svd(qp.A_eq)
-        if not qp.b_eq.size:  # N is the identity
-            return cls(U, s, V, N, qp.H, qp.A_ineq)
-        return cls(U, s, V, N, N.T @ qp.H @ N, qp.A_ineq @ N)
+        A, n, p = qp.A_eq, qp.n, qp.b_eq.size
+        starts = np.asarray(qp.blocks or (0,))
+        owned, ties = [slice(None)], np.zeros(0, dtype=int)
+        if starts.size > 1:
+            nz = A != 0
+            first = nz.argmax(axis=1)
+            last = n - 1 - nz[:, ::-1].argmax(axis=1)
+            owner = np.searchsorted(starts, first, side="right") - 1
+            owner[owner != np.searchsorted(starts, last, side="right") - 1] = -1
+            owned = [np.flatnonzero(owner == i) for i in range(starts.size)]
+            ties = np.flatnonzero(owner < 0)
+        parts, bases = [], []
+        for rows, a, b in zip(owned, starts, np.append(starts[1:], n)):
+            U, s, V, N_i = split_svd(A[rows, a:b])
+            parts.append((slice(a, b), rows, U, s, V))
+            bases.append(N_i)
+        if len(bases) == 1:
+            N_b = bases[0]
+        else:
+            N_b = np.zeros((n, sum(N_i.shape[1] for N_i in bases)))
+            w = 0
+            for (cols, *_), N_i in zip(parts, bases):
+                N_b[cols, w:w + N_i.shape[1]] = N_i
+                w += N_i.shape[1]
+        tie, N = None, N_b
+        if ties.size:
+            T = A[ties]
+            U, s, V, N_t = split_svd(T @ N_b, scale=np.linalg.norm(T))
+            tie, N = (ties, T, U, s, V), N_b @ N_t
+        if not p:  # N is the identity
+            return cls(tuple(parts), tie, N_b, N, qp.H, qp.A_ineq, p)
+        return cls(tuple(parts), tie, N_b, N, N.T @ qp.H @ N, qp.A_ineq @ N, p)
 
     def particular(self, b_eq: np.ndarray) -> np.ndarray:
-        """Minimum-norm least-squares solution of A_eq x = b_eq."""
-        return self.V @ ((self.U.T @ b_eq) / self.s)
+        """Minimum-norm least-squares solution of A_eq x = b_eq: each
+        block's own, corrected along N_b to meet the tie rows."""
+        xs = [V @ ((U.T @ b_eq[rows]) / s) for _, rows, U, s, V in self.parts]
+        x = xs[0] if len(xs) == 1 else np.concatenate(xs)
+        if self.tie is not None:
+            rows, T, U, s, V = self.tie
+            x = x + self.N_b @ (V @ ((U.T @ (b_eq[rows] - T @ x)) / s))
+        return x
 
     def eq_duals(self, r: np.ndarray) -> np.ndarray:
         """Least-squares y with A_eq'y = -r: the equality multipliers that
-        leave stationarity residual r only in the nullspace directions."""
-        return -self.U @ ((self.V.T @ r) / self.s)
+        leave stationarity residual r only in the nullspace directions.
+        The tie rows' come from N_b'r, the blocks' from what they leave."""
+        y = np.empty(self.p)
+        if self.tie is not None:
+            rows, T, U, s, V = self.tie
+            y[rows] = y_t = -U @ ((V.T @ (self.N_b.T @ r)) / s)
+            r = r + T.T @ y_t
+        for cols, rows, U, s, V in self.parts:
+            y[rows] = -U @ ((V.T @ r[cols]) / s)
+        return y
 
     def with_cost(self, cols, Q) -> "EqualityReduction":
         """The reduction after 0.5 z'Qz is added on columns `cols` of H."""
@@ -151,11 +213,17 @@ class EqualityReduction:
 class QuadraticProgram:
     """Problem data for min 0.5 x'Hx + g'x + c0, A_ineq x <= b_ineq, A_eq x = b_eq.
 
-    `reduction`, when given, must be `EqualityReduction.of` a QP with the
-    same H, A_ineq and A_eq; solve_qp then skips the SVD.  `active_hint`,
-    when given, is a boolean mask over the inequality rows, the rows
-    guessed active at the optimum; solve_qp tries them first (`_warm_start`)
-    and runs the interior-point method when they are not the active set.
+    `blocks`, when given, are the column offsets of the subsystems a
+    stacked QP is made of (increasing, from 0): block i is columns
+    blocks[i] up to blocks[i + 1], the last one up to n.  Most equality
+    rows then lie in one block, and the equality reduction factors those
+    block by block (`EqualityReduction.of`); without blocks every column is
+    one block.  `reduction`, when given, must be `EqualityReduction.of` a QP
+    with the same H, A_ineq, A_eq and blocks; solve_qp then skips the
+    SVDs.  `active_hint`, when given, is a boolean mask over the inequality
+    rows, the rows guessed active at the optimum; solve_qp tries them first
+    (`_warm_start`) and runs the interior-point method when they are not
+    the active set.
     """
 
     H: np.ndarray
@@ -169,6 +237,7 @@ class QuadraticProgram:
                                                 compare=False)
     active_hint: np.ndarray | None = field(default=None, repr=False,
                                            compare=False)
+    blocks: tuple | None = None
 
     def __post_init__(self):
         self.g = _as_vector(self.g)
@@ -193,6 +262,13 @@ class QuadraticProgram:
             if self.active_hint.shape != self.b_ineq.shape:
                 raise ValueError(f"active_hint must be ({self.b_ineq.size},), "
                                  f"got {self.active_hint.shape}")
+        if self.blocks is not None:
+            self.blocks = tuple(int(c) for c in self.blocks)
+            b = np.array(self.blocks)
+            if not (b.size and b[0] == 0 and (np.diff(b) > 0).all()
+                    and b[-1] < n):
+                raise ValueError("blocks must be increasing column offsets "
+                                 f"from 0 below n = {n}, got {self.blocks}")
 
     @property
     def n(self) -> int:

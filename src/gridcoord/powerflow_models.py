@@ -459,6 +459,12 @@ def build_dso_model(case: GridCase, link, kind: str,
 
 @dataclass(frozen=True)
 class CentralizedProblem:
+    """The stacked QP of a partition and the models it stacks.
+
+    qp carries its blocks, the column offset of every subsystem (the same
+    as `offsets`), so solve_qp reduces its equality rows one subsystem at a
+    time plus one stage for the interface tie rows."""
+
     qp: QuadraticProgram
     tso: PolyhedralModel
     dsos: tuple
@@ -472,7 +478,8 @@ def assemble_centralized(part, dso_models="loss_linearized",
 
     Per interconnection, the transmission-side coupling triple is tied to
     the feeder-side triple by equality; the objective is the plain sum of
-    subsystem costs.
+    subsystem costs.  Rows come subsystem by subsystem, the tie rows last,
+    and the QP carries the subsystems' column offsets as its blocks.
     """
     if isinstance(dso_models, str):
         dso_models = [dso_models] * len(part.dsos)
@@ -485,42 +492,36 @@ def assemble_centralized(part, dso_models="loss_linearized",
         dso_list.append(build_dso_model(case, link, dso_models[i], op))
 
     models = [tso_model] + dso_list
-    offsets = np.cumsum([0] + [m.vmap.n for m in models])[:-1]
-    n = int(sum(m.vmap.n for m in models))
+    qps = [m.qp_skeleton for m in models]
+    offsets = np.cumsum([0] + [qp.n for qp in qps])
+    n = int(offsets[-1])
+    eq_at = np.cumsum([0] + [qp.b_eq.size for qp in qps])
+    in_at = np.cumsum([0] + [qp.b_ineq.size for qp in qps])
+    ties = 3 * len(dso_list)
 
     H = np.zeros((n, n))
     g = np.zeros(n)
+    A_eq = np.zeros((eq_at[-1] + ties, n))
+    A_in = np.zeros((in_at[-1], n))
     c0 = 0.0
-    eq_rows, eq_rhs, in_rows, in_rhs = [], [], [], []
-    for off, m in zip(offsets, models):
-        qp = m.qp_skeleton
-        sl = slice(off, off + m.vmap.n)
+    for k, qp in enumerate(qps):
+        sl = slice(offsets[k], offsets[k + 1])
         H[sl, sl] = qp.H
         g[sl] = qp.g
+        A_eq[eq_at[k]:eq_at[k + 1], sl] = qp.A_eq
+        A_in[in_at[k]:in_at[k + 1], sl] = qp.A_ineq
         c0 += qp.c0
-        for row, rhs in zip(qp.A_eq, qp.b_eq):
-            full = np.zeros(n)
-            full[sl] = row
-            eq_rows.append(full)
-            eq_rhs.append(rhs)
-        for row, rhs in zip(qp.A_ineq, qp.b_ineq):
-            full = np.zeros(n)
-            full[sl] = row
-            in_rows.append(full)
-            in_rhs.append(rhs)
-    for k, dso in enumerate(dso_list):
-        t_cols = tso_model.vmap.coupling_triple(k)
-        d_cols = dso.vmap.coupling_triple(0)
-        for tc, dc in zip(t_cols, d_cols):
-            row = np.zeros(n)
-            row[offsets[0] + tc] = 1.0
-            row[offsets[1 + k] + dc] = -1.0
-            eq_rows.append(row)
-            eq_rhs.append(0.0)
+    tie_rows = eq_at[-1] + np.arange(ties)
+    A_eq[tie_rows, [offsets[0] + c for k in range(len(dso_list))
+                    for c in tso_model.vmap.coupling_triple(k)]] = 1.0
+    A_eq[tie_rows, [offsets[1 + k] + c for k, dso in enumerate(dso_list)
+                    for c in dso.vmap.coupling_triple(0)]] = -1.0
+    b_eq = np.concatenate([qp.b_eq for qp in qps] + [np.zeros(ties)])
 
-    qp = QuadraticProgram(H, g, np.array(in_rows).reshape(-1, n), in_rhs,
-                          np.array(eq_rows).reshape(-1, n), eq_rhs, c0)
-    return CentralizedProblem(qp, tso_model, tuple(dso_list), tuple(int(o) for o in offsets))
+    offsets = tuple(int(o) for o in offsets[:-1])
+    qp = QuadraticProgram(H, g, A_in, np.concatenate([qp.b_ineq for qp in qps]),
+                          A_eq, b_eq, c0, blocks=offsets)
+    return CentralizedProblem(qp, tso_model, tuple(dso_list), offsets)
 
 
 def attach_quadratic_cost(model: PolyhedralModel, extra,

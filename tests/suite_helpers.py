@@ -25,6 +25,19 @@ def record_criterion(num, desc, ok, detail=""):
         (f" ({detail})" if detail else "")
 
 
+def _templates():
+    """The packaged 9-bus transmission case, its generators raised to
+    TSO_PMAX_FACTOR times their rating as the benchmark raises them, and the
+    packaged 15-bus feeder."""
+    data = resources.files("gridcoord").joinpath("data")
+    tso, feeder = (
+        gm.load_case(data.joinpath(name).read_text(encoding="utf-8"))
+        for name in ("case9.json", "case15.json"))
+    tso = replace(tso, gens=tuple(
+        replace(g, p_max=gm.TSO_PMAX_FACTOR * g.p_max) for g in tso.gens))
+    return tso, feeder
+
+
 def feeder_copies(count):
     """`count` copies of the packaged 15-bus feeder on the packaged 9-bus
     transmission case, made as the benchmark's `wide` workload makes them.
@@ -35,12 +48,7 @@ def feeder_copies(count):
     has the same reduced shape, while its loss linearisation, and so its
     equality rows, depends on its loads.
     """
-    data = resources.files("gridcoord").joinpath("data")
-    tso, feeder = (
-        gm.load_case(data.joinpath(name).read_text(encoding="utf-8"))
-        for name in ("case9.json", "case15.json"))
-    tso = replace(tso, gens=tuple(
-        replace(g, p_max=gm.TSO_PMAX_FACTOR * g.p_max) for g in tso.gens))
+    tso, feeder = _templates()
     a2, a1, a0 = gm.DEFAULT_DSO_GEN_COST
     feeders = []
     for factor in np.linspace(0.75, 1.25, count):
@@ -60,3 +68,29 @@ def feeder_copies(count):
     links = tuple(gm.Interconnection(k + 1, 4 + k % 6, feeder.slack_id())
                   for k in range(count))
     return gm.Partition(tso, tuple(feeders), links)
+
+
+def deep_feeder(ids=range(2, 11), dso_index=1, tso_bus=8):
+    """A feeder of the benchmark's `deep` workload: the packaged 15-bus
+    feeder with the loads at `ids` turned into generators of their active
+    load, attached at transmission bus `tso_bus`.  The defaults give
+    feeder 1, the one with nine generators."""
+    feeder = _templates()[1]
+    a2, a1, a0 = gm.DEFAULT_DSO_GEN_COST
+    caps = {b.id: b.p_load for b in feeder.buses if b.id in ids}
+    gens = tuple(gm.Generator(bus=i, p_min=0.0, p_max=caps[i],
+                              q_min=-0.5 * caps[i], q_max=0.5 * caps[i],
+                              cost_a2=a2, cost_a1=a1, cost_a0=a0)
+                 for i in ids)
+    buses = tuple(replace(b, kind="generator", p_load=0.0, q_load=0.0)
+                  if b.id in ids else b for b in feeder.buses)
+    case = replace(feeder, buses=buses, gens=feeder.gens + gens)
+    return case, gm.Interconnection(dso_index, tso_bus, feeder.slack_id())
+
+
+def deep_partition():
+    """The benchmark's `deep` workload: feeder 1 with nine generators at
+    transmission bus 8, feeder 2 with generators at buses 8 and 14 at bus
+    6."""
+    (c1, l1), (c2, l2) = deep_feeder(), deep_feeder((8, 14), 2, 6)
+    return gm.Partition(_templates()[0], (c1, c2), (l1, l2))

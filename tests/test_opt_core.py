@@ -1,5 +1,6 @@
 """QP/LP kernel tests: statuses, dual conventions, KKT certificates, oracles."""
 import logging
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -7,12 +8,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
+from gridcoord import grid_model as gm
 from gridcoord import opt_core as oc
 from gridcoord import powerflow_models as pm
 from gridcoord import projection as pj
 from gridcoord.value_function import QuadraticValueFn
 
-from suite_helpers import feeder_copies
+from suite_helpers import MODEL_KINDS, deep_partition, feeder_copies
 
 
 def certify(qp, sol, tol=1e-8):
@@ -114,6 +116,15 @@ class TestSolveQp:
         with pytest.raises(ValueError):
             oc.QuadraticProgram([[1.0, 2.0], [0.0, 1.0]], [0.0, 0.0])
 
+    @pytest.mark.parametrize("rows", [
+        {"A_ineq": np.zeros((0, 2)), "b_ineq": [-1.0]},
+        {"A_eq": [], "b_eq": [5.0]}])
+    def test_empty_matrix_beside_rows_rejected(self, rows):
+        # an empty matrix with a right-hand side is a shape error, not a QP
+        # with no rows of that kind
+        with pytest.raises(ValueError, match="shape"):
+            oc.QuadraticProgram(np.eye(2), [1.0, 0.0], **rows)
+
     def test_indefinite_h_rejected(self):
         qp = oc.QuadraticProgram([[-1.0]], [0.0], [[1.0], [-1.0]], [1.0, 1.0])
         with pytest.raises(ValueError):
@@ -154,6 +165,60 @@ def random_equality_lp(seed, n=8, p=3, m=12):
     A_in = np.vstack([rng.normal(size=(m, n)), np.eye(n), -np.eye(n)])
     b_in = A_in @ x0 + rng.uniform(0.1, 1.0, size=A_in.shape[0])
     return rng.normal(size=n), A_in, b_in, A_eq, A_eq @ x0
+
+
+# Column spans of three blocks for the block-wise reduction tests.
+SPANS = ((0, 4), (4, 9), (9, 12))
+BLOCKS = tuple(a for a, _ in SPANS)
+
+
+def block_rows(rng, block, count):
+    """`count` random rows whose nonzeros all lie in one block."""
+    a, b = SPANS[block]
+    A = np.zeros((count, SPANS[-1][1]))
+    A[:, a:b] = rng.normal(size=(count, b - a))
+    return A
+
+
+def stacked_qp(A_eq, seed, b_eq=None, blocks=BLOCKS):
+    """A strictly convex QP over the three blocks with equality rows A_eq,
+    met at a random point inside a box of half-width 1 unless b_eq is
+    given, and a dense H that couples the blocks."""
+    rng = np.random.default_rng(seed)
+    n = A_eq.shape[1]
+    x0 = rng.normal(size=n)
+    M = rng.normal(size=(n, n))
+    A_in = np.vstack([np.eye(n), -np.eye(n)])
+    return oc.QuadraticProgram(
+        M.T @ M + 0.1 * np.eye(n), rng.normal(size=n), A_in,
+        np.concatenate([x0, -x0]) + 1.0, A_eq,
+        A_eq @ x0 if b_eq is None else b_eq, blocks=blocks)
+
+
+def assert_matches_one_svd(qp):
+    """The block-wise reduction of qp against one SVD of its whole A_eq:
+    the same nullspace dimension and span, an orthonormal N, the same x_p,
+    and solutions that certify with the same objective.  Returns the
+    block-wise reduction and both solutions."""
+    red = oc.EqualityReduction.of(qp)
+    one = oc.EqualityReduction.of(replace(qp, blocks=None))
+    k = one.N.shape[1]
+    assert red.N.shape == (qp.n, k)
+    np.testing.assert_allclose(red.N.T @ red.N, np.eye(k), atol=1e-12)
+    if k:
+        sv = np.linalg.svd(red.N.T @ one.N, compute_uv=False)
+        assert np.abs(sv - 1.0).max() <= 1e-10
+    np.testing.assert_allclose(red.particular(qp.b_eq),
+                               one.particular(qp.b_eq), rtol=0, atol=1e-12)
+    sol, ref = oc.solve_qp(qp), oc.solve_qp(replace(qp, blocks=None))
+    assert sol.status == ref.status
+    if ref.status == oc.OPTIMAL:
+        certify(qp, sol)
+        certify(qp, ref)
+        assert abs(sol.objective - ref.objective) <= \
+            1e-9 * abs(ref.objective)
+        assert sol.duals_eq.shape == (qp.b_eq.size,)
+    return red, sol, ref
 
 
 def spy_factorizations(monkeypatch):
@@ -243,6 +308,146 @@ class TestEqualityReduction:
                       bounds=(None, None), method="highs")
         assert ref.status == 0
         assert abs(sol.objective - ref.fun) <= 1e-7 * (1.0 + abs(ref.fun))
+
+    @pytest.mark.parametrize("blocks", [None, (0,)])
+    def test_without_blocks_is_one_svd_bit_for_bit(self, blocks):
+        # one block owning every row: no tie stage, the arithmetic of one
+        # split_svd of A_eq
+        g, A_in, b_in, A_eq, b_eq = random_equality_lp(4)
+        A_eq = np.vstack([A_eq, A_eq[0] - A_eq[2]])
+        b_eq = np.append(b_eq, b_eq[0] - b_eq[2])
+        qp = oc.QuadraticProgram(np.diag(np.arange(g.size, dtype=float)), g,
+                                 A_in, b_in, A_eq, b_eq, blocks=blocks)
+        red = oc.EqualityReduction.of(qp)
+        U, s, V, N = oc.split_svd(qp.A_eq)
+        assert red.tie is None and s.size == 3
+        r = np.random.default_rng(0).normal(size=g.size)
+        for got, want in ((red.N, N), (red.N_b, N),
+                          (red.particular(b_eq), V @ ((U.T @ b_eq) / s)),
+                          (red.eq_duals(r), -U @ ((V.T @ r) / s)),
+                          (red.H, N.T @ qp.H @ N), (red.A_ineq, A_in @ N)):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    @pytest.mark.parametrize("workload", ["builtin", "deep", "wide"])
+    def test_stacked_systems_match_one_svd(self, workload, kind):
+        # The centralized QPs of the benchmark workloads: one SVD per
+        # subsystem, then one of the interface tie rows, agree with one SVD
+        # of the whole stacked A_eq, and both solves certify with the same
+        # multipliers in the same row order.
+        part = {"builtin": gm.load_builtin_benchmark,
+                "deep": deep_partition,
+                "wide": lambda: feeder_copies(14)}[workload]()
+        prob = pm.assemble_centralized(part, kind)
+        qp = prob.qp
+        assert qp.blocks == prob.offsets
+        red, sol, ref = assert_matches_one_svd(qp)
+        p, ties = qp.b_eq.size, 3 * len(part.dsos)
+        assert np.array_equal(red.tie[0], np.arange(p - ties, p))
+        assert len(red.parts) == 1 + len(part.dsos)
+        assert red.N.shape[1] == {"builtin": 12, "deep": 24,
+                                  "wide": 58}[workload]
+        assert sol.iterations == ref.iterations
+        np.testing.assert_allclose(
+            sol.duals_eq, ref.duals_eq, rtol=0,
+            atol=1e-8 * (1.0 + np.abs(ref.duals_eq).max()))
+
+    def test_block_without_rows(self):
+        # the last block has no rows of its own: its nullspace is every
+        # direction, and only a tie row reaches it
+        rng = np.random.default_rng(11)
+        A_eq = np.vstack([block_rows(rng, 0, 2), block_rows(rng, 1, 3),
+                          rng.normal(size=(2, 12))])
+        qp = stacked_qp(A_eq, 11)
+        red, sol, _ = assert_matches_one_svd(qp)
+        cols, rows, U, s, V = red.parts[2]
+        assert rows.size == 0 and s.size == 0
+        assert (red.N_b[cols] != 0).any(axis=0).sum() == 3
+        assert red.N.shape[1] == 12 - 7 and sol.iterations > 0
+
+    def test_rank_deficient_block(self):
+        # block 1 carries three rows of rank two
+        rng = np.random.default_rng(12)
+        B = block_rows(rng, 1, 2)
+        A_eq = np.vstack([block_rows(rng, 0, 1), B, B[0] - 2.0 * B[1],
+                          rng.normal(size=(1, 12))])
+        red, _, _ = assert_matches_one_svd(stacked_qp(A_eq, 12))
+        assert red.parts[1][1].size == 3 and red.parts[1][3].size == 2
+        assert red.N.shape[1] == 12 - 4
+
+    def test_redundant_tie_row(self):
+        # three tie rows of rank two
+        rng = np.random.default_rng(13)
+        T = rng.normal(size=(2, 12))
+        A_eq = np.vstack([block_rows(rng, 0, 2), block_rows(rng, 2, 1), T,
+                          2.0 * T[0] - T[1]])
+        red, _, _ = assert_matches_one_svd(stacked_qp(A_eq, 13))
+        assert red.tie[0].size == 3 and red.tie[3].size == 2
+        assert red.N.shape[1] == 12 - 5
+
+    def test_tie_row_implied_by_the_blocks(self):
+        # the only tie row is the sum of a row of block 0 and one of block
+        # 1, so T N_b vanishes but for rounding noise; split_svd's own rule
+        # would take that noise as rank 1, the scale of T does not
+        rng = np.random.default_rng(14)
+        A0, A1 = block_rows(rng, 0, 2), block_rows(rng, 1, 2)
+        A_eq = np.vstack([A0, A1, A0[1] + A1[0]])
+        qp = stacked_qp(A_eq, 14)
+        red, _, _ = assert_matches_one_svd(qp)
+        rows, T = red.tie[:2]
+        assert rows.tolist() == [4]
+        noise = T @ red.N_b
+        assert 0.0 < np.abs(noise).max() < 1e-14
+        assert oc.split_svd(noise)[1].size == 1
+        assert red.tie[3].size == 0 and red.N.shape[1] == 12 - 4
+
+    def test_inconsistent_tie_rows_infeasible_at_once(self):
+        rng = np.random.default_rng(15)
+        t = rng.normal(size=12)
+        A_eq = np.vstack([block_rows(rng, 0, 1), block_rows(rng, 1, 2), t, t])
+        qp = stacked_qp(A_eq, 15, b_eq=np.array([0.0, 0.0, 0.0, 1.0, 2.0]))
+        red, sol, _ = assert_matches_one_svd(qp)
+        assert red.tie[0].size == 2
+        assert sol.status == oc.INFEASIBLE and sol.iterations == 0
+
+    def test_no_tie_rows(self):
+        # every row lies in one block: N is the block diagonal of the
+        # blocks' own nullspaces
+        rng = np.random.default_rng(16)
+        A_eq = np.vstack([block_rows(rng, 1, 2), block_rows(rng, 0, 1),
+                          block_rows(rng, 2, 2)])
+        red, sol, _ = assert_matches_one_svd(stacked_qp(A_eq, 16))
+        assert red.tie is None and red.N is red.N_b
+        assert [rows.tolist() for _, rows, *_ in red.parts] == \
+            [[2], [0, 1], [3, 4]]
+        for (cols, *_), (a, b) in zip(red.parts, SPANS):
+            outside = np.ones(12, dtype=bool)
+            outside[a:b] = False
+            used = (red.N[cols] != 0).any(axis=0)
+            assert not red.N[outside][:, used].any()
+        assert sol.iterations > 0
+
+    @pytest.mark.parametrize("blocks", [(1, 4), (0, 4, 4), (0, 9, 4),
+                                        (0, 12), ()])
+    def test_bad_blocks_rejected(self, blocks):
+        with pytest.raises(ValueError, match="blocks"):
+            stacked_qp(block_rows(np.random.default_rng(0), 0, 1), 0,
+                       blocks=blocks)
+
+    def test_28_feeder_ladder_rung_within_budget(self):
+        # twice the wide workload's feeders: assembly and the block-wise
+        # reduction and solve of its centralized QP, (n, p) = (1496, 1382),
+        # certify within a second.  With one SVD of the whole A_eq the same
+        # steps take about 1.9 s (2-core host, one BLAS thread), against
+        # about 0.2 s.
+        part = feeder_copies(28)
+        start = time.perf_counter()
+        qp = pm.assemble_centralized(part, "loss_linearized").qp
+        sol = oc.solve_qp(qp)
+        elapsed = time.perf_counter() - start
+        certify(qp, sol, 1e-8)
+        assert (qp.n, qp.b_eq.size) == (1496, 1382)
+        assert elapsed <= 1.0, elapsed
 
     def test_dso_subproblem_factors_no_equality_block(
             self, monkeypatch, benchmark_dso_models):

@@ -1,8 +1,6 @@
 """Projection tests: Fourier-Motzkin, redundancy pruning, FOR extraction."""
 import json
 import time
-from dataclasses import replace
-from importlib import resources
 
 import numpy as np
 import pytest
@@ -12,7 +10,7 @@ from gridcoord import grid_model as gm
 from gridcoord import opt_core as oc
 from gridcoord import powerflow_models as pm
 from gridcoord import projection as pj
-from suite_helpers import MODEL_KINDS, feeder_copies
+from suite_helpers import MODEL_KINDS, deep_feeder, feeder_copies
 
 
 def box(dim, lo=0.0, hi=1.0):
@@ -311,26 +309,6 @@ class TestHullPruning:
         A_out, b_out, feasible = pj._prune_rows(A, b, None, None, z0=z0)
         assert feasible and b_out.size == 8
         assert_same_set(A, b, A_out, b_out, np.random.default_rng(5), 2.0)
-
-
-def deep_feeder(ids=range(2, 11), dso_index=1, tso_bus=8):
-    """A feeder of the benchmark's `deep` workload: the packaged 15-bus
-    feeder with the loads at `ids` turned into generators of their active
-    load, attached at transmission bus `tso_bus`.  The defaults give
-    feeder 1, the one with nine generators."""
-    data = resources.files("gridcoord").joinpath("data")
-    feeder = gm.load_case(data.joinpath("case15.json").read_text(
-        encoding="utf-8"))
-    a2, a1, a0 = gm.DEFAULT_DSO_GEN_COST
-    caps = {b.id: b.p_load for b in feeder.buses if b.id in ids}
-    gens = tuple(gm.Generator(bus=i, p_min=0.0, p_max=caps[i],
-                              q_min=-0.5 * caps[i], q_max=0.5 * caps[i],
-                              cost_a2=a2, cost_a1=a1, cost_a0=a0)
-                 for i in ids)
-    buses = tuple(replace(b, kind="generator", p_load=0.0, q_load=0.0)
-                  if b.id in ids else b for b in feeder.buses)
-    case = replace(feeder, buses=buses, gens=feeder.gens + gens)
-    return case, gm.Interconnection(dso_index, tso_bus, feeder.slack_id())
 
 
 def rank_11_system(seed, n_eq=0):
