@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import logging
 import time
-from copy import copy
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -155,9 +154,7 @@ class _Pull:
             term = _pull_term(lam, z_bar, self.rho)
             g[list(self.model.vmap.coupling_triple(slot))] += term.c
             c0 += term.d
-        qp = copy(self.penalized)  # shares H, the rows and the reduction
-        qp.g, qp.c0, qp.active_hint = g, c0, self.active
-        return qp
+        return self.penalized.member(g=g, c0=c0, active_hint=self.active)
 
     def remember(self, sol: QpSolution) -> None:
         """Hint the rows active at sol to the next round's subproblem."""

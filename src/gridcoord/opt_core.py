@@ -30,11 +30,16 @@ lockstep on stacked iterates, as in OptNet's batched solver (Amos & Kolter,
 ICML 2017). They share a shape, not data: each keeps its own H, g,
 constraints and EqualityReduction, and members of one reduction (the value
 samples of one model, which differ only in b_eq) share its H and A_ineq.
-Each step eliminates the slacks and multipliers into one k x k normal
-matrix per member, H + A' diag(mu/s) A (Wright, Primal-Dual Interior-Point
-Methods, 1997, ch. 11), and solves all of them in one batched LU call.
-Every product is taken per member, so a member's iterates do not depend on
-the others, and a QP solved alone runs bit for bit as it runs in a family.
+The work around the loop is batched too: the members of one reduction are
+set up (x_p, the equality check, the reduced g, b_ineq and c0) and lifted
+back (x = x_p + N y, the equality multipliers, the objective) as stacked
+arrays, one row a member. Each step eliminates the slacks and multipliers
+into one k x k normal matrix per member, H + A' diag(mu/s) A (Wright,
+Primal-Dual Interior-Point Methods, 1997, ch. 11), and solves all of them
+in one batched LU call.
+Every product, in the loop and around it, is taken per member (one
+matrix-vector product a row), so a member's iterates do not depend on the
+others, and a QP solved alone runs bit for bit as it runs in a family.
 A member whose normal step is not finite (its normal matrix turned
 singular) takes the step of its (k + m) quasi-definite KKT system for that
 solve; when that is not finite either, it leaves at that iteration with
@@ -62,9 +67,10 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
-from numpy.linalg import LinAlgError, _umath_linalg
+from numpy.linalg import _umath_linalg
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -181,26 +187,50 @@ class EqualityReduction:
 
     def particular(self, b_eq: np.ndarray) -> np.ndarray:
         """Minimum-norm least-squares solution of A_eq x = b_eq: each
-        block's own, corrected along N_b to meet the tie rows."""
-        xs = [V @ ((U.T @ b_eq[rows]) / s) for _, rows, U, s, V in self.parts]
-        x = xs[0] if len(xs) == 1 else np.concatenate(xs)
+        block's own, corrected along N_b to meet the tie rows.
+
+        b_eq may be a (B, p) stack, one right-hand side a row; the
+        solutions come back as rows, each computed as it is alone
+        (`_rows`)."""
+        if not self.p:
+            return np.zeros(b_eq.shape[:-1] + self.N.shape[:1])
+        B = b_eq if b_eq.ndim == 2 else b_eq[None]
+        xs = [_rows(_rows(B[:, rows], U) / s, V.T)
+              for _, rows, U, s, V in self.parts]
+        X = xs[0] if len(xs) == 1 else np.concatenate(xs, axis=1)
         if self.tie is not None:
             rows, T, U, s, V = self.tie
-            x = x + self.N_b @ (V @ ((U.T @ (b_eq[rows] - T @ x)) / s))
-        return x
+            w = _rows(_rows(B[:, rows] - _rows(X, T.T), U) / s, V.T)
+            X = X + _rows(w, self.N_b.T)
+        return X if b_eq.ndim == 2 else X[0]
 
     def eq_duals(self, r: np.ndarray) -> np.ndarray:
         """Least-squares y with A_eq'y = -r: the equality multipliers that
         leave stationarity residual r only in the nullspace directions.
-        The tie rows' come from N_b'r, the blocks' from what they leave."""
-        y = np.empty(self.p)
+        The tie rows' come from N_b'r, the blocks' from what they leave.
+        r may be a (B, n) stack, as in `particular`."""
+        if not self.p:
+            return np.zeros(r.shape[:-1] + (0,))
+        R = r if r.ndim == 2 else r[None]
+        Y = np.empty((R.shape[0], self.p))
         if self.tie is not None:
             rows, T, U, s, V = self.tie
-            y[rows] = y_t = -U @ ((V.T @ (self.N_b.T @ r)) / s)
-            r = r + T.T @ y_t
+            Y[:, rows] = Y_t = -_rows(_rows(_rows(R, self.N_b), V) / s, U.T)
+            R = R + _rows(Y_t, T)
         for cols, rows, U, s, V in self.parts:
-            y[rows] = -U @ ((V.T @ r[cols]) / s)
-        return y
+            Y[:, rows] = -_rows(_rows(R[:, cols], V) / s, U.T)
+        return Y if r.ndim == 2 else Y[0]
+
+    @cached_property
+    def reduced(self) -> tuple["QuadraticProgram", np.ndarray]:
+        """(qp, H_ipm): the QP in y, with inequality rows only, of g = 0
+        and b_ineq = 0, and its H as the interior-point method takes it
+        (`_psd_lift`, which rejects an indefinite H).  Each QP's own
+        reduced problem is the `member` of qp with the QP's reduced g,
+        b_ineq and c0.  Built, and H checked, once a reduction."""
+        qp = QuadraticProgram(self.H, np.zeros(self.N.shape[1]), self.A_ineq,
+                              np.zeros(self.A_ineq.shape[0]))
+        return qp, _psd_lift(qp.H)
 
     def with_cost(self, cols, Q) -> "EqualityReduction":
         """The reduction after 0.5 z'Qz is added on columns `cols` of H."""
@@ -223,7 +253,9 @@ class QuadraticProgram:
     SVDs.  `active_hint`, when given, is a boolean mask over the inequality
     rows, the rows guessed active at the optimum; solve_qp tries them first
     (`_warm_start`) and runs the interior-point method when they are not
-    the active set.
+    the active set.  `member` builds the QPs of one family: they share H,
+    the constraint matrices and the reduction, and differ in g, b_ineq,
+    b_eq, c0 and active_hint.
     """
 
     H: np.ndarray
@@ -247,21 +279,20 @@ class QuadraticProgram:
             H = np.zeros((n, n))
         if H.shape != (n, n):
             raise ValueError(f"H must be ({n},{n}), got {H.shape}")
-        if H.size:
+        # An exactly symmetric H is its own symmetric part.
+        if H.size and not np.array_equal(H, H.T):
             scale = 1.0 + float(np.abs(H).max())
             if float(np.abs(H - H.T).max()) > 1e-8 * scale:
                 raise ValueError("H must be symmetric")
-        self.H = 0.5 * (H + H.T)
+            H = 0.5 * (H + H.T)
+        self.H = np.ascontiguousarray(H)
         self.b_ineq = _as_vector(self.b_ineq)
         self.A_ineq = _as_matrix(self.A_ineq, self.b_ineq.size, n)
         self.b_eq = _as_vector(self.b_eq)
         self.A_eq = _as_matrix(self.A_eq, self.b_eq.size, n)
         self.c0 = float(self.c0)
         if self.active_hint is not None:
-            self.active_hint = np.asarray(self.active_hint, dtype=bool)
-            if self.active_hint.shape != self.b_ineq.shape:
-                raise ValueError(f"active_hint must be ({self.b_ineq.size},), "
-                                 f"got {self.active_hint.shape}")
+            self.active_hint = _as_hint(self.active_hint, self.b_ineq.size)
         if self.blocks is not None:
             self.blocks = tuple(int(c) for c in self.blocks)
             b = np.array(self.blocks)
@@ -281,6 +312,35 @@ class QuadraticProgram:
     def with_reduction(self) -> "QuadraticProgram":
         """This QP carrying its EqualityReduction for the QPs built from it."""
         return replace(self, reduction=EqualityReduction.of(self))
+
+    def member(self, g=None, b_ineq=None, b_eq=None, c0=None,
+               active_hint=None) -> "QuadraticProgram":
+        """A QP of this one's family: the same H, constraint matrices,
+        blocks and reduction (shared, not copied), with the g, b_ineq,
+        b_eq, c0 and active_hint given and this QP's own for the rest.
+
+        Only the new vectors' shapes are checked, so building a family
+        does not validate H once a member."""
+        qp = object.__new__(QuadraticProgram)  # copy.copy, without its
+        qp.__dict__.update(self.__dict__)      # generic protocol
+        for name, v in (("g", g), ("b_ineq", b_ineq), ("b_eq", b_eq)):
+            if v is not None:
+                v, want = _as_vector(v), getattr(self, name).shape
+                if v.shape != want:
+                    raise ValueError(f"{name} must be {want}, got {v.shape}")
+                setattr(qp, name, v)
+        if c0 is not None:
+            qp.c0 = float(c0)
+        if active_hint is not None:
+            qp.active_hint = _as_hint(active_hint, self.b_ineq.size)
+        return qp
+
+
+def _as_hint(active, m: int) -> np.ndarray:
+    active = np.asarray(active, dtype=bool)
+    if active.shape != (m,):
+        raise ValueError(f"active_hint must be ({m},), got {active.shape}")
+    return active
 
 
 @dataclass
@@ -318,17 +378,21 @@ def _certify_ray(qp: QuadraticProgram, x: np.ndarray) -> bool:
     return float(qp.g @ d) < -1e-9
 
 
-def _solve_unconstrained(qp: QuadraticProgram, tol: float) -> QpSolution:
-    """min 0.5 y'Hy + g'y by pseudoinverse; unbounded when H is singular
-    along g."""
-    _psd_lift(qp.H)
-    U, s, V, _ = split_svd(qp.H)
-    y = -V @ ((U.T @ qp.g) / s)
-    Hy = qp.H @ y
-    scale = 1.0 + np.abs(qp.g).max(initial=0.0) + np.abs(Hy).max(initial=0.0)
-    if np.abs(Hy + qp.g).max(initial=0.0) <= max(tol, 1e-7) * scale:
-        return QpSolution(OPTIMAL, y, qp.objective(y), np.zeros(0), np.zeros(0), 1)
-    return QpSolution(UNBOUNDED, y, -np.inf, np.zeros(0), np.zeros(0), 1)
+def _solve_unconstrained(H, G, C0, tol: float) -> list[QpSolution]:
+    """min 0.5 y'Hy + G[b]'y + C0[b] for every row b, by one pseudoinverse
+    of H, which must be positive semidefinite (`EqualityReduction.reduced`
+    checks it); unbounded when H is singular along G[b]."""
+    U, s, V, _ = split_svd(H)
+    Y = -_rows(_rows(G, U) / s, V.T)
+    HY = _rows(Y, H.T)
+    scale = (1.0 + np.abs(G).max(axis=1, initial=0.0)
+             + np.abs(HY).max(axis=1, initial=0.0))
+    ok = np.abs(HY + G).max(axis=1, initial=0.0) <= max(tol, 1e-7) * scale
+    obj = np.full(len(Y), -np.inf)
+    obj[ok] = _objectives(H, G[ok], C0[ok], Y[ok])
+    return [QpSolution(OPTIMAL if good else UNBOUNDED, y, float(o),
+                       np.zeros(0), np.zeros(0), 1)
+            for y, o, good in zip(Y, obj, ok)]
 
 
 def _undecided(qp: QuadraticProgram, x, mu, best_x, best_mu, it: int,
@@ -350,8 +414,30 @@ def _undecided(qp: QuadraticProgram, x, mu, best_x, best_mu, it: int,
 def _rows(X: np.ndarray, M: np.ndarray) -> np.ndarray:
     """Each row of X times M as its own product.  The rows of one 2-D
     matrix product can round differently with the number of rows, these
-    cannot, so a family member's iterates do not depend on the others."""
+    cannot, so a family member's iterates do not depend on the others.
+    M is one matrix for every row or a stack of one a row.  A single row
+    is the same vector-matrix product, without the batch."""
+    if len(X) == 1:
+        return X @ (M[0] if M.ndim == 3 else M)
     return (X[:, None, :] @ M)[:, 0]
+
+
+def _stack(rows: list) -> np.ndarray:
+    """The equal-length vectors of rows as the rows of one matrix."""
+    return rows[0][None] if len(rows) == 1 else np.array(rows)
+
+
+def _dots(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Each row of X dotted with the same row of Y, as its own product."""
+    if len(X) == 1:
+        return (X[0] @ Y[0])[None]
+    return (X[:, None, :] @ Y[:, :, None])[:, 0, 0]
+
+
+def _objectives(H, G, C0, X) -> np.ndarray:
+    """0.5 x'Hx + g'x + c0 of each row x of X, with its row of G and C0,
+    rounded as QuadraticProgram.objective rounds it."""
+    return _dots(_rows(0.5 * X, H), X) + _dots(G, X) + C0
 
 
 def _max_steps(v: np.ndarray, dv: np.ndarray) -> np.ndarray:
@@ -381,27 +467,17 @@ def _kkt_step(h_reg, a, e, r_d, r2):
     return d[:k], d[k:]
 
 
-def _psd_lifts(H: np.ndarray) -> np.ndarray:
-    """`_psd_lift` of a Hessian or of each Hessian of a stack; H itself
-    when nothing is lifted."""
-    if H.ndim == 2:
-        return _psd_lift(H)
-    each = list(H)
-    lifted = [_psd_lift(h) for h in each]
-    if all(a is b for a, b in zip(lifted, each)):
-        return H
-    return np.stack(lifted)
-
-
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
-def _interior_point(H, A_in, G, B_in, C0, tol: float,
-                    max_iter: int) -> list[QpSolution]:
+def _interior_point(H, A_in, G, B_in, C0, tol: float, max_iter: int,
+                    H_ipm) -> list[QpSolution]:
     """Mehrotra predictor-corrector on the QPs min 0.5 y'H[b]y + G[b]'y +
     C0[b] subject to A_in[b] y <= B_in[b], b = 0..B-1, all advanced in
     lockstep; B = 1 is a single solve.
 
-    H (k x k) and A_in (m x k) are either shared by every member or stacked
-    one per member, (B, k, k) and (B, m, k).  Each step eliminates ds and
+    H (k x k, symmetric) and A_in (m x k) are either shared by every member
+    or stacked one per member, (B, k, k) and (B, m, k); H_ipm is H after
+    `_psd_lift`, shared or stacked as H is, and is what the steps and
+    residuals use (the objective uses H).  Each step eliminates ds and
     dmu into one k x k normal matrix per member,
     H + reg I + A_in' diag(1/(s/mu + reg)) A_in, solves the members' systems
     in one batched call and recovers dmu from dy.  Every product is taken
@@ -412,8 +488,6 @@ def _interior_point(H, A_in, G, B_in, C0, tol: float,
     or its step is still not finite, keeping its last iterate; members not
     certified get `_undecided`'s verdict.
     """
-    H = 0.5 * (H + np.swapaxes(H, -1, -2))
-    H_ipm = _psd_lifts(H)
     stacked = H.ndim == 3
     mats = (H, H_ipm, H_ipm + _REG * np.eye(H.shape[-1]), A_in,
             np.swapaxes(A_in, -1, -2))
@@ -530,62 +604,118 @@ def _member_qp(H, A_in, G, B_in, C0, b) -> QuadraticProgram:
                             A_in[b] if stacked else A_in, B_in[b], c0=C0[b])
 
 
-def _reduced(qp: QuadraticProgram, red: EqualityReduction,
-             x_p: np.ndarray) -> QuadraticProgram:
-    """The QP in y on x = x_p + N y, with inequality rows only."""
-    Hx_p = qp.H @ x_p
-    return QuadraticProgram(
-        red.H, red.N.T @ (qp.g + Hx_p), red.A_ineq, qp.b_ineq - qp.A_ineq @ x_p,
-        c0=qp.c0 + qp.g @ x_p + 0.5 * x_p @ Hx_p)
+class _Members:
+    """The members of a family that share one EqualityReduction, set up
+    and lifted as stacked rows.
 
-
-def _lift(qp: QuadraticProgram, red: EqualityReduction, x_p: np.ndarray,
-          sol: QpSolution) -> QpSolution:
-    """A solution in y as the solution in x = x_p + N y of qp, with the
-    equality multipliers recovered from stationarity."""
-    x = x_p + red.N @ sol.x
-    mu = sol.duals_ineq
-    y = red.eq_duals(qp.H @ x + qp.g + qp.A_ineq.T @ mu)
-    objective = qp.objective(x) if np.isfinite(sol.objective) else sol.objective
-    return QpSolution(sol.status, x, objective, y, mu, sol.iterations)
-
-
-def _presolve(qp: QuadraticProgram, red: EqualityReduction, x_p: np.ndarray,
-              tol: float) -> QpSolution | None:
-    """The solution of qp when no interior-point iteration is needed, else
-    None.
-
-    Equalities no x meets within tol (scaled) are infeasible; with an empty
-    nullspace x_p is optimal or infeasible by its inequality residual; with
-    no inequality rows one pseudoinverse solve decides.
+    They share H, A_ineq and A_eq (those of `qp`, the first member).
+    Members whose equalities no x meets are decided on arrival; `live`
+    holds the others' indices, and row t of G, B_in, C0 and X_p is live
+    member t's g, b_ineq, c0 and particular solution.  Every product is
+    taken row by row (`_rows`, `_dots`), so each member is set up and
+    lifted bit for bit as it is alone.  `in_y[t]` is live member t's
+    solution in y, which `lift` turns into its solution in x.
     """
-    m, p = qp.b_ineq.size, qp.b_eq.size
-    b_scale = 1.0 + max(np.abs(qp.b_ineq).max(initial=0.0),
-                        np.abs(qp.b_eq).max(initial=0.0))
-    if np.abs(qp.A_eq @ x_p - qp.b_eq).max(initial=0.0) > tol * b_scale:
-        return QpSolution(INFEASIBLE, x_p, np.nan, np.zeros(p), np.zeros(m), 0)
-    if red.N.shape[1] == 0:
-        feasible = (qp.A_ineq @ x_p - qp.b_ineq).max(initial=0.0) <= tol * b_scale
-        sol = QpSolution(OPTIMAL if feasible else INFEASIBLE, np.zeros(0),
-                         0.0 if feasible else np.nan, np.zeros(0), np.zeros(m), 0)
-    elif not m:
-        sol = _solve_unconstrained(_reduced(qp, red, x_p), tol)
-    else:
-        return None
-    return _lift(qp, red, x_p, sol)
+
+    def __init__(self, red: EqualityReduction, qps: list, tol: float):
+        self.red, self.qp = red, qps[0]
+        G = _stack([qp.g for qp in qps])
+        B_in = _stack([qp.b_ineq for qp in qps])
+        B_eq = _stack([qp.b_eq for qp in qps])
+        C0 = np.array([qp.c0 for qp in qps])
+        X_p = red.particular(B_eq)
+        b_tol = tol * (1.0 + np.maximum(np.abs(B_in).max(axis=1, initial=0.0),
+                                        np.abs(B_eq).max(axis=1, initial=0.0)))
+        self.sols = [None] * len(qps)
+        self.live = np.arange(len(qps))
+        # Equalities no x meets within tol (scaled) are infeasible.
+        if red.p and (missed := np.abs(_rows(X_p, self.qp.A_eq.T) - B_eq)
+                      .max(axis=1) > b_tol).any():
+            for j in np.flatnonzero(missed):
+                self.sols[j] = QpSolution(INFEASIBLE, X_p[j], np.nan,
+                                          np.zeros(B_eq.shape[1]),
+                                          np.zeros(B_in.shape[1]), 0)
+            self.live = np.flatnonzero(~missed)
+            G, B_in, C0, X_p, b_tol = (v[self.live]
+                                       for v in (G, B_in, C0, X_p, b_tol))
+            qps = [qps[j] for j in self.live]
+        self.G, self.B_in, self.C0, self.X_p, self.b_tol = (G, B_in, C0, X_p,
+                                                            b_tol)
+        self.hints = [qp.active_hint for qp in qps]
+        self.in_y = [None] * self.live.size
+
+    def presolve(self, tol: float) -> np.ndarray:
+        """Set up the live members' QPs in y on x = x_p + N y, with
+        inequality rows only (members of `red.reduced`, with G_r, B_r and
+        C0_r by row), decide those that need no interior-point iteration,
+        and return the others' rows.
+
+        With an empty nullspace x_p is optimal or infeasible by its
+        inequality residual; with no inequality rows one pseudoinverse
+        solve decides; a member whose active_hint `_warm_start` accepts is
+        decided by it.
+        """
+        qp, red, X_p = self.qp, self.red, self.X_p
+        k, m = red.N.shape[1], self.B_in.shape[1]
+        if not self.live.size:
+            return np.zeros(0, dtype=int)
+        if k == 0:
+            feasible = (_rows(X_p, qp.A_ineq.T) - self.B_in).max(
+                axis=1, initial=0.0) <= self.b_tol
+            self.in_y = [QpSolution(OPTIMAL if ok else INFEASIBLE,
+                                    np.zeros(0), 0.0 if ok else np.nan,
+                                    np.zeros(0), np.zeros(m), 0)
+                         for ok in feasible]
+            return np.zeros(0, dtype=int)
+        HX_p = _rows(X_p, qp.H.T)
+        self.G_r = _rows(self.G + HX_p, red.N)
+        self.B_r = self.B_in - _rows(X_p, qp.A_ineq.T)
+        self.C0_r = self.C0 + _dots(self.G, X_p) + _dots(0.5 * X_p, HX_p)
+        reduced, _ = red.reduced
+        if not m:
+            self.in_y = _solve_unconstrained(reduced.H, self.G_r, self.C0_r,
+                                             tol)
+            return np.zeros(0, dtype=int)
+        for t, hint in enumerate(self.hints):
+            if hint is not None:
+                self.in_y[t] = _warm_start(reduced.member(
+                    self.G_r[t], self.B_r[t], c0=self.C0_r[t]), hint, tol)
+        return np.array([t for t, sol in enumerate(self.in_y) if sol is None],
+                        dtype=int)
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def lift(self) -> list[QpSolution]:
+        """The members' solutions in x: each solution in y lifted to
+        x = x_p + N y, with the equality multipliers recovered from
+        stationarity.  A member whose objective in y is not finite
+        (infeasible or unbounded) keeps it; the others get the objective
+        of x, computed for every row and kept where it is wanted."""
+        if self.live.size:
+            qp, red, ys = self.qp, self.red, self.in_y
+            X = self.X_p + _rows(_stack([s.x for s in ys]), red.N.T)
+            MU = _stack([s.duals_ineq for s in ys])
+            Y = red.eq_duals(_rows(X, qp.H.T) + self.G + _rows(MU, qp.A_ineq))
+            obj = np.array([s.objective for s in ys])
+            obj = np.where(np.isfinite(obj),
+                           _objectives(qp.H, self.G, self.C0, X), obj)
+            for j, s, x, y, o in zip(self.live.tolist(), ys, X, Y,
+                                     obj.tolist()):
+                self.sols[j] = QpSolution(s.status, x, o, y, s.duals_ineq,
+                                          s.iterations)
+        return self.sols
 
 
 def _warm_start(qp: QuadraticProgram, active,
                 tol: float) -> QpSolution | None:
-    """The solution of a QP with inequality rows only (a `_reduced` QP)
+    """The solution of a QP with inequality rows only (a reduced QP in y)
     when the rows of the mask `active` are its active set, else None.
 
     The hinted rows are taken as equalities: one KKT system of size
     k + |active| gives y and their multipliers, the others get 0.  The point
     is accepted only if `kkt_residuals` certifies it within tol.  No hint,
-    more hinted rows than k, a singular system or a step that is not finite
-    give None.  An indefinite H is rejected, as the interior-point method
-    rejects it (`_psd_lift`).
+    more hinted rows than k, a singular system (`_solve_each` gives NaN)
+    or a step that is not finite give None.  qp.H must be positive
+    semidefinite, as `EqualityReduction.reduced` checks it.
     """
     if active is None:
         return None
@@ -593,16 +723,12 @@ def _warm_start(qp: QuadraticProgram, active,
     k, a = qp.n, rows.size
     if a > k:
         return None
-    _psd_lift(qp.H)
     A = qp.A_ineq[rows]
     K = np.zeros((k + a, k + a))
     K[:k, :k] = qp.H
     K[:k, k:] = A.T
     K[k:, :k] = A
-    try:
-        z = np.linalg.solve(K, np.concatenate([-qp.g, qp.b_ineq[rows]]))
-    except LinAlgError:
-        return None
+    z = _solve_each(K[None], np.concatenate([-qp.g, qp.b_ineq[rows]])[None])[0]
     if not np.isfinite(z).all():
         return None
     mu = np.zeros(qp.b_ineq.size)
@@ -637,43 +763,54 @@ def solve_family(qps, tol: float = _TOL,
     """solve_qp on each QP of qps, the QPs of one reduced shape together.
 
     Each QP is written on the nullspace of its own equality rows
-    (qp.reduction, or one SVD).  Members that need no iteration, and
-    members whose active_hint is accepted, are decided on their own.  The
-    rest, grouped by reduced shape (k free directions, m inequality rows),
-    run one lockstep interior-point method a group; a group of one is a
-    single solve.  Each member stops on its own test and keeps its own
-    status and iteration count, bit for bit what solve_qp gives it alone.
+    (qp.reduction, or `EqualityReduction.of`).  The members of one
+    reduction are set up and lifted together, as stacked rows
+    (`_Members`).  Members that need no iteration, and members whose
+    active_hint is accepted, are decided there.  The rest, grouped by
+    reduced shape (k free directions, m inequality rows), run one lockstep
+    interior-point method a group; a group of one is a single solve.  Each
+    member stops on its own test and keeps its own status and iteration
+    count, bit for bit what solve_qp gives it alone.
     """
     qps = list(qps)
-    reds = [_reduction(qp) for qp in qps]
-    sols = [None] * len(qps)
     groups = {}
-    for i, (qp, red) in enumerate(zip(qps, reds)):
-        x_p = red.particular(qp.b_eq)
-        sol = _presolve(qp, red, x_p, tol)
-        if sol is None:
-            r = _reduced(qp, red, x_p)
-            sol = _warm_start(r, qp.active_hint, tol)
-            if sol is None:
-                groups.setdefault(r.A_ineq.shape, []).append((i, x_p, r))
-                continue
-            sol = _lift(qp, red, x_p, sol)
-        sols[i] = sol
-    for group in groups.values():
-        idx, x_ps, rs = zip(*group)
-        # Members of one reduction share its H and A_ineq as 2-D arrays.
-        if all(reds[i] is reds[idx[0]] for i in idx):
-            H, A_in = rs[0].H, rs[0].A_ineq
-        else:
-            H = np.array([r.H for r in rs])
-            A_in = np.array([r.A_ineq for r in rs])
-        ipm = _interior_point(
-            H, A_in, np.array([r.g for r in rs]),
-            np.array([r.b_ineq for r in rs]), np.array([r.c0 for r in rs]),
-            tol, max_iter)
-        for i, x_p, sol in zip(idx, x_ps, ipm):
-            sols[i] = _lift(qps[i], reds[i], x_p, sol)
-    return sols
+    for i, qp in enumerate(qps):
+        groups.setdefault(_reduction(qp), []).append(i)
+    families = [(idx, _Members(red, [qps[i] for i in idx], tol))
+                for red, idx in groups.items()]
+    runs = {}  # reduced shape (m, k) -> [(members, rows into live)]
+    for _, fam in families:
+        rest = fam.presolve(tol)
+        if rest.size:
+            runs.setdefault(fam.red.A_ineq.shape, []).append((fam, rest))
+    for (m, k), run in runs.items():
+        G = np.concatenate([fam.G_r[rest] for fam, rest in run])
+        B_in = np.concatenate([fam.B_r[rest] for fam, rest in run])
+        C0 = np.concatenate([fam.C0_r[rest] for fam, rest in run])
+        if len(run) == 1:  # one reduction: its H and A_ineq, shared
+            red = run[0][0].red
+            (reduced, H_ipm), A_in = red.reduced, red.A_ineq
+            H = reduced.H
+        else:  # one H and A_ineq a member
+            def stack(mats):
+                return np.concatenate([
+                    np.broadcast_to(M, (rest.size, *M.shape))
+                    for M, (_, rest) in zip(mats, run)])
+            reds = [fam.red.reduced for fam, _ in run]
+            H = stack([r.H for r, _ in reds])
+            H_ipm = (H if all(r.H is h for r, h in reds)
+                     else stack([h for _, h in reds]))
+            A_in = stack([fam.red.A_ineq for fam, _ in run])
+        sols = iter(_interior_point(H, A_in, G, B_in, C0, tol, max_iter,
+                                    H_ipm))
+        for fam, rest in run:
+            for t in rest:
+                fam.in_y[t] = next(sols)
+    out = [None] * len(qps)
+    for idx, fam in families:
+        for i, sol in zip(idx, fam.lift()):
+            out[i] = sol
+    return out
 
 
 def solve_lp(g, A_ineq=None, b_ineq=None, A_eq=None, b_eq=None,
@@ -746,20 +883,23 @@ def kkt_residuals(qp: QuadraticProgram, sol: QpSolution) -> dict[str, float]:
     """
     x, y, mu = sol.x, sol.duals_eq, sol.duals_ineq
     m, p = qp.b_ineq.size, qp.b_eq.size
-    g_scale = 1.0 + np.abs(qp.g).max(initial=0.0) + np.abs(qp.H @ x).max(initial=0.0)
+    Hx = qp.H @ x
+    g_scale = 1.0 + np.abs(qp.g).max(initial=0.0) + np.abs(Hx).max(initial=0.0)
     b_scale = 1.0 + max(np.abs(qp.b_ineq).max(initial=0.0), np.abs(qp.b_eq).max(initial=0.0))
-    stat = qp.H @ x + qp.g
+    stat = Hx + qp.g
     if p:
-        stat = stat + qp.A_eq.T @ y
-        g_scale += np.abs(qp.A_eq.T @ y).max(initial=0.0)
+        At_y = qp.A_eq.T @ y
+        stat = stat + At_y
+        g_scale += np.abs(At_y).max(initial=0.0)
     if m:
-        stat = stat + qp.A_ineq.T @ mu
-        g_scale += np.abs(qp.A_ineq.T @ mu).max(initial=0.0)
+        At_mu, Ax = qp.A_ineq.T @ mu, qp.A_ineq @ x
+        stat = stat + At_mu
+        g_scale += np.abs(At_mu).max(initial=0.0)
     out = {
         "stationarity": float(np.abs(stat).max(initial=0.0)) / g_scale,
         "primal_eq": float(np.abs(qp.A_eq @ x - qp.b_eq).max(initial=0.0)) / b_scale if p else 0.0,
-        "primal_ineq": float(np.maximum(qp.A_ineq @ x - qp.b_ineq, 0.0).max(initial=0.0)) / b_scale if m else 0.0,
-        "complementarity": float(np.abs(mu * (qp.b_ineq - qp.A_ineq @ x)).max(initial=0.0)) / (1.0 + abs(sol.objective)) if m else 0.0,
+        "primal_ineq": float(np.maximum(Ax - qp.b_ineq, 0.0).max(initial=0.0)) / b_scale if m else 0.0,
+        "complementarity": float(np.abs(mu * (qp.b_ineq - Ax)).max(initial=0.0)) / (1.0 + abs(sol.objective)) if m else 0.0,
         "dual_sign": float(max(-mu.min(initial=0.0), 0.0)) if m else 0.0,
     }
     out["worst"] = max(out.values())

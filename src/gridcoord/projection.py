@@ -18,7 +18,7 @@ marker row 0*x <= -1.
 import csv
 import json
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -235,7 +235,7 @@ def _prune_rows_exact(A_in, b_in, A_eq, b_eq):
     def member(i):
         b = b_in.copy()
         b[i] += 1.0
-        return replace(base, g=-A_in[i], b_ineq=b)
+        return base.member(g=-A_in[i], b_ineq=b)
 
     size = max(2, _EXACT_CHUNK_FLOATS // ((n + 24) * m))
     best = np.empty(m)
@@ -577,25 +577,36 @@ def slice_fix(poly: Polyhedron, col: int, value: float) -> Polyhedron:
     return Polyhedron(poly.dim - 1, A, b, labels)
 
 
+def chebyshev_centers(polys, radius_cap: float = 1e6) -> list:
+    """(center, radius) of the largest inscribed ball of each polyhedron,
+    its LPs solved as one family (`solve_family`)."""
+    lps = []
+    for poly in polys:
+        if poly.is_marked_empty:
+            raise EmptyRegion("marked empty")
+        n = poly.dim
+        norms = np.linalg.norm(poly.A, axis=1)
+        A = np.column_stack([poly.A, norms])
+        extra = np.zeros((2, n + 1))
+        extra[0, n] = -1.0
+        extra[1, n] = 1.0
+        A = np.vstack([A, extra])
+        b = np.concatenate([poly.b, [0.0, radius_cap]])
+        g = np.zeros(n + 1)
+        g[n] = -1.0
+        lps.append(QuadraticProgram(np.zeros((n + 1, n + 1)), g, A, b,
+                                    np.zeros((0, n + 1)), np.zeros(0)))
+    centers = []
+    for sol in solve_family(lps):
+        if sol.status != OPTIMAL:
+            raise EmptyRegion(f"no center: {sol.status}")
+        centers.append((sol.x[:-1], float(sol.x[-1])))
+    return centers
+
+
 def chebyshev_center(poly: Polyhedron, radius_cap: float = 1e6):
     """(center, radius) of the largest inscribed ball."""
-    if poly.is_marked_empty:
-        raise EmptyRegion("marked empty")
-    n = poly.dim
-    norms = np.linalg.norm(poly.A, axis=1)
-    A = np.column_stack([poly.A, norms])
-    extra = np.zeros((2, n + 1))
-    extra[0, n] = -1.0
-    extra[1, n] = 1.0
-    A = np.vstack([A, extra])
-    b = np.concatenate([poly.b, [0.0, radius_cap]])
-    g = np.zeros(n + 1)
-    g[n] = -1.0
-    sol = solve_qp(QuadraticProgram(np.zeros((n + 1, n + 1)), g, A, b,
-                                    np.zeros((0, n + 1)), np.zeros(0)))
-    if sol.status != OPTIMAL:
-        raise EmptyRegion(f"no center: {sol.status}")
-    return sol.x[:n], float(sol.x[n])
+    return chebyshev_centers([poly], radius_cap)[0]
 
 
 def vertices_2d(poly: Polyhedron) -> np.ndarray:
@@ -615,7 +626,7 @@ def vertices_2d(poly: Polyhedron) -> np.ndarray:
     base = QuadraticProgram(np.zeros((2, 2)), np.zeros(2), A,
                             b).with_reduction()
     axes = np.vstack([np.eye(2), -np.eye(2)])
-    sols = solve_family([replace(base, g=-d) for d in axes], tol=1e-10)
+    sols = solve_family([base.member(g=-d) for d in axes], tol=1e-10)
     if any(sol.status == UNBOUNDED for sol in sols):
         raise UnboundedRegion("polytope unbounded")
     m = b.size

@@ -9,29 +9,30 @@ up to the TSO objective.
 
 The sample points are drawn by hit-and-run (Smith, Operations Research 32,
 1984), one chain a FOR.  A backward sweep draws the points of all its DSOs
-together (`sample_value_functions`): the chains step in lockstep, each step
-one array operation for every chain over their padded FOR rows, while each
-chain keeps its own random stream, seed + k for DSO k, and so the points it
-would draw alone.
+together (`sample_value_functions`): the chains start from the Chebyshev
+centers of all FORs, found by one LP family (`projection.chebyshev_centers`),
+and step in lockstep, each step one array operation for every chain over
+their padded FOR rows, while each chain keeps its own random stream,
+seed + k for DSO k, and so the points it would draw alone.
 
 The pinned QPs of one model share H, g and every constraint row; only the
 pinned triple z in b_eq moves.  So the samples of one model are one
-`opt_core.solve_family` call on QPs that share one EqualityReduction (one
-SVD of the pinned equality rows): each x_p(z) and reduced problem formed as
-solve_qp forms them, and one lockstep
-interior-point run in y (x = x_p(z) + N y) whose steps solve only the
-members' k x k normal matrices.
+`opt_core.solve_family` call on members of one QP (`QuadraticProgram.member`)
+that share its EqualityReduction (one SVD of the pinned equality rows):
+every x_p(z) and reduced problem set up as one stacked array operation, one
+lockstep interior-point run in y (x = x_p(z) + N y) whose steps solve only
+the members' k x k normal matrices, and one stacked lift back to x.  Each
+sample comes out bit for bit as solve_qp gives it alone.
 """
 import logging
 import math
-from copy import copy
 from dataclasses import dataclass
 
 import numpy as np
 
 from .opt_core import OPTIMAL, solve_family
 from .powerflow_models import pin_coupling
-from .projection import EmptyRegion, Polyhedron, chebyshev_center
+from .projection import EmptyRegion, Polyhedron, chebyshev_centers
 
 log = logging.getLogger(__name__)
 
@@ -111,8 +112,9 @@ def _hit_and_run(regions, n: int, rngs, burn: int) -> np.ndarray:
     """(R, n, dim) points: n from each of R regions, by Smith's hit-and-run
     (Operations Research 32, 1984), each point preceded by `burn` steps.
 
-    Region r's chain starts at its Chebyshev center and draws from rngs[r]
-    alone: a step draws normal(size=dim) for the direction, then one
+    Region r's chain starts at its Chebyshev center, the centers of all
+    regions found by one LP family (`chebyshev_centers`), and draws from
+    rngs[r] alone: a step draws normal(size=dim) for the direction, then one
     uniform for the position on the chord; a direction of norm below 1e-14
     draws no uniform and does not move.  The draws do not depend on where
     a chain is, so each point's draws are made first, chain by chain; the
@@ -129,7 +131,7 @@ def _hit_and_run(regions, n: int, rngs, burn: int) -> np.ndarray:
     for r, region in enumerate(regions):
         A[:, r, :region.n_rows] = region.A.T
         b[r, :region.n_rows] = region.b
-    x = np.array([chebyshev_center(region)[0] for region in regions])
+    x = np.array([center for center, _ in chebyshev_centers(regions)])
     # Views: A x is summed one column at a time as x moves in place.
     A_cols, x_cols = list(A), [x[:, j:j + 1] for j in range(dim)]
     pts = np.empty((size, n, dim))
@@ -209,13 +211,9 @@ def _pinned_samples(model, pts: np.ndarray):
     family = pin_coupling(model, np.zeros(3)).with_reduction()
     b_eqs = np.tile(family.b_eq, (len(pts), 1))
     b_eqs[:, -3:] = pts
-    # Shallow copies share H, the constraint rows and the reduction, and
-    # skip re-validating H (dataclasses.replace would, once per sample).
-    members = [copy(family) for _ in b_eqs]
-    for member, b_eq in zip(members, b_eqs):
-        member.b_eq = b_eq
     samples = []
-    for z, sol in zip(pts, solve_family(members)):
+    for z, sol in zip(pts, solve_family([family.member(b_eq=b_eq)
+                                         for b_eq in b_eqs])):
         ok = sol.status == OPTIMAL
         samples.append(ValueSample(z, sol.objective if ok else np.inf, ok))
     return samples

@@ -116,6 +116,18 @@ class TestSolveQp:
         with pytest.raises(ValueError):
             oc.QuadraticProgram([[1.0, 2.0], [0.0, 1.0]], [0.0, 0.0])
 
+    def test_h_is_its_symmetric_part(self):
+        # an exactly symmetric H is kept as given; one asymmetric within
+        # the tolerance is replaced by 0.5 (H + H'), exactly symmetric
+        M = np.random.default_rng(1).normal(size=(5, 5))
+        S = M + M.T
+        near = S.copy()
+        near[0, 1] += 1e-12
+        for H in (S, near, np.asfortranarray(S)):
+            qp = oc.QuadraticProgram(H, np.zeros(5))
+            assert np.array_equal(qp.H, 0.5 * (H + H.T))
+            assert np.array_equal(qp.H, qp.H.T) and qp.H.flags.c_contiguous
+
     @pytest.mark.parametrize("rows", [
         {"A_ineq": np.zeros((0, 2)), "b_ineq": [-1.0]},
         {"A_eq": [], "b_eq": [5.0]}])
@@ -512,6 +524,24 @@ def assert_same_solution(a, b):
                                           and np.isnan(b.objective))
 
 
+def decided_families():
+    """(qp, b_eqs, statuses) of two families whose members need no
+    interior-point iteration."""
+    # Empty nullspace: the equalities fix x and the box decides.
+    A_eq = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [1.0, 0.0, 1.0]])
+    A_in = np.vstack([np.eye(3), -np.eye(3)])
+    fixed = oc.QuadraticProgram(np.diag([1.0, 2.0, 0.0]), [1.0, -1.0, 0.5],
+                                A_in, np.ones(6), A_eq, np.zeros(3))
+    fixed_rows = np.array([[0.2, -0.1, 0.3], [2.0, 0.0, 0.0]]) @ A_eq.T
+    # No inequality rows: one pseudoinverse solve a member.
+    free = oc.QuadraticProgram(np.diag([1.0, 2.0, 0.0]), [0.0, 0.0, -1.0],
+                               A_eq=[[1.0, 1.0, 1.0], [-2.0, 0.0, 1.0]],
+                               b_eq=[1.0, 0.0])
+    free_rows = np.array([[1.0, 0.0], [0.0, 1.0]])
+    return ((fixed, fixed_rows, [oc.OPTIMAL, oc.INFEASIBLE]),
+            (free, free_rows, [oc.OPTIMAL, oc.OPTIMAL]))
+
+
 class TestSolveFamily:
     """QPs that differ only in b_eq, solved as one lockstep family."""
 
@@ -570,20 +600,7 @@ class TestSolveFamily:
         assert sol.iterations == ref.iterations == 200
 
     def test_members_decided_without_iteration(self):
-        # Empty nullspace: the equalities fix x and the box decides.
-        A_eq = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [1.0, 0.0, 1.0]])
-        A_in = np.vstack([np.eye(3), -np.eye(3)])
-        fixed = oc.QuadraticProgram(np.diag([1.0, 2.0, 0.0]), [1.0, -1.0, 0.5],
-                                    A_in, np.ones(6), A_eq, np.zeros(3))
-        fixed_rows = np.array([[0.2, -0.1, 0.3], [2.0, 0.0, 0.0]]) @ A_eq.T
-        # No inequality rows: one pseudoinverse solve a member.
-        free = oc.QuadraticProgram(np.diag([1.0, 2.0, 0.0]), [0.0, 0.0, -1.0],
-                                   A_eq=[[1.0, 1.0, 1.0], [-2.0, 0.0, 1.0]],
-                                   b_eq=[1.0, 0.0])
-        free_rows = np.array([[1.0, 0.0], [0.0, 1.0]])
-        for qp, b_eqs, statuses in (
-                (fixed, fixed_rows, [oc.OPTIMAL, oc.INFEASIBLE]),
-                (free, free_rows, [oc.OPTIMAL, oc.OPTIMAL])):
+        for qp, b_eqs, statuses in decided_families():
             sols = oc.solve_family(family_of(qp, b_eqs))
             assert [sol.status for sol in sols] == statuses
             for b_eq, sol in zip(b_eqs, sols):
@@ -682,11 +699,18 @@ class TestSolveFamily:
             assert_same_solution(sols[b], clean[b])
 
     def test_member_products_do_not_depend_on_the_others(self):
+        # one matrix for every row, one matrix a row, and row-wise dots;
+        # a single row takes the product without the batch
         rng = np.random.default_rng(6)
         X, M = rng.normal(size=(40, 4)), rng.normal(size=(4, 42))
-        full = oc._rows(X, M)
+        Ms = rng.normal(size=(40, 4, 42))
+        full, each, dots = oc._rows(X, M), oc._rows(X, Ms), oc._dots(X, X)
         for rows in (slice(0, 1), slice(3, 4), slice(1, 40), slice(5, 17)):
             np.testing.assert_array_equal(oc._rows(X[rows], M), full[rows])
+            np.testing.assert_array_equal(oc._rows(X[rows], Ms[rows]),
+                                          each[rows])
+            np.testing.assert_array_equal(oc._dots(X[rows], X[rows]),
+                                          dots[rows])
 
     def test_step_to_the_boundary_is_at_most_one(self):
         # rows: a ratio below one, every ratio above one, no entry falling
@@ -946,6 +970,153 @@ class TestWarmStart:
                 certify(qp, sol, self.TIGHT)
             else:
                 assert_same_solution(sol, ref)
+
+
+def one_particular(red, b_eq):
+    """EqualityReduction.particular of one right-hand side, written with
+    1-D products."""
+    xs = [V @ ((U.T @ b_eq[rows]) / s) for _, rows, U, s, V in red.parts]
+    x = xs[0] if len(xs) == 1 else np.concatenate(xs)
+    if red.tie is not None:
+        rows, T, U, s, V = red.tie
+        x = x + red.N_b @ (V @ ((U.T @ (b_eq[rows] - T @ x)) / s))
+    return x
+
+
+def one_eq_duals(red, r):
+    """EqualityReduction.eq_duals of one residual, written with 1-D
+    products."""
+    y = np.empty(red.p)
+    if red.tie is not None:
+        rows, T, U, s, V = red.tie
+        y[rows] = y_t = -U @ ((V.T @ (red.N_b.T @ r)) / s)
+        r = r + T.T @ y_t
+    for cols, rows, U, s, V in red.parts:
+        y[rows] = -U @ ((V.T @ r[cols]) / s)
+    return y
+
+
+def pinned_family(model, region, count, seed):
+    """`count` pinned QPs of model inside region, sharing one reduction."""
+    family = pm.pin_coupling(model, np.zeros(3))
+    return family_of(family, pinned_rows(family,
+                                         interior_pins(region, count, seed)))
+
+
+class TestGroupedMembers:
+    """The members of one reduction are set up and lifted as stacked rows;
+    each comes out bit for bit as solve_qp gives it alone."""
+
+    def assert_each_alone(self, qps, tol=oc._TOL):
+        sols = oc.solve_family(qps, tol=tol)
+        for qp, sol in zip(qps, sols):
+            assert_same_solution(sol, oc.solve_qp(qp, tol=tol))
+        return sols
+
+    def test_two_reductions_interleaved(self, benchmark_dso_models,
+                                        benchmark_fors):
+        a, b = ((1, "loss_linearized"), (2, "lindistflow"))
+        fam_a = pinned_family(benchmark_dso_models[a], benchmark_fors[a], 5, 1)
+        fam_b = pinned_family(benchmark_dso_models[b], benchmark_fors[b], 4, 2)
+        qps = [fam_a[0], fam_b[0], fam_a[1], fam_a[2], fam_b[1], fam_b[2],
+               fam_a[3], fam_b[3], fam_a[4]]
+        assert len({id(qp.reduction) for qp in qps}) == 2
+        sols = self.assert_each_alone(qps)
+        assert all(sol.status == oc.OPTIMAL and sol.iterations > 0
+                   for sol in sols)
+
+    def test_loose_hinted_and_infeasible_members(
+            self, benchmark_dso_models, benchmark_fors, copy_qps):
+        # A sample family whose member 1 breaks a doubled pin, beside a QP
+        # without a reduction and two pulled dispatch QPs of one shape,
+        # one of them hinted with its active set.
+        key = (1, "lindistflow")
+        plain = pm.pin_coupling(benchmark_dso_models[key], np.zeros(3))
+        doubled = replace(plain, A_eq=np.vstack([plain.A_eq, plain.A_eq[-1]]),
+                          b_eq=np.append(plain.b_eq, 0.0))
+        pins = interior_pins(benchmark_fors[key], 4, seed=6)
+        b_eqs = np.column_stack([pinned_rows(plain, pins), pins[:, 2]])
+        b_eqs[1, -1] += 1e-3
+        fam = family_of(doubled, b_eqs)
+        loose, _ = random_feasible_qp(2)
+        tight = TestWarmStart.TIGHT
+        hint = active_rows(oc.solve_qp(copy_qps[0], tol=tight))
+        hinted = replace(copy_qps[0], active_hint=hint)
+        qps = fam[:2] + [loose, hinted] + fam[2:] + [copy_qps[1]]
+        sols = self.assert_each_alone(qps, tol=tight)
+        assert sols[1].status == oc.INFEASIBLE and sols[1].iterations == 0
+        assert sols[3].status == oc.OPTIMAL and sols[3].iterations == 0
+        assert loose.reduction is None and sols[2].iterations > 0
+        for b in (0, 4, 5, 6):
+            assert sols[b].status == oc.OPTIMAL and sols[b].iterations > 0
+
+    def test_empty_nullspace_and_no_inequality_groups(self, copy_qps):
+        qps = [copy_qps[2]]
+        for qp, b_eqs, _ in decided_families():
+            qps += family_of(qp, b_eqs)
+        sols = self.assert_each_alone(qps[::-1] + qps)
+        assert [sol.status for sol in sols[-4:]] == [
+            oc.OPTIMAL, oc.INFEASIBLE, oc.OPTIMAL, oc.OPTIMAL]
+
+    def test_missed_equalities_decided_before_the_hessian_check(self):
+        # H is indefinite on the nullspace of A_eq (N'HN = diag(-1, 0))
+        # and there are no inequality rows: equalities no x meets are
+        # infeasible at once, before H is checked.
+        qp = oc.QuadraticProgram(np.diag([1.0, -1.0, 0.0]), np.zeros(3),
+                                 A_eq=[[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]],
+                                 b_eq=[0.0, 1.0])
+        sol = oc.solve_qp(qp)
+        assert sol.status == oc.INFEASIBLE and sol.iterations == 0
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            oc.solve_qp(qp.member(b_eq=[1.0, 1.0]))
+
+    def test_lifted_and_plain_hessians_in_one_run(self):
+        # Two reductions of one reduced shape run as one stacked family;
+        # the first one's H is lifted onto the PSD cone, the second's not.
+        A = [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]
+        qps = [oc.QuadraticProgram(np.diag([2.0, h]), [1.0, 0.5], A,
+                                   np.ones(4))
+               for h in (-5e-10, 1.0)]
+        sols = self.assert_each_alone(qps)
+        assert all(sol.status == oc.OPTIMAL for sol in sols)
+
+    @pytest.mark.parametrize("blocks", [False, True])
+    def test_stacked_rows_match_single_calls(self, benchmark_partition,
+                                             blocks):
+        # The builtin centralized QP, whose blocked reduction has tie rows,
+        # and its one-block reduction: stacked particular / eq_duals rows
+        # are the 1-D products' bits.
+        qp = pm.assemble_centralized(benchmark_partition,
+                                     "loss_linearized").qp
+        red = oc.EqualityReduction.of(qp if blocks
+                                      else replace(qp, blocks=None))
+        assert (red.tie is not None) == blocks
+        rng = np.random.default_rng(5)
+        B = qp.b_eq + 0.1 * rng.normal(size=(6, qp.b_eq.size))
+        R = rng.normal(size=(6, qp.n))
+        X, Y = red.particular(B), red.eq_duals(R)
+        assert X.shape == (6, qp.n) and Y.shape == (6, qp.b_eq.size)
+        for b, r, x, y in zip(B, R, X, Y):
+            assert np.array_equal(x, one_particular(red, b))
+            assert np.array_equal(x, red.particular(b))
+            assert np.array_equal(y, one_eq_duals(red, r))
+            assert np.array_equal(y, red.eq_duals(r))
+
+    def test_member_shares_data_and_checks_shapes(self):
+        qp = random_feasible_qp(0)[0].with_reduction()
+        g, b = np.arange(6.0), qp.b_ineq + 1.0
+        hint = np.zeros(10, dtype=bool)
+        member = qp.member(g=g, b_ineq=b, c0=2.0, active_hint=hint)
+        for name in ("H", "A_ineq", "A_eq", "b_eq", "reduction"):
+            assert getattr(member, name) is getattr(qp, name)
+        assert qp.c0 == 0.0 and qp.active_hint is None
+        assert_same_solution(
+            oc.solve_qp(member),
+            oc.solve_qp(replace(qp, g=g, b_ineq=b, c0=2.0, active_hint=hint)))
+        with pytest.raises(ValueError, match="b_ineq"):
+            qp.member(b_ineq=np.ones(3))
+        with pytest.raises(ValueError, match="active_hint"):
+            qp.member(active_hint=np.ones(2, dtype=bool))
 
 
 class TestSolveLp:

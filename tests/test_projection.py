@@ -891,6 +891,18 @@ class TestChebyshevCenter:
                             np.array([0.0, -1.0]), ("x",))
         with pytest.raises(pj.EmptyRegion):
             pj.chebyshev_center(bad)
+        with pytest.raises(pj.EmptyRegion):
+            pj.chebyshev_centers([box(1), bad])
+
+    def test_family_matches_each_region(self, benchmark_fors):
+        # one LP family over regions of several shapes gives each region
+        # its own center and radius, bit for bit
+        regions = list(benchmark_fors.values()) + [box(3), simplex3(), box(2)]
+        centers = pj.chebyshev_centers(regions)
+        assert len(centers) == len(regions)
+        for (c, r), region in zip(centers, regions):
+            alone, radius = pj.chebyshev_center(region)
+            assert np.array_equal(c, alone) and r == radius
 
 
 class TestPolygonExport:
