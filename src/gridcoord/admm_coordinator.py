@@ -14,12 +14,14 @@ every pull, rho on each coupling block of H and of the model's equality
 reduction, is added once per model and run; a round changes only the
 linear and constant terms of each subproblem.
 
-Each subproblem carries the rows active at its previous round's solution
-as its `active_hint`.  Once the active set settles, `opt_core` solves the
-subproblem by that set's KKT system and certifies it, with no
-interior-point iteration; Boyd et al. (2011) recommend warm-starting the
-subproblem solves of ADMM this way.  A hint that fails the certificate
-falls back to the interior-point method.
+Each subproblem carries its previous round's solution as its `prior`.
+Once the active set settles, `opt_core` solves the subproblem by that
+set's KKT system and certifies it, with no interior-point iteration; Boyd
+et al. (2011) recommend warm-starting the subproblem solves of ADMM this
+way.  The loss-linearized models price no reactive power, so a subproblem
+can have a flat optimal face; there the settled point is the optimal
+point nearest the previous round's, reached by one least-squares step.  A
+point that fails the certificate falls back to the interior-point method.
 
 Termination: both primal residuals (each copy against the consensus) and
 the dual residual rho * ||z_new - z_old|| in the infinity norm must drop
@@ -51,9 +53,6 @@ DEFAULT_RHO = 100.0
 DEFAULT_TOL = 1e-6
 DEFAULT_MAX_ITER = 2000
 SOLVER_TOL = 1e-9
-# A row is hinted active for the next round when its multiplier exceeds
-# this fraction of max(1, largest multiplier).
-ACTIVE_FRACTION = 1e-6
 
 
 @dataclass
@@ -132,10 +131,8 @@ class _Pull:
     The fixed part of every pull, (rho/2)||z||^2 on each coupling triple in
     `slots`, is added to H and to its equality reduction once; each round
     then adds only the linear and constant parts of
-    lambda' z + (rho/2)||z - z_bar||^2.  `remember` keeps the rows active
-    at a round's solution (multiplier above `ACTIVE_FRACTION` of
-    max(1, largest multiplier)), and the next round's subproblem carries
-    them as its `active_hint`.
+    lambda' z + (rho/2)||z - z_bar||^2.  `remember` keeps a round's
+    solution, and the next round's subproblem carries it as its `prior`.
     """
 
     def __init__(self, model: PolyhedralModel, rho: float, slots):
@@ -144,7 +141,7 @@ class _Pull:
         for slot in self.slots:
             model = attach_quadratic_cost(model, penalty, slot)
         self.penalized = model.qp_skeleton
-        self.active = None
+        self.prior = None
 
     def qp(self, lams, z_bars) -> QuadraticProgram:
         """The subproblem pulled by lams toward z_bars, one per slot."""
@@ -154,12 +151,11 @@ class _Pull:
             term = _pull_term(lam, z_bar, self.rho)
             g[list(self.model.vmap.coupling_triple(slot))] += term.c
             c0 += term.d
-        return self.penalized.member(g=g, c0=c0, active_hint=self.active)
+        return self.penalized.member(g=g, c0=c0, prior=self.prior)
 
     def remember(self, sol: QpSolution) -> None:
-        """Hint the rows active at sol to the next round's subproblem."""
-        mu = sol.duals_ineq
-        self.active = mu > ACTIVE_FRACTION * max(1.0, mu.max(initial=0.0))
+        """Give sol to the next round's subproblem as its prior."""
+        self.prior = sol
 
     def copies(self, sol: QpSolution) -> list:
         return [sol.x[list(self.model.vmap.coupling_triple(slot))].copy()
@@ -310,13 +306,17 @@ def run_admm(part, model_kind: str = "loss_linearized",
     converged = False
     tso_sol, dso_sols = None, ()
     tso_qp, dso_qps = None, ()
-    settled = 0  # subproblem solves the warm start settled
+    # subproblem solves the least-squares warm start settled, and those
+    # that ran the interior-point method
+    nearest = ipm = 0
     for _ in range(max_iter):
         z_prev = [z.copy() for z in state.z]
         z_tau, tso_sol, tso_qp = _tso_step(tso_pull, state, solver_tol)
         z_delta, dso_sols, dso_qps = _dso_steps(dso_pulls, state, solver_tol)
         state.z_tau, state.z_delta = z_tau, z_delta
-        settled += sum(sol.iterations == 0 for sol in (tso_sol, *dso_sols))
+        for sol in (tso_sol, *dso_sols):
+            nearest += sol.warm_start == "nearest"
+            ipm += sol.iterations > 0
         consensus_step(state)
 
         # one synchronized exchange: consensus out, copies back
@@ -352,9 +352,11 @@ def run_admm(part, model_kind: str = "loss_linearized",
         logger.warning("no convergence in %d iterations; best residual "
                        "score %.3e at iteration %d", max_iter, best[0],
                        iterations)
+    total = state.iteration * (1 + len(dso_models))
     logger.debug("warm start settled %d of %d tso_step and dso_step solves "
-                 "in %d iterations", settled,
-                 state.iteration * (1 + len(dso_models)), state.iteration)
+                 "in %d iterations, %d of them by the least-squares step to "
+                 "the nearest optimal point; %d ran the interior-point method",
+                 total - ipm, total, state.iteration, nearest, ipm)
 
     solves = (("admm_tso_final", tso_qp, tso_sol),) + tuple(
         (f"admm_dso{lk.dso_index}_final", qp, sol)

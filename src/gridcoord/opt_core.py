@@ -27,41 +27,34 @@ steps solves the inequality-only problems in y. It runs on a family of
 B >= 1 of them (solve_family; solve_qp is a family of one): QPs with the
 same reduced shape (k free directions, m inequality rows) advance in
 lockstep on stacked iterates, as in OptNet's batched solver (Amos & Kolter,
-ICML 2017). They share a shape, not data: each keeps its own H, g,
-constraints and EqualityReduction, and members of one reduction (the value
-samples of one model, which differ only in b_eq) share its H and A_ineq.
-The work around the loop is batched too: the members of one reduction are
-set up (x_p, the equality check, the reduced g, b_ineq and c0) and lifted
-back (x = x_p + N y, the equality multipliers, the objective) as stacked
-arrays, one row a member. Each step eliminates the slacks and multipliers
-into one k x k normal matrix per member, H + A' diag(mu/s) A (Wright,
-Primal-Dual Interior-Point Methods, 1997, ch. 11), and solves all of them
-in one batched LU call.
-Every product, in the loop and around it, is taken per member (one
-matrix-vector product a row), so a member's iterates do not depend on the
-others, and a QP solved alone runs bit for bit as it runs in a family.
-A member whose normal step is not finite (its normal matrix turned
-singular) takes the step of its (k + m) quasi-definite KKT system for that
-solve; when that is not finite either, it leaves at that iteration with
-its last iterate. Each member stops on its own test and keeps its own
-status. Infeasibility of the inequalities is decided by an auxiliary
-phase-1 LP (minimize the largest constraint violation), never by
-divergence heuristics alone; unboundedness is certified by a feasible
+ICML 2017). Each keeps its own H, g, constraints and EqualityReduction;
+members of one reduction (the value samples of one model) share its H and
+A_ineq, and are set up and lifted back as stacked arrays, one row a member.
+Each step eliminates the slacks and multipliers into one k x k normal
+matrix per member, H + A' diag(mu/s) A (Wright, Primal-Dual Interior-Point
+Methods, 1997, ch. 11), all solved in one batched LU call. Every product is
+taken per member, so a QP solved alone runs bit for bit as it runs in a
+family. A member whose normal step is not finite takes the step of its
+(k + m) quasi-definite KKT system for that solve, and leaves with its last
+iterate when that is not finite either. Each member stops on its own test
+and keeps its own status. Infeasibility of the inequalities is decided by
+an auxiliary phase-1 LP (minimize the largest constraint violation), never
+by divergence heuristics alone; unboundedness is certified by a feasible
 descent ray.
 
-A QP may carry an active-set hint, a boolean mask over its inequality rows
-(the rows active at the solution of a nearby QP, such as the previous round
-of a QP sequence). Before any interior-point iteration, each QP takes the
-hinted rows as equalities and solves one equality-constrained KKT system
-of size k + |hint| on the reduced problem
-(the working-set step of active-set QP, Nocedal & Wright sec. 16.5; the
-warm start of the online active set strategy, Ferreau, Bock & Diehl 2008).
-The point is accepted, with 0 iterations, only when kkt_residuals certifies
-it within tol: every other row holds, every multiplier is nonnegative, and
-stationarity and complementarity hold, so it is the optimum a converged
-interior-point run would certify. Otherwise (more hinted rows than k, a
-singular system, a step that is not finite, or a failed check) the
-interior-point method runs exactly as without the hint.
+A QP may carry a prior, the solution of a nearby QP (such as the previous
+round of a QP sequence). Before any interior-point iteration, the rows
+active at the prior (multiplier above 1e-6 of max(1, largest)) are taken
+as equalities, and LU solves the KKT system of size k + |rows| of the
+reduced problem (the working-set step of active-set QP, Nocedal & Wright
+sec. 16.5; the warm start of Ferreau, Bock & Diehl 2008). The point is
+accepted, with 0 iterations, only when kkt_residuals certifies it within
+tol. A QP with directions of zero cost has a singular system and a flat
+optimal face, where LU returns a finite point of no use (sec. 16.1). So
+when the LU point fails the check, one least-squares step from the
+prior's y, y0 = N'x_prior (x_p, of minimum norm, is orthogonal to N), goes
+to the optimal point nearest it, certified the same way. When that fails
+too, the interior-point method runs exactly as without the prior.
 """
 from __future__ import annotations
 
@@ -88,6 +81,9 @@ _DIVERGED = 1e12
 _RANK_TOL = 1e-9
 # Default scaled residual tolerance of solve_qp and solve_family.
 _TOL = 1e-8
+# A row is active at a prior when its multiplier exceeds this fraction of
+# max(1, largest multiplier).
+_ACTIVE_FRACTION = 1e-6
 
 
 def _as_matrix(a, rows: int, cols: int) -> np.ndarray:
@@ -250,12 +246,12 @@ class QuadraticProgram:
     block by block (`EqualityReduction.of`); without blocks every column is
     one block.  `reduction`, when given, must be `EqualityReduction.of` a QP
     with the same H, A_ineq, A_eq and blocks; solve_qp then skips the
-    SVDs.  `active_hint`, when given, is a boolean mask over the inequality
-    rows, the rows guessed active at the optimum; solve_qp tries them first
-    (`_warm_start`) and runs the interior-point method when they are not
-    the active set.  `member` builds the QPs of one family: they share H,
-    the constraint matrices and the reduction, and differ in g, b_ineq,
-    b_eq, c0 and active_hint.
+    SVDs.  `prior`, when given, is the solution of a nearby QP of the same
+    shape; solve_qp tries the rows active there first (`_warm_start`) and
+    runs the interior-point method when they do not give a certified
+    optimum.  `member` builds the QPs of one family: they share H, the
+    constraint matrices and the reduction, and differ in g, b_ineq, b_eq,
+    c0 and prior.
     """
 
     H: np.ndarray
@@ -267,8 +263,8 @@ class QuadraticProgram:
     c0: float = 0.0
     reduction: EqualityReduction | None = field(default=None, repr=False,
                                                 compare=False)
-    active_hint: np.ndarray | None = field(default=None, repr=False,
-                                           compare=False)
+    prior: QpSolution | None = field(default=None, repr=False,
+                                     compare=False)
     blocks: tuple | None = None
 
     def __post_init__(self):
@@ -291,8 +287,8 @@ class QuadraticProgram:
         self.b_eq = _as_vector(self.b_eq)
         self.A_eq = _as_matrix(self.A_eq, self.b_eq.size, n)
         self.c0 = float(self.c0)
-        if self.active_hint is not None:
-            self.active_hint = _as_hint(self.active_hint, self.b_ineq.size)
+        if self.prior is not None:
+            _check_prior(self.prior, n, self.b_ineq.size)
         if self.blocks is not None:
             self.blocks = tuple(int(c) for c in self.blocks)
             b = np.array(self.blocks)
@@ -314,10 +310,10 @@ class QuadraticProgram:
         return replace(self, reduction=EqualityReduction.of(self))
 
     def member(self, g=None, b_ineq=None, b_eq=None, c0=None,
-               active_hint=None) -> "QuadraticProgram":
+               prior=None) -> "QuadraticProgram":
         """A QP of this one's family: the same H, constraint matrices,
         blocks and reduction (shared, not copied), with the g, b_ineq,
-        b_eq, c0 and active_hint given and this QP's own for the rest.
+        b_eq, c0 and prior given and this QP's own for the rest.
 
         Only the new vectors' shapes are checked, so building a family
         does not validate H once a member."""
@@ -331,16 +327,16 @@ class QuadraticProgram:
                 setattr(qp, name, v)
         if c0 is not None:
             qp.c0 = float(c0)
-        if active_hint is not None:
-            qp.active_hint = _as_hint(active_hint, self.b_ineq.size)
+        if prior is not None:
+            qp.prior = _check_prior(prior, qp.n, qp.b_ineq.size)
         return qp
 
 
-def _as_hint(active, m: int) -> np.ndarray:
-    active = np.asarray(active, dtype=bool)
-    if active.shape != (m,):
-        raise ValueError(f"active_hint must be ({m},), got {active.shape}")
-    return active
+def _check_prior(prior, n: int, m: int):
+    if prior.x.shape != (n,) or prior.duals_ineq.shape != (m,):
+        raise ValueError(f"prior must have x ({n},) and duals_ineq ({m},), "
+                         f"got {prior.x.shape} and {prior.duals_ineq.shape}")
+    return prior
 
 
 @dataclass
@@ -351,6 +347,7 @@ class QpSolution:
     duals_eq: np.ndarray
     duals_ineq: np.ndarray
     iterations: int = 0
+    warm_start: str | None = None  # the `_warm_start` step that settled it
 
 
 def _psd_lift(H: np.ndarray) -> np.ndarray:
@@ -457,14 +454,14 @@ def _solve_each(K: np.ndarray, r: np.ndarray) -> np.ndarray:
     return _umath_linalg.solve1(K, r, signature="dd->d")
 
 
-def _kkt_step(h_reg, a, e, r_d, r2):
-    """(dx, dmu) of one member from its (k + m) quasi-definite system
-    [[H + reg I, A'], [A, -diag(e)]] [dx; dmu] = [-r_d; r2], NaN when it
-    is singular."""
-    k = h_reg.shape[0]
-    M = np.block([[h_reg, a.T], [a, -np.diag(e)]])
-    d = _solve_each(M[None], np.concatenate([-r_d, r2])[None])[0]
-    return d[:k], d[k:]
+def _kkt_matrix(h, a, e=None) -> np.ndarray:
+    """The block KKT matrix [[h, a'], [a, -diag(e)]], e = 0 when None."""
+    k = h.shape[0]
+    K = np.zeros((k + a.shape[0],) * 2)
+    K[:k, :k], K[:k, k:], K[k:, :k] = h, a.T, a
+    if e is not None:
+        K[k:, k:].flat[::e.size + 1] = -e
+    return K
 
 
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
@@ -478,12 +475,10 @@ def _interior_point(H, A_in, G, B_in, C0, tol: float, max_iter: int,
     or stacked one per member, (B, k, k) and (B, m, k); H_ipm is H after
     `_psd_lift`, shared or stacked as H is, and is what the steps and
     residuals use (the objective uses H).  Each step eliminates ds and
-    dmu into one k x k normal matrix per member,
-    H + reg I + A_in' diag(1/(s/mu + reg)) A_in, solves the members' systems
-    in one batched call and recovers dmu from dy.  Every product is taken
-    per member, so a member's iterates do not depend on the others.  A
-    member whose normal step is not finite (a singular normal matrix gives
-    NaN) takes the step of the (k + m) KKT system instead, for that solve
+    dmu into the normal matrix H + reg I + A_in' diag(1/(s/mu + reg)) A_in
+    and recovers dmu from dy.  A member whose normal step is not finite
+    takes the step of the (k + m) quasi-definite KKT system
+    [[H + reg I, A_in'], [A_in, -diag(s/mu + reg)]] instead, for that solve
     only.  A member leaves the family when it certifies (OPTIMAL), diverges
     or its step is still not finite, keeping its last iterate; members not
     certified get `_undecided`'s verdict.
@@ -536,9 +531,11 @@ def _interior_point(H, A_in, G, B_in, C0, tol: float, max_iter: int,
                 if not np.isfinite(dmu).all():  # NaN in dx reaches dmu
                     bad = ~np.isfinite(dmu).all(axis=1) & ~stop
                     for j in np.flatnonzero(bad):
-                        dx[j], dmu[j] = _kkt_step(
+                        d = _solve_each(_kkt_matrix(
                             h_reg[j] if stacked else h_reg,
-                            a[j] if stacked else a, e[j], r_d[j], r2[j])
+                            a[j] if stacked else a, e[j])[None],
+                            np.concatenate([-r_d[j], r2[j]])[None])[0]
+                        dx[j], dmu[j] = d[:-m], d[-m:]
                     rescued[live[bad]] = True
                 return dx, dmu
 
@@ -641,7 +638,7 @@ class _Members:
             qps = [qps[j] for j in self.live]
         self.G, self.B_in, self.C0, self.X_p, self.b_tol = (G, B_in, C0, X_p,
                                                             b_tol)
-        self.hints = [qp.active_hint for qp in qps]
+        self.priors = [qp.prior for qp in qps]
         self.in_y = [None] * self.live.size
 
     def presolve(self, tol: float) -> np.ndarray:
@@ -652,7 +649,7 @@ class _Members:
 
         With an empty nullspace x_p is optimal or infeasible by its
         inequality residual; with no inequality rows one pseudoinverse
-        solve decides; a member whose active_hint `_warm_start` accepts is
+        solve decides; a member whose prior `_warm_start` settles is
         decided by it.
         """
         qp, red, X_p = self.qp, self.red, self.X_p
@@ -676,10 +673,13 @@ class _Members:
             self.in_y = _solve_unconstrained(reduced.H, self.G_r, self.C0_r,
                                              tol)
             return np.zeros(0, dtype=int)
-        for t, hint in enumerate(self.hints):
-            if hint is not None:
-                self.in_y[t] = _warm_start(reduced.member(
-                    self.G_r[t], self.B_r[t], c0=self.C0_r[t]), hint, tol)
+        for t, prior in enumerate(self.priors):
+            if prior is not None:
+                mu = prior.duals_ineq
+                self.in_y[t] = _warm_start(
+                    reduced.member(self.G_r[t], self.B_r[t], c0=self.C0_r[t]),
+                    mu > _ACTIVE_FRACTION * max(1.0, mu.max(initial=0.0)),
+                    tol, prior.x, red.N)
         return np.array([t for t, sol in enumerate(self.in_y) if sol is None],
                         dtype=int)
 
@@ -701,44 +701,44 @@ class _Members:
             for j, s, x, y, o in zip(self.live.tolist(), ys, X, Y,
                                      obj.tolist()):
                 self.sols[j] = QpSolution(s.status, x, o, y, s.duals_ineq,
-                                          s.iterations)
+                                          s.iterations, s.warm_start)
         return self.sols
 
 
-def _warm_start(qp: QuadraticProgram, active,
-                tol: float) -> QpSolution | None:
+def _warm_start(qp: QuadraticProgram, active, tol: float, x0=None,
+                N=None) -> QpSolution | None:
     """The solution of a QP with inequality rows only (a reduced QP in y)
     when the rows of the mask `active` are its active set, else None.
 
-    The hinted rows are taken as equalities: one KKT system of size
-    k + |active| gives y and their multipliers, the others get 0.  The point
-    is accepted only if `kkt_residuals` certifies it within tol.  No hint,
-    more hinted rows than k, a singular system (`_solve_each` gives NaN)
-    or a step that is not finite give None.  qp.H must be positive
-    semidefinite, as `EqualityReduction.reduced` checks it.
+    y and the active rows' multipliers solve the KKT system K z = r of
+    those rows as equalities; the other rows get multiplier 0.  LU solves
+    it ("active_set"), unless more rows than k make K singular.  When that
+    point fails and a prior's x0 is given, the minimum-norm displacement
+    from (y0, 0), y0 = N'x0 (N of x = x_p + N y), by one SVD of K at
+    `split_svd`'s rank rule, gives the solution whose y is nearest y0
+    ("nearest").  A point is accepted only when finite and certified by
+    `kkt_residuals` within tol (qp.H must be PSD).
     """
-    if active is None:
-        return None
-    rows = np.flatnonzero(active)
-    k, a = qp.n, rows.size
-    if a > k:
-        return None
-    A = qp.A_ineq[rows]
-    K = np.zeros((k + a, k + a))
-    K[:k, :k] = qp.H
-    K[:k, k:] = A.T
-    K[k:, :k] = A
-    z = _solve_each(K[None], np.concatenate([-qp.g, qp.b_ineq[rows]])[None])[0]
-    if not np.isfinite(z).all():
-        return None
-    mu = np.zeros(qp.b_ineq.size)
-    mu[rows] = z[k:]
-    sol = QpSolution(OPTIMAL, z[:k], qp.objective(z[:k]), np.zeros(0), mu, 0)
-    return sol if kkt_residuals(qp, sol)["worst"] <= tol else None
+    rows, k = np.flatnonzero(active), qp.n
+    K = _kkt_matrix(qp.H, qp.A_ineq[rows])
+    r = np.concatenate([-qp.g, qp.b_ineq[rows]])
 
+    def certified(z, how):
+        if not np.isfinite(z).all():
+            return None
+        mu = np.zeros(qp.b_ineq.size)
+        mu[rows] = z[k:]
+        sol = QpSolution(OPTIMAL, z[:k], qp.objective(z[:k]), np.zeros(0),
+                         mu, 0, how)
+        return sol if kkt_residuals(qp, sol)["worst"] <= tol else None
 
-def _reduction(qp: QuadraticProgram) -> EqualityReduction:
-    return qp.reduction if qp.reduction is not None else EqualityReduction.of(qp)
+    sol = (certified(_solve_each(K[None], r[None])[0], "active_set")
+           if rows.size <= k else None)
+    if sol is None and x0 is not None:
+        z0 = np.concatenate([x0 @ N, np.zeros(rows.size)])
+        d = np.linalg.lstsq(K, r - K @ z0, rcond=_RANK_TOL)[0]
+        sol = certified(z0 + d, "nearest")
+    return sol
 
 
 def solve_qp(qp: QuadraticProgram, tol: float = _TOL, max_iter: int = 200) -> QpSolution:
@@ -747,13 +747,12 @@ def solve_qp(qp: QuadraticProgram, tol: float = _TOL, max_iter: int = 200) -> Qp
     The problem is solved over y in x = x_p + N y (qp.reduction, or one SVD
     of A_eq).  Equalities no x meets within tol (scaled) are infeasible with
     0 iterations; with an empty nullspace x_p is optimal or infeasible by its
-    inequality residual.  Otherwise qp.active_hint, when given, is tried
-    first: if its rows are the active set, the KKT system of that set gives
-    the optimum with 0 iterations (`_warm_start`), and else the
-    interior-point method runs as without the hint, on the k x k normal
-    matrix.  On max_iter the best iterate seen is returned.  Infeasible
-    means the phase-1 optimum exceeded tol; unbounded is certified by a
-    descent ray.  This is `solve_family` on a family of one.
+    inequality residual.  Otherwise qp.prior, when given, may settle it with
+    0 iterations (`_warm_start`), and else the interior-point method runs
+    on the k x k normal matrix; on max_iter the best iterate seen is
+    returned.  Infeasible means the phase-1 optimum exceeded tol; unbounded
+    is certified by a descent ray.  This is `solve_family` on a family of
+    one.
     """
     return solve_family([qp], tol, max_iter)[0]
 
@@ -766,7 +765,7 @@ def solve_family(qps, tol: float = _TOL,
     (qp.reduction, or `EqualityReduction.of`).  The members of one
     reduction are set up and lifted together, as stacked rows
     (`_Members`).  Members that need no iteration, and members whose
-    active_hint is accepted, are decided there.  The rest, grouped by
+    prior settles them, are decided there.  The rest, grouped by
     reduced shape (k free directions, m inequality rows), run one lockstep
     interior-point method a group; a group of one is a single solve.  Each
     member stops on its own test and keeps its own status and iteration
@@ -775,7 +774,8 @@ def solve_family(qps, tol: float = _TOL,
     qps = list(qps)
     groups = {}
     for i, qp in enumerate(qps):
-        groups.setdefault(_reduction(qp), []).append(i)
+        red = qp.reduction or EqualityReduction.of(qp)
+        groups.setdefault(red, []).append(i)
     families = [(idx, _Members(red, [qps[i] for i in idx], tol))
                 for red, idx in groups.items()]
     runs = {}  # reduced shape (m, k) -> [(members, rows into live)]

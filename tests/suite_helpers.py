@@ -88,9 +88,9 @@ def deep_feeder(ids=range(2, 11), dso_index=1, tso_bus=8):
     return case, gm.Interconnection(dso_index, tso_bus, feeder.slack_id())
 
 
-def deep_partition():
+def deep_partition(ids=range(2, 11)):
     """The benchmark's `deep` workload: feeder 1 with nine generators at
     transmission bus 8, feeder 2 with generators at buses 8 and 14 at bus
-    6."""
-    (c1, l1), (c2, l2) = deep_feeder(), deep_feeder((8, 14), 2, 6)
+    6.  `ids` moves feeder 1's generators, as `deep_feeder` takes them."""
+    (c1, l1), (c2, l2) = deep_feeder(ids), deep_feeder((8, 14), 2, 6)
     return gm.Partition(_templates()[0], (c1, c2), (l1, l2))

@@ -1,6 +1,7 @@
 """Consensus coordination: pulled steps, multiplier identities, full runs."""
 import json
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from gridcoord import powerflow_models as pm
 from gridcoord import projection as pj
 from gridcoord.opt_core import QuadraticProgram, kkt_residuals, solve_qp
 
-from suite_helpers import feeder_copies
+from suite_helpers import deep_partition, feeder_copies
 
 LINK = gm.Interconnection(1, 2, 1)
 
@@ -408,10 +409,10 @@ class TestRunAdmm:
 
 
 class TestWarmStartedRounds:
-    """Each round's subproblems carry the rows active in the last round."""
+    """Each round's subproblems carry the last round's solution."""
 
     @staticmethod
-    def traced_run(part, monkeypatch):
+    def traced_run(part, monkeypatch, **kwargs):
         """run_admm with the iterations of every subproblem solve recorded,
         one list a round (the TSO's first), and the multiplier-sum identity
         after every round."""
@@ -437,11 +438,11 @@ class TestWarmStartedRounds:
         monkeypatch.setattr(ad, "solve_qp", qp_spy)
         monkeypatch.setattr(ad, "solve_family", family_spy)
         monkeypatch.setattr(ad, "consensus_step", step_spy)
-        res = ad.run_admm(part, "loss_linearized")
+        res = ad.run_admm(part, "loss_linearized", **kwargs)
         # the informed starts' family call, then a TSO solve and a family
         # call a round
         rounds = [tso + dsos for tso, dsos in zip(calls[1::2], calls[2::2])]
-        assert len(rounds) == len(sums) == res.iterations
+        assert len(rounds) == len(sums) == res.state.iteration
         return res, rounds, max(sums)
 
     def test_builtin_keeps_rounds_and_cost(self, monkeypatch, caplog):
@@ -464,6 +465,53 @@ class TestWarmStartedRounds:
         assert (f"warm start settled {settled} of {len(later) + 3} "
                 f"tso_step and dso_step solves in 52 iterations"
                 in caplog.text)
+
+    def test_deep_settles_on_flat_faces(self, monkeypatch, caplog):
+        # The nine-generator feeder prices no reactive power, so its
+        # subproblems have flat optimal faces and singular working-set
+        # KKT matrices; the least-squares step settles them.
+        part = deep_partition()
+        with caplog.at_level(logging.DEBUG, logger=ad.__name__):
+            res, rounds, dual_sum = self.traced_run(part, monkeypatch)
+        monkeypatch.undo()
+        monkeypatch.setattr(ad._Pull, "remember", lambda pull, sol: None)
+        cold, _, _ = self.traced_run(part, monkeypatch)
+        assert res.converged and cold.converged
+        assert res.iterations == cold.iterations == 151
+        assert abs(res.total_cost - cold.total_cost) <= \
+            1e-9 * abs(cold.total_cost)
+        assert dual_sum <= 1e-12
+        later = [its for r in rounds[1:] for its in r]
+        settled = later.count(0)
+        assert settled >= 0.9 * len(later)
+        ipm = sum(its > 0 for r in rounds for its in r)
+        record = re.search(
+            f"warm start settled {settled} of {len(later) + 3} tso_step and "
+            r"dso_step solves in 151 iterations, (\d+) of them by the "
+            r"least-squares step to the nearest optimal point; "
+            f"{ipm} ran the interior-point method", caplog.text)
+        assert record and int(record[1]) > 0
+
+    def test_ten_generator_stall_keeps_its_best_round(self, monkeypatch):
+        # With ten generators on feeder 1 the dual residual stalls near
+        # 1e-2 while the copies agree; warm starts do not move the best
+        # round, its score or its cost.
+        part = deep_partition(range(2, 12))
+        res, rounds, _ = self.traced_run(part, monkeypatch, max_iter=40)
+        monkeypatch.undo()
+        monkeypatch.setattr(ad._Pull, "remember", lambda pull, sol: None)
+        cold, _, _ = self.traced_run(part, monkeypatch, max_iter=40)
+        assert not res.converged and not cold.converged
+        assert res.iterations == cold.iterations == 16
+
+        def best_score(r):
+            return r.history[r.iterations - 1, 1:4].max()
+
+        assert abs(best_score(res) - best_score(cold)) <= 1e-9
+        assert abs(res.total_cost - cold.total_cost) <= \
+            1e-9 * abs(cold.total_cost)
+        later = [its for r in rounds[1:] for its in r[1:]]
+        assert later.count(0) >= 0.9 * len(later)
 
 
 class TestBatchedDsoSteps:

@@ -874,9 +874,27 @@ def corner_lp():
                                [1.0, 1.0, 2.0, 0.0, 0.0])
 
 
+def flat_face_qp():
+    """min 0.5 x1^2 - 2 x1 subject to x1 <= 1 and -1 <= x2 <= 1, with
+    x3 = x2 + 0.5: x2 costs nothing, so every x2 in [-1, 1] is optimal.
+    The working set {x1 <= 1} has a singular KKT matrix and a consistent
+    right-hand side."""
+    A = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, -1.0, 0.0]])
+    return oc.QuadraticProgram(np.diag([1.0, 0.0, 0.0]), [-2.0, 0.0, 0.0], A,
+                               np.ones(3), A_eq=[[0.0, -1.0, 1.0]],
+                               b_eq=[0.5])
+
+
+def prior_at(x, duals_ineq):
+    """A prior at x whose active rows are those of nonzero duals_ineq."""
+    return oc.QpSolution(oc.OPTIMAL, np.asarray(x, dtype=float), 0.0,
+                         np.zeros(0), np.asarray(duals_ineq, dtype=float))
+
+
 class TestWarmStart:
-    """QPs carrying an active-set hint: the KKT system of the hinted rows,
-    certified, or the interior-point method as without the hint."""
+    """QPs carrying a prior: the KKT system of the rows active there,
+    solved by LU or by the least-squares step to the optimal point nearest
+    the prior's, certified, or the interior-point method as without it."""
 
     @pytest.fixture(scope="class")
     def qps(self, copy_qps):
@@ -894,8 +912,8 @@ class TestWarmStart:
             ref = oc.solve_qp(qp, tol=self.TIGHT)
             hint = active_rows(ref)
             assert hint.any()
-            sol = oc.solve_qp(replace(qp, active_hint=hint), tol=self.TIGHT)
-            assert sol.status == oc.OPTIMAL
+            sol = oc.solve_qp(replace(qp, prior=ref), tol=self.TIGHT)
+            assert sol.status == oc.OPTIMAL and sol.warm_start == "active_set"
             assert sol.iterations == 0 < ref.iterations
             np.testing.assert_allclose(sol.x, ref.x, rtol=0, atol=1e-9)
             assert abs(sol.objective - ref.objective) <= 1e-9
@@ -911,48 +929,123 @@ class TestWarmStart:
             swapped[np.flatnonzero(hint)[0]] = False
             swapped[np.flatnonzero(~hint)[0]] = True
             for stale in (np.zeros_like(hint), swapped):
-                sol = oc.solve_qp(replace(qp, active_hint=stale))
+                prior = replace(ref, duals_ineq=stale.astype(float))
+                sol = oc.solve_qp(replace(qp, prior=prior))
                 assert_same_solution(sol, ref)
+                assert sol.warm_start is None
+
+    def test_stale_prior_falls_back(self, qps):
+        # the solution of the same constraints under another g
+        for qp in qps + [flat_face_qp()]:
+            stale = oc.solve_qp(replace(qp, g=0.5 - qp.g))
+            assert not np.array_equal(active_rows(stale),
+                                      active_rows(oc.solve_qp(qp)))
+            sol = oc.solve_qp(replace(qp, prior=stale))
+            assert sol.iterations > 0
+            assert_same_solution(sol, oc.solve_qp(qp))
+
+    def test_flat_face_settles_nearest_the_prior(self):
+        qp = flat_face_qp()
+        ref = oc.solve_qp(qp)
+        red = oc.EqualityReduction.of(qp)
+        K = oc._kkt_matrix(red.H, red.A_ineq[:1])
+        assert np.linalg.matrix_rank(K) < K.shape[0]
+        for x2 in (-1.0, -0.3, 0.0, 0.8):
+            prior = prior_at([1.0, x2, x2 + 0.5], [1.0, 0.0, 0.0])
+            for tol in (oc._TOL, self.TIGHT):
+                sol = oc.solve_qp(replace(qp, prior=prior), tol=tol)
+                assert sol.status == oc.OPTIMAL and sol.iterations == 0
+                assert sol.warm_start == "nearest"
+                certify(qp, sol, tol)
+                assert abs(sol.objective - ref.objective) <= tol
+                np.testing.assert_allclose(sol.x, prior.x, rtol=0,
+                                           atol=1e-12)
+
+    def test_inconsistent_or_wrong_working_set_falls_back(self):
+        qp = flat_face_qp()
+        ref = oc.solve_qp(qp)
+        # -1 <= x2 <= 1 both as equalities: a singular K and a right-hand
+        # side no point meets; x2 <= 1 alone: x1 = 2 breaks x1 <= 1
+        for duals in ([0.0, 1.0, 1.0], [0.0, 1.0, 0.0]):
+            sol = oc.solve_qp(replace(qp, prior=prior_at(ref.x, duals)))
+            assert sol.iterations > 0 and sol.warm_start is None
+            assert_same_solution(sol, ref)
+        # The least-squares point of an inconsistent system is kept only
+        # when it certifies: with x1 <= 1 as well it lands on x2 = 0, where
+        # the x2 rows hold with multipliers of rounding size, an optimum.
+        sol = oc.solve_qp(replace(qp, prior=prior_at(ref.x, [1.0, 1.0, 1.0])))
+        assert sol.iterations == 0 and sol.warm_start == "nearest"
+        certify(qp, sol)
 
     def test_singular_system_falls_back(self):
+        # a row and a copy 0.1 looser both marked active: K is singular and
+        # no point meets its right-hand side
         qp, _ = random_feasible_qp(0)
         ref = oc.solve_qp(qp)
+        j = int(np.flatnonzero(active_rows(ref))[0])
+        doubled = replace(qp, A_ineq=np.vstack([qp.A_ineq, qp.A_ineq[j]]),
+                          b_ineq=np.append(qp.b_ineq, qp.b_ineq[j] + 0.1))
+        hint = np.append(active_rows(ref), True)
+        assert oc._warm_start(doubled, hint, oc._TOL) is None
+        prior = replace(ref, duals_ineq=hint.astype(float))
+        sol = oc.solve_qp(replace(doubled, prior=prior))
+        assert sol.iterations > 0 and sol.warm_start is None
+        assert_same_solution(sol, oc.solve_qp(doubled))
+        np.testing.assert_allclose(sol.x, ref.x, rtol=0, atol=1e-7)
+
+    def test_doubled_row_settles_with_a_prior(self):
+        # a row and its copy both active: K is singular, its right-hand
+        # side consistent, and only the least-squares step settles it
+        qp, _ = random_feasible_qp(0)
+        ref = oc.solve_qp(qp, tol=self.TIGHT)
         j = int(np.flatnonzero(active_rows(ref))[0])
         doubled = replace(qp, A_ineq=np.vstack([qp.A_ineq, qp.A_ineq[j]]),
                           b_ineq=np.append(qp.b_ineq, qp.b_ineq[j]))
         hint = np.append(active_rows(ref), True)
         assert oc._warm_start(doubled, hint, oc._TOL) is None
-        sol = oc.solve_qp(replace(doubled, active_hint=hint))
-        assert sol.iterations > 0
-        assert_same_solution(sol, oc.solve_qp(doubled))
-        np.testing.assert_allclose(sol.x, ref.x, rtol=0, atol=1e-7)
+        prior = replace(ref, duals_ineq=np.append(ref.duals_ineq,
+                                                  ref.duals_ineq[j]))
+        sol = oc.solve_qp(replace(doubled, prior=prior), tol=self.TIGHT)
+        assert sol.iterations == 0 and sol.warm_start == "nearest"
+        certify(doubled, sol, self.TIGHT)
+        np.testing.assert_allclose(sol.x, ref.x, rtol=0, atol=1e-9)
+        # the minimum-norm multipliers share the row's evenly
+        np.testing.assert_allclose(sol.duals_ineq[[j, -1]],
+                                   0.5 * ref.duals_ineq[j], rtol=1e-8)
 
-    def test_degenerate_vertex_falls_back(self):
+    def test_degenerate_vertex_settles_by_least_squares(self):
         qp = corner_lp()
         ref = oc.solve_qp(qp)
         np.testing.assert_allclose(ref.x, [1.0, 1.0], atol=1e-7)
         every = np.array([True, True, True, False, False])
+        # three rows on two free directions: LU is not tried, and without
+        # a prior nothing settles
         assert oc._warm_start(qp, every, oc._TOL) is None
-        assert_same_solution(oc.solve_qp(replace(qp, active_hint=every)),
-                             ref)
+        sol = oc.solve_qp(replace(qp, prior=prior_at(ref.x, every)))
+        assert sol.iterations == 0 and sol.warm_start == "nearest"
+        certify(qp, sol)
+        np.testing.assert_allclose(sol.duals_ineq[:3], [1 / 3, 1 / 3, 2 / 3])
         # two of the three rows make a regular system and settle it
-        sol = oc.solve_qp(replace(qp, active_hint=every & [1, 1, 0, 0, 0]))
-        assert sol.iterations == 0
+        sol = oc.solve_qp(replace(qp, prior=prior_at(
+            [0.0, 0.0], every & [1, 1, 0, 0, 0])))
+        assert sol.iterations == 0 and sol.warm_start == "active_set"
         np.testing.assert_array_equal(sol.x, [1.0, 1.0])
 
     def test_hint_shape_checked(self):
         qp = corner_lp()
-        with pytest.raises(ValueError, match="active_hint"):
-            replace(qp, active_hint=np.ones(4, dtype=bool))
+        with pytest.raises(ValueError, match="prior"):
+            replace(qp, prior=prior_at(np.zeros(3), np.zeros(5)))
+        with pytest.raises(ValueError, match="prior"):
+            replace(qp, prior=prior_at(np.zeros(2), np.zeros(4)))
 
     def test_family_members_take_their_own_hints(self, copy_qps,
                                                  monkeypatch):
         plain = oc.solve_family(copy_qps, tol=self.TIGHT)
         hinted = list(copy_qps)
         for b in (0, 3, 7):
-            hinted[b] = replace(copy_qps[b], active_hint=active_rows(plain[b]))
-        hinted[5] = replace(copy_qps[5],
-                            active_hint=np.zeros(copy_qps[5].b_ineq.size))
+            hinted[b] = replace(copy_qps[b], prior=plain[b])
+        hinted[5] = replace(copy_qps[5], prior=replace(
+            plain[5], duals_ineq=np.zeros(copy_qps[5].b_ineq.size)))
         sizes, run = [], oc._interior_point
 
         def lockstep_spy(H, A_in, G, *args, **kwargs):
@@ -1040,8 +1133,8 @@ class TestGroupedMembers:
         fam = family_of(doubled, b_eqs)
         loose, _ = random_feasible_qp(2)
         tight = TestWarmStart.TIGHT
-        hint = active_rows(oc.solve_qp(copy_qps[0], tol=tight))
-        hinted = replace(copy_qps[0], active_hint=hint)
+        hinted = replace(copy_qps[0],
+                         prior=oc.solve_qp(copy_qps[0], tol=tight))
         qps = fam[:2] + [loose, hinted] + fam[2:] + [copy_qps[1]]
         sols = self.assert_each_alone(qps, tol=tight)
         assert sols[1].status == oc.INFEASIBLE and sols[1].iterations == 0
@@ -1105,18 +1198,18 @@ class TestGroupedMembers:
     def test_member_shares_data_and_checks_shapes(self):
         qp = random_feasible_qp(0)[0].with_reduction()
         g, b = np.arange(6.0), qp.b_ineq + 1.0
-        hint = np.zeros(10, dtype=bool)
-        member = qp.member(g=g, b_ineq=b, c0=2.0, active_hint=hint)
+        prior = oc.solve_qp(qp)
+        member = qp.member(g=g, b_ineq=b, c0=2.0, prior=prior)
         for name in ("H", "A_ineq", "A_eq", "b_eq", "reduction"):
             assert getattr(member, name) is getattr(qp, name)
-        assert qp.c0 == 0.0 and qp.active_hint is None
+        assert qp.c0 == 0.0 and qp.prior is None and member.prior is prior
         assert_same_solution(
             oc.solve_qp(member),
-            oc.solve_qp(replace(qp, g=g, b_ineq=b, c0=2.0, active_hint=hint)))
+            oc.solve_qp(replace(qp, g=g, b_ineq=b, c0=2.0, prior=prior)))
         with pytest.raises(ValueError, match="b_ineq"):
             qp.member(b_ineq=np.ones(3))
-        with pytest.raises(ValueError, match="active_hint"):
-            qp.member(active_hint=np.ones(2, dtype=bool))
+        with pytest.raises(ValueError, match="prior"):
+            qp.member(prior=replace(prior, duals_ineq=np.ones(2)))
 
 
 class TestSolveLp:
