@@ -37,14 +37,13 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .adp_coordinator import CoordinationError, _dso_agent, _skeleton_cost
+from .adp_coordinator import SOLVER_TOL, CoordinationError, _dso_agent
 from .messaging import CommLog
 from .opt_core import (OPTIMAL, QpSolution, QuadraticProgram, kkt_residuals,
                        solve_family, solve_qp)
-from .powerflow_models import (DEFAULT_INTERFACE_RATING, PolyhedralModel,
-                               assemble_centralized, attach_quadratic_cost,
-                               build_dc_model, build_dso_model,
-                               normalize_model_kind)
+from .powerflow_models import (PolyhedralModel, assemble_centralized,
+                               attach_quadratic_cost, build_dc_model,
+                               build_dso_model, normalize_model_kind)
 from .value_function import QuadraticValueFn
 
 logger = logging.getLogger(__name__)
@@ -52,7 +51,6 @@ logger = logging.getLogger(__name__)
 DEFAULT_RHO = 100.0
 DEFAULT_TOL = 1e-6
 DEFAULT_MAX_ITER = 2000
-SOLVER_TOL = 1e-9
 
 
 @dataclass
@@ -231,8 +229,7 @@ START_REG_WEIGHT = 1e-3
 START_MARGIN = 0.01
 
 
-def _informed_start(cases, dso_models, *,
-                    solver_tol: float = SOLVER_TOL) -> list:
+def _informed_start(cases, dso_models) -> list:
     """Each feeder's own dispatch, tie-broken toward a small interface
     exchange; the feeders are solved in one `solve_family` call.
 
@@ -253,7 +250,7 @@ def _informed_start(cases, dso_models, *,
                            -2.0 * START_REG_WEIGHT * anchor,
                            START_REG_WEIGHT * float(anchor @ anchor))
     sols = solve_family([attach_quadratic_cost(m, reg, 0).qp_skeleton
-                         for m in dso_models], tol=solver_tol)
+                         for m in dso_models], tol=SOLVER_TOL)
     starts = []
     for case, model, sol in zip(cases, dso_models, sols):
         passive = np.array([sum(b.p_load for b in case.buses),
@@ -272,9 +269,7 @@ def _reduced(model: PolyhedralModel) -> PolyhedralModel:
 
 def run_admm(part, model_kind: str = "loss_linearized",
              rho: float = DEFAULT_RHO, tol: float = DEFAULT_TOL,
-             max_iter: int = DEFAULT_MAX_ITER, *,
-             interface_rating: float = DEFAULT_INTERFACE_RATING,
-             solver_tol: float = SOLVER_TOL) -> AdmmResult:
+             max_iter: int = DEFAULT_MAX_ITER) -> AdmmResult:
     """Alternate TSO and DSO pulls until both copies agree."""
     if rho <= 0.0:
         raise ValueError("rho must be positive")
@@ -289,16 +284,14 @@ def run_admm(part, model_kind: str = "loss_linearized",
     # round: the pull term leaves A_ineq and A_eq alone and adds the fixed
     # rho on the coupling block of H, which each _Pull adds to H and to the
     # reduction once.
-    tso_model = _reduced(build_dc_model(part.tso, part.links,
-                                        interface_rating))
+    tso_model = _reduced(build_dc_model(part.tso, part.links))
     dso_models = [_reduced(build_dso_model(case, link, model_kind))
                   for case, link in zip(part.dsos, part.links)]
     tso_pull = _Pull(tso_model, rho, range(len(part.links)))
     dso_pulls = {i: _Pull(m, rho, (0,)) for i, m in enumerate(dso_models)}
     agents = ("tso",) + tuple(_dso_agent(lk.dso_index) for lk in part.links)
     log = CommLog(agents)
-    state = AdmmState.fresh(
-        _informed_start(part.dsos, dso_models, solver_tol=solver_tol), rho)
+    state = AdmmState.fresh(_informed_start(part.dsos, dso_models), rho)
     t_loop = time.perf_counter()
 
     history = []
@@ -311,8 +304,8 @@ def run_admm(part, model_kind: str = "loss_linearized",
     nearest = ipm = 0
     for _ in range(max_iter):
         z_prev = [z.copy() for z in state.z]
-        z_tau, tso_sol, tso_qp = _tso_step(tso_pull, state, solver_tol)
-        z_delta, dso_sols, dso_qps = _dso_steps(dso_pulls, state, solver_tol)
+        z_tau, tso_sol, tso_qp = _tso_step(tso_pull, state, SOLVER_TOL)
+        z_delta, dso_sols, dso_qps = _dso_steps(dso_pulls, state, SOLVER_TOL)
         state.z_tau, state.z_delta = z_tau, z_delta
         for sol in (tso_sol, *dso_sols):
             nearest += sol.warm_start == "nearest"
@@ -332,8 +325,8 @@ def run_admm(part, model_kind: str = "loss_linearized",
                            default=0.0)
         dual = rho * max((float(np.abs(zn - zp).max())
                           for zn, zp in zip(state.z, z_prev)), default=0.0)
-        cost = _skeleton_cost(tso_model, tso_sol.x) + sum(
-            _skeleton_cost(m, s.x) for m, s in zip(dso_models, dso_sols))
+        cost = tso_model.qp_skeleton.objective(tso_sol.x) + sum(
+            m.qp_skeleton.objective(s.x) for m, s in zip(dso_models, dso_sols))
         history.append((state.iteration, primal_tau, primal_delta, dual,
                         cost))
         score = max(primal_tau, primal_delta, dual)
@@ -370,8 +363,7 @@ def run_admm(part, model_kind: str = "loss_linearized",
 
 
 def consensus_certificate(part, result: AdmmResult,
-                          model_kind: str = "loss_linearized", *,
-                          interface_rating: float = DEFAULT_INTERFACE_RATING
+                          model_kind: str = "loss_linearized"
                           ) -> dict[str, float]:
     """KKT residuals of the stacked problem at the final consensus iterates.
 
@@ -380,18 +372,15 @@ def consensus_certificate(part, result: AdmmResult,
     multipliers as their duals, so a converged run certifies to within a
     small multiple of its tolerance with no extra solve.
     """
-    prob = assemble_centralized(part, model_kind,
-                                interface_rating=interface_rating)
+    prob = assemble_centralized(part, model_kind)
     sols = (result.tso_solution,) + tuple(result.dso_solutions)
     models = (prob.tso,) + tuple(prob.dsos)
     x = np.concatenate([s.x[:m.vmap.n] for s, m in zip(sols, models)])
     y_eq = np.concatenate(
         [s.duals_eq for s in sols] + [lam for lam in result.state.lambda_tau])
     mu = np.concatenate([s.duals_ineq for s in sols])
-    qp = prob.qp
-    obj = float(0.5 * x @ qp.H @ x + qp.g @ x + qp.c0)
-    stacked = QpSolution(OPTIMAL, x, obj, y_eq, mu)
-    return kkt_residuals(qp, stacked)
+    stacked = QpSolution(OPTIMAL, x, prob.qp.objective(x), y_eq, mu)
+    return kkt_residuals(prob.qp, stacked)
 
 
 def write_history_csv(path, result: AdmmResult) -> str:

@@ -27,8 +27,8 @@ from .powerflow_models import (DEFAULT_INTERFACE_RATING, PolyhedralModel,
                                pin_coupling)
 from .projection import (EmptyRegion, Polyhedron, RowExplosion,
                          coupling_region)
-from .value_function import (DEFAULT_SAMPLES, QuadraticValueFn, fit_quadratic,
-                             sample_value_functions)
+from .value_function import (DEFAULT_SAMPLES, QuadraticValueFn, RankDeficient,
+                             fit_quadratic, sample_value_functions)
 
 logger = logging.getLogger(__name__)
 
@@ -48,7 +48,8 @@ class CoordinationError(RuntimeError):
 
 @dataclass(frozen=True)
 class AdpConfig:
-    """Knobs for one coordinated run.
+    """The settings of one coordinated run; its QPs are solved to
+    `SOLVER_TOL`.
 
     disagg_model_kind = None disaggregates on the same convex model the
     regions were computed from; setting it to a different kind reproduces
@@ -64,7 +65,6 @@ class AdpConfig:
     tol_renegotiate: float = DEFAULT_RENEGOTIATE_TOL
     disagg_model_kind: str | None = None
     interface_rating: float = DEFAULT_INTERFACE_RATING
-    solver_tol: float = SOLVER_TOL
 
     def __post_init__(self):
         if self.value_mode not in VALUE_MODES:
@@ -149,13 +149,6 @@ def _dso_agent(dso_index: int) -> str:
     return f"dso{dso_index}"
 
 
-def _skeleton_cost(model: PolyhedralModel, x: np.ndarray) -> float:
-    """Model's own objective at a primal point (no attached extras)."""
-    qp = model.qp_skeleton
-    x = np.asarray(x, dtype=float)[: qp.n]
-    return float(0.5 * x @ qp.H @ x + qp.g @ x + qp.c0)
-
-
 def backward_sweep(part, model_kind: str, value_mode: str = "quadratic",
                    n_samples: int = DEFAULT_SAMPLES, seed: int = 0):
     """Per-DSO region projection and surrogate fit; one upload round.
@@ -165,7 +158,8 @@ def backward_sweep(part, model_kind: str, value_mode: str = "quadratic",
     each DSO's samples are solved as one family and fitted, and the
     packages are sent in link order.  Returns (packages, comm_log).  DSO k
     samples with seed + k so the streams are distinct but the whole sweep
-    is reproducible.
+    is reproducible.  Samples a quadratic cannot be fitted to raise
+    CoordinationError at stage "dso k value fit".
     """
     model_kind = normalize_model_kind(model_kind)
     if value_mode not in VALUE_MODES:
@@ -189,7 +183,11 @@ def backward_sweep(part, model_kind: str, value_mode: str = "quadratic",
         for link, region, samples in zip(
                 part.links, regions,
                 sample_value_functions(models, regions, n_samples, seed)):
-            vf, rms = fit_quadratic(samples, domain_hint=region)
+            try:
+                vf, rms = fit_quadratic(samples, domain_hint=region)
+            except RankDeficient as exc:
+                raise CoordinationError(f"dso {link.dso_index} value fit",
+                                        str(exc)) from exc
             logger.info("dso %d: value fit over %d samples, rms %.3e",
                         link.dso_index, n_samples, rms)
             value_fns.append(vf)
@@ -250,14 +248,8 @@ def _forward_model(tso_model: PolyhedralModel, packages) -> PolyhedralModel:
     return model
 
 
-def build_tso_problem(tso_model: PolyhedralModel, packages) -> QuadraticProgram:
-    """TSO dispatch restricted to the shipped regions plus surrogates."""
-    return _forward_model(tso_model, packages).qp_skeleton
-
-
-def disaggregate(dso_model: PolyhedralModel, z_star, weight: float =
-                 DEFAULT_PENALTY_WEIGHT, *, solver_tol: float = SOLVER_TOL
-                 ) -> Disaggregation:
+def disaggregate(dso_model: PolyhedralModel, z_star,
+                 weight: float = DEFAULT_PENALTY_WEIGHT) -> Disaggregation:
     """Local dispatch pulled toward a setpoint by a soft quadratic penalty.
 
     Solves min f(y, z) + weight * ||z - z_star||^2 over the model's set.
@@ -272,10 +264,11 @@ def disaggregate(dso_model: PolyhedralModel, z_star, weight: float =
                                -2.0 * weight * z_star,
                                weight * float(z_star @ z_star))
     qp = attach_quadratic_cost(dso_model, penalty).qp_skeleton
-    sol = solve_qp(qp, tol=solver_tol)
+    sol = solve_qp(qp, tol=SOLVER_TOL)
     cols = list(dso_model.vmap.coupling_triple(0))
     achieved = sol.x[cols].copy()
-    return Disaggregation(sol, achieved, _skeleton_cost(dso_model, sol.x), qp)
+    return Disaggregation(sol, achieved,
+                          dso_model.qp_skeleton.objective(sol.x), qp)
 
 
 def run_fp_adp(part, config: AdpConfig = AdpConfig()) -> AdpResult:
@@ -287,7 +280,7 @@ def run_fp_adp(part, config: AdpConfig = AdpConfig()) -> AdpResult:
 
     if not part.dsos:
         tso_model = build_dc_model(part.tso, (), config.interface_rating)
-        sol = solve_qp(tso_model.qp_skeleton, tol=config.solver_tol)
+        sol = solve_qp(tso_model.qp_skeleton, tol=SOLVER_TOL)
         timings["total"] = time.perf_counter() - t_start
         return AdpResult((), (), float(sol.objective), (),
                          float(sol.objective), sol.status == OPTIMAL,
@@ -302,7 +295,7 @@ def run_fp_adp(part, config: AdpConfig = AdpConfig()) -> AdpResult:
     t = time.perf_counter()
     tso_model = build_dc_model(part.tso, part.links, config.interface_rating)
     forward = _forward_model(tso_model, packages)
-    tso_sol = solve_qp(forward.qp_skeleton, tol=config.solver_tol)
+    tso_sol = solve_qp(forward.qp_skeleton, tol=SOLVER_TOL)
     timings["tso_solve"] = time.perf_counter() - t
     solves = [("tso_forward", forward.qp_skeleton, tso_sol)]
     if tso_sol.status != OPTIMAL:
@@ -321,8 +314,7 @@ def run_fp_adp(part, config: AdpConfig = AdpConfig()) -> AdpResult:
     disaggs = []
     for (case, link), z in zip(zip(part.dsos, part.links), setpoints):
         model = build_dso_model(case, link, disagg_kind)
-        d = disaggregate(model, z, config.weight,
-                         solver_tol=config.solver_tol)
+        d = disaggregate(model, z, config.weight)
         disaggs.append(d)
         solves.append((f"dso{link.dso_index}_disaggregation", d.qp,
                        d.solution))
@@ -351,7 +343,7 @@ def run_fp_adp(part, config: AdpConfig = AdpConfig()) -> AdpResult:
             log.send(_dso_agent(lk.dso_index), "tso", "achieved_setpoint", 3)
         pinned = pin_coupling(tso_model, {s: achieved[k]
                                           for k, s in enumerate(slots)})
-        re_sol = solve_qp(pinned, tol=config.solver_tol)
+        re_sol = solve_qp(pinned, tol=SOLVER_TOL)
         solves.append(("tso_renegotiation", pinned, re_sol))
         if re_sol.status == OPTIMAL:
             final_tso_x = re_sol.x
@@ -361,7 +353,7 @@ def run_fp_adp(part, config: AdpConfig = AdpConfig()) -> AdpResult:
             feasible = False
         timings["renegotiation"] = time.perf_counter() - t
 
-    tso_cost = _skeleton_cost(tso_model, final_tso_x)
+    tso_cost = tso_model.qp_skeleton.objective(final_tso_x)
     dso_costs = tuple(float(d.dso_cost) for d in disaggs)
     total_cost = float(tso_cost + sum(dso_costs))
     timings["total"] = time.perf_counter() - t_start

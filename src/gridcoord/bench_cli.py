@@ -36,9 +36,8 @@ from .admm_coordinator import (DEFAULT_MAX_ITER, DEFAULT_RHO, DEFAULT_TOL,
 from .opt_core import OPTIMAL, solve_qp
 from .powerflow_models import (assemble_centralized, build_dso_model,
                                normalize_model_kind)
-from .projection import (EmptyRegion, RowExplosion, chebyshev_center,
-                         coupling_region, slice_fix, vertices_2d,
-                         write_polygon_csv)
+from .projection import (EmptyRegion, RowExplosion, coupling_region,
+                         slice_fix, vertices_2d, write_polygon_csv)
 from .value_function import DEFAULT_SAMPLES
 
 logger = logging.getLogger(__name__)
@@ -347,9 +346,7 @@ def cmd_project_for(cfg: RunConfig) -> int:
         try:
             model = build_dso_model(case, link, cfg.for_model)
             region = coupling_region(model)
-            sliced = slice_fix(region, 2, cfg.nu)
-            chebyshev_center(sliced)  # raises EmptyRegion on an empty slice
-            verts = vertices_2d(sliced)
+            verts = vertices_2d(slice_fix(region, 2, cfg.nu))
         except (EmptyRegion, RowExplosion) as exc:
             print(f"dso {index}: empty region at nu={cfg.nu:g} ({exc})")
             any_empty = True

@@ -474,14 +474,14 @@ def _swap_loads_for_gens(case, local_ids, factor, cost):
     return replace(case, buses=tuple(buses), gens=case.gens + tuple(new_gens))
 
 
-def compose_benchmark(tso_case: GridCase, feeder_case: GridCase,
-                      dso_gen_cost=DEFAULT_DSO_GEN_COST) -> Partition:
+def compose_benchmark(tso_case: GridCase, feeder_case: GridCase) -> Partition:
     """Deterministically build the study partition from the two templates.
 
     Transmission generators get their p_max scaled by 3; feeder copy one
     swaps three loads for generators at twice the load's capacity, feeder
     copy two swaps two loads at equal capacity. New generators carry the
-    given cost coefficients and a reactive box of half the active capacity.
+    cost coefficients DEFAULT_DSO_GEN_COST and a reactive box of half the
+    active capacity.
     """
     n_t = len(tso_case.buses)
     n_f = len(feeder_case.buses)
@@ -494,10 +494,10 @@ def compose_benchmark(tso_case: GridCase, feeder_case: GridCase,
                 "unknown_bus", f"bus {tb}", "interface bus missing from the grid")])
     dso1 = _swap_loads_for_gens(
         feeder_case, [b - n_t for b in DSO1_STUDY_GEN_BUSES],
-        DSO1_CAPACITY_FACTOR, dso_gen_cost)
+        DSO1_CAPACITY_FACTOR, DEFAULT_DSO_GEN_COST)
     dso2 = _swap_loads_for_gens(
         feeder_case, [b - n_t - n_f for b in DSO2_STUDY_GEN_BUSES],
-        DSO2_CAPACITY_FACTOR, dso_gen_cost)
+        DSO2_CAPACITY_FACTOR, DEFAULT_DSO_GEN_COST)
     root = feeder_case.slack_id()
     links = (Interconnection(1, DSO1_TSO_BUS, root),
              Interconnection(2, DSO2_TSO_BUS, root))

@@ -5,7 +5,6 @@ communication rounds and float counts come from one place.  A round is one
 synchronized exchange layer: all agents that speak in that layer share its
 round number.  Floats are counted, not bytes.
 """
-import json
 import logging
 from dataclasses import dataclass, field
 
@@ -72,14 +71,3 @@ class CommLog:
         return {"rounds": rounds,
                 "messages": len(self.messages),
                 "total_floats": sum(m.payload_floats for m in self.messages)}
-
-    def to_dict(self) -> dict:
-        return {"agents": list(self.agents),
-                "stats": self.stats(),
-                "messages": [{"from": m.from_agent, "to": m.to_agent,
-                              "round": m.round, "kind": m.kind,
-                              "payload_floats": m.payload_floats}
-                             for m in self.messages]}
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)

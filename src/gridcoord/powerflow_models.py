@@ -417,12 +417,13 @@ def build_loss_linearized_model(case: GridCase, link,
     return _build_radial(case, link, op)
 
 
-def default_operating_point(case: GridCase, link, nu_root: float = 1.0) -> OperatingPoint:
+def default_operating_point(case: GridCase, link) -> OperatingPoint:
     """Idle-generator base point.
 
-    The feeder head supplies the entire load through lossless flows at the
-    given root voltage; generators sit at zero output. This keeps the base
-    point well defined even for feeders that cannot balance themselves.
+    The feeder head supplies the entire load through lossless flows at a
+    root squared voltage of 1.0; generators sit at zero output. This keeps
+    the base point well defined even for feeders that cannot balance
+    themselves.
     """
     orient, children, order = _tree_structure(case, link.dso_root_bus)
     bidx = case.bus_index()
@@ -434,7 +435,7 @@ def default_operating_point(case: GridCase, link, nu_root: float = 1.0) -> Opera
             b = case.buses[bidx[child]]
             fp[k] = b.p_load + sum(fp[m] for m in children[child])
             fq[k] = b.q_load + sum(fq[m] for m in children[child])
-    nu = [float(nu_root)] * len(case.buses)
+    nu = [1.0] * len(case.buses)
     for u in order:
         for k in children[u]:
             child = orient[k][1]
@@ -443,17 +444,15 @@ def default_operating_point(case: GridCase, link, nu_root: float = 1.0) -> Opera
     return OperatingPoint(tuple(fp), tuple(fq), tuple(nu))
 
 
-def build_dso_model(case: GridCase, link, kind: str,
-                    op: OperatingPoint | None = None) -> PolyhedralModel:
-    """Build a feeder model by kind name; computes the default base point
-    for the loss-linearized kind when none is supplied."""
+def build_dso_model(case: GridCase, link, kind: str) -> PolyhedralModel:
+    """Build a feeder model by kind name; the loss-linearized kind is taken
+    around `default_operating_point`."""
     kind = normalize_model_kind(kind)
     if kind == MODEL_LINDISTFLOW:
         return build_lindistflow_model(case, link)
     if kind == MODEL_LOSS_LINEARIZED:
-        if op is None:
-            op = default_operating_point(case, link)
-        return build_loss_linearized_model(case, link, op)
+        return build_loss_linearized_model(
+            case, link, default_operating_point(case, link))
     raise ValueError(f"not a feeder model kind: {kind!r}")
 
 
@@ -471,9 +470,8 @@ class CentralizedProblem:
     offsets: tuple  # column offset per subsystem: tso first, then DSOs
 
 
-def assemble_centralized(part, dso_models="loss_linearized",
-                         interface_rating: float = DEFAULT_INTERFACE_RATING,
-                         operating_points=None) -> CentralizedProblem:
+def assemble_centralized(part,
+                         dso_models="loss_linearized") -> CentralizedProblem:
     """Stack the transmission model and all feeder models into one QP.
 
     Per interconnection, the transmission-side coupling triple is tied to
@@ -485,11 +483,9 @@ def assemble_centralized(part, dso_models="loss_linearized",
         dso_models = [dso_models] * len(part.dsos)
     if len(dso_models) != len(part.dsos):
         raise ValidationError([Violation("dimension_mismatch", "dso_models")])
-    tso_model = build_dc_model(part.tso, part.links, interface_rating)
-    dso_list = []
-    for i, (case, link) in enumerate(zip(part.dsos, part.links)):
-        op = operating_points[i] if operating_points else None
-        dso_list.append(build_dso_model(case, link, dso_models[i], op))
+    tso_model = build_dc_model(part.tso, part.links)
+    dso_list = [build_dso_model(case, link, kind)
+                for case, link, kind in zip(part.dsos, part.links, dso_models)]
 
     models = [tso_model] + dso_list
     qps = [m.qp_skeleton for m in models]

@@ -219,10 +219,6 @@ def _pinned_samples(model, pts: np.ndarray):
     return samples
 
 
-_BASIS_DOC = ("0.5*z1^2", "0.5*z2^2", "0.5*z3^2", "z1*z2", "z1*z3", "z2*z3",
-              "z1", "z2", "z3", "1")
-
-
 def fit_quadratic(samples, domain_hint: Polyhedron = None):
     """(QuadraticValueFn, rms) least-squares fit over the feasible samples.
 

@@ -98,8 +98,9 @@ def reference_admm(part, kind="loss_linearized", rho=ad.DEFAULT_RHO,
         residual = max(max(float(np.abs(c - z).max()) for c, z in copies),
                        rho * max(float(np.abs(z - zp).max())
                                  for z, zp in zip(state.z, z_prev)))
-        cost = ad._skeleton_cost(tso, tso_sol.x) + sum(
-            ad._skeleton_cost(m, sol.x) for m, (_, sol, _) in zip(dsos, steps))
+        cost = tso.qp_skeleton.objective(tso_sol.x) + sum(
+            m.qp_skeleton.objective(sol.x)
+            for m, (_, sol, _) in zip(dsos, steps))
         if residual <= tol:
             return state.iteration, cost, True
     return state.iteration, cost, False

@@ -188,7 +188,7 @@ class TestBackwardSweep:
 class TestBuildTsoProblem:
     def test_zero_packages_is_plain_model(self):
         tso_model = pm.build_dc_model(two_bus_tso(), ())
-        qp = adp.build_tso_problem(tso_model, [])
+        qp = adp._forward_model(tso_model, []).qp_skeleton
         base = tso_model.qp_skeleton
         assert np.array_equal(qp.H, base.H) and np.array_equal(qp.g, base.g)
         assert np.array_equal(qp.A_ineq, base.A_ineq)
@@ -203,7 +203,8 @@ class TestBuildTsoProblem:
                              QuadraticValueFn.zero(domain_hint=region),
                              "lindistflow")
         tso_model = pm.build_dc_model(two_bus_tso(), (LINK,))
-        sol = solve_qp(adp.build_tso_problem(tso_model, [pkg]), tol=1e-10)
+        sol = solve_qp(adp._forward_model(tso_model, [pkg]).qp_skeleton,
+                       tol=1e-10)
         assert sol.status == OPTIMAL
         z = sol.x[list(tso_model.vmap.coupling_triple(0))]
         np.testing.assert_allclose(z, z0, atol=1e-7)
@@ -213,14 +214,14 @@ class TestBuildTsoProblem:
         tso_model = pm.build_dc_model(part.tso, part.links)
         plain = solve_qp(tso_model.qp_skeleton, tol=1e-9)
         packages, _ = adp.backward_sweep(part, "lindistflow", "quadratic")
-        packed = solve_qp(adp.build_tso_problem(tso_model, packages),
+        packed = solve_qp(adp._forward_model(tso_model, packages).qp_skeleton,
                           tol=1e-9)
         assert packed.objective >= plain.objective - 1e-9
 
     def test_requires_full_cover(self):
         tso_model = pm.build_dc_model(two_bus_tso(), (LINK,))
         with pytest.raises(gm.ValidationError):
-            adp.build_tso_problem(tso_model, [])
+            adp._forward_model(tso_model, [])
 
     def test_rejects_unknown_link(self):
         region = toy_region()
@@ -229,7 +230,7 @@ class TestBuildTsoProblem:
                              "lindistflow")
         tso_model = pm.build_dc_model(two_bus_tso(), ())
         with pytest.raises(gm.ValidationError):
-            adp.build_tso_problem(tso_model, [pkg])
+            adp._forward_model(tso_model, [pkg])
 
 
 class TestDisaggregate:

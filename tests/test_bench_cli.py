@@ -35,16 +35,27 @@ def forced_export_dso_case():
     return gm.GridCase(100.0, buses, lines, gens)
 
 
+def genless_dso_case():
+    # no generator: the region is a single interface point, on which the
+    # value samples are affinely degenerate
+    buses = (gm.Bus(1, "slack"), gm.Bus(2, "load", 0.5, 0.2))
+    lines = (gm.Line(1, 2, 0.1, 0.1),)
+    return gm.GridCase(100.0, buses, lines, ())
+
+
 @pytest.fixture(scope="module")
 def toy_files(tmp_path_factory):
     root = tmp_path_factory.mktemp("toy_cases")
     tso = root / "tso.json"
     dso = root / "dso.json"
     bad = root / "bad_dso.json"
+    genless = root / "genless_dso.json"
     tso.write_text(gm.serialize_case(toy_tso_case()))
     dso.write_text(gm.serialize_case(toy_dso_case()))
     bad.write_text(gm.serialize_case(forced_export_dso_case()))
-    return {"tso": str(tso), "dso": str(dso), "bad": str(bad)}
+    genless.write_text(gm.serialize_case(genless_dso_case()))
+    return {"tso": str(tso), "dso": str(dso), "bad": str(bad),
+            "genless": str(genless)}
 
 
 def toy_args(toy_files, *extra):
@@ -336,6 +347,25 @@ class TestCompare:
         assert admm_line.split(",")[4] == "false"
         assert "failed" in capsys.readouterr().out
 
+    def test_degenerate_value_samples_flag_the_quadratic_rows(
+            self, toy_files, tmp_path):
+        code = bc.main(["compare", "--tso", toy_files["tso"],
+                        "--dso", f"2={toy_files['genless']}",
+                        "--out", str(tmp_path)])
+        assert code == bc.EXIT_DECLARED
+        rows = {r["algorithm"]: r
+                for r in load_json(tmp_path / "compare.json")["rows"]}
+        assert list(rows) == ["centralized", "admm", "adp_ll_none",
+                              "adp_ll_quadratic", "adp_ldf_none",
+                              "adp_ldf_quadratic"]
+        for name in ("adp_ll_quadratic", "adp_ldf_quadratic"):
+            assert rows[name]["feasible"] is False
+            assert rows[name]["total_cost"] is None
+            assert rows[name]["error"].startswith("dso 1 value fit: ")
+        for name in ("centralized", "admm", "adp_ll_none", "adp_ldf_none"):
+            assert rows[name]["feasible"] is True
+            assert rows[name]["total_cost"] is not None
+
 
 class TestProjectFor:
     def test_benchmark_polygons(self, tmp_path, capsys):
@@ -402,15 +432,35 @@ class TestExportReport:
         assert doc["config"] == {"seed": 0}
 
 
+def load_script(name):
+    path = Path(__file__).resolve().parent.parent / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
+
+
 class TestMakeBenchmarkScript:
     def test_help_writes_nothing(self, monkeypatch, tmp_path, capsys):
-        path = Path(__file__).resolve().parent.parent / "scripts" / "make_benchmark.py"
-        spec = importlib.util.spec_from_file_location("make_benchmark", path)
-        script = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(script)
+        script = load_script("make_benchmark")
         monkeypatch.setattr(script, "OUT_DIR", str(tmp_path))
         with pytest.raises(SystemExit) as stop:
             script.main(["--help"])
         assert stop.value.code == 0
         assert capsys.readouterr().out.startswith("usage:")
         assert not any(tmp_path.iterdir())
+
+    def test_packaged_benchmark_meets_its_tuning_targets(self, capsys):
+        # the check main runs after writing the fixture, on the packaged one
+        script = load_script("make_benchmark")
+        assert script.verify(gm.load_builtin_benchmark())
+        assert "FAIL" not in capsys.readouterr().out
+
+
+class TestRhoSweepScript:
+    def test_default_sweep_passes(self, capsys):
+        script = load_script("rho_sweep")
+        assert script.main([]) == 0
+        out = capsys.readouterr().out
+        assert "FAIL" not in out
+        assert "relative cost spread" in out

@@ -904,6 +904,15 @@ class TestChebyshevCenter:
             alone, radius = pj.chebyshev_center(region)
             assert np.array_equal(c, alone) and r == radius
 
+    @pytest.mark.parametrize("region", [box(2), box(3, lo=-2.0, hi=4.0)])
+    def test_interior_point_is_the_center(self, region):
+        # on a box the interior point's ball LP (free radius, smaller cap)
+        # and the Chebyshev LP have one optimum: the center
+        center, radius = pj.chebyshev_center(region)
+        z, r = pj._interior_point(region.A, region.b, None, None)
+        np.testing.assert_allclose(z, center, atol=1e-7)
+        assert abs(r - radius) <= 1e-7
+
 
 class TestPolygonExport:
     def test_csv_and_sidecar(self, tmp_path):
