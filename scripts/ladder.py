@@ -1,0 +1,134 @@
+"""Time FOR projection on the tall ladder: one feeder, more generators.
+
+Rung g is `tests/suite_helpers.deep_feeder(range(2, g + 2))` under the
+loss-linearized model: the packaged 15-bus feeder with generators at its
+local buses 2..g+1.  Each rung runs in its own subprocess with one BLAS
+thread and a wall cap of CAP_S seconds; a rung over its cap is recorded as
+over budget.  Inside, the rung projects the feeder's FOR (`coupling_region`)
+until it has run RUNS times or for REPEAT_S seconds, and records
+
+    seconds     the fastest projection,
+    runs        how many it timed,
+    max_rows    the largest intermediate row count,
+    for_rows    the FOR's row count,
+    exact_lps   LP members of the exact redundancy pass (null where the
+                tree does not count them).
+
+With --parent, every rung runs on that revision as well, from `git
+archive` in a temporary directory, and the side that runs first
+alternates from rung to rung (parent first on even rung indices).  The
+result, with the host line BENCH_*.json files carry, goes to
+LADDER_<number>.json at the repository root.  Run from the repository
+root, for example
+
+    python3 scripts/ladder.py --number 21 --parent HEAD
+"""
+import argparse
+import io
+import json
+import os
+import platform
+import subprocess
+import sys
+import tarfile
+import tempfile
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+RUNGS = (9, 11, 12, 13, 14)
+CAP_S = 60.0
+RUNS = 5
+REPEAT_S = 5.0
+
+
+def rung(generators: int) -> dict:
+    """Time one rung in this process, with the gridcoord and suite_helpers
+    that sys.path finds."""
+    from gridcoord import powerflow_models as pm
+    from gridcoord import projection as pj
+    from suite_helpers import deep_feeder
+
+    model = pm.build_dso_model(*deep_feeder(range(2, generators + 2)),
+                               "loss_linearized")
+    times, start = [], time.perf_counter()
+    while len(times) < RUNS and time.perf_counter() - start < REPEAT_S:
+        stats = {}
+        t0 = time.perf_counter()
+        region = pj.coupling_region(model, stats=stats)
+        times.append(time.perf_counter() - t0)
+    return {"generators": generators, "seconds": min(times),
+            "runs": len(times), "max_rows": stats["max_rows"],
+            "for_rows": region.n_rows, "exact_lps": stats.get("exact_lps")}
+
+
+def _run_rung(tree: str, generators: int) -> dict:
+    """One rung in a subprocess on the tree, or its over-budget record."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    try:
+        proc = subprocess.run(
+            [sys.executable, os.path.abspath(__file__), "--rung",
+             str(generators), "--tree", tree],
+            env=env, check=True, capture_output=True, text=True,
+            timeout=CAP_S)
+    except subprocess.TimeoutExpired:
+        return {"generators": generators, "over_budget": True,
+                "cap_s": CAP_S}
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def _archive(rev: str, dest: str) -> str:
+    """The files of revision rev, as `git archive` gives them, in dest;
+    returns the full commit name."""
+    git = ["git", "-C", ROOT]
+    data = subprocess.run(git + ["archive", rev], check=True,
+                          capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(data)) as tar:
+        tar.extractall(dest, filter="data")
+    return subprocess.run(git + ["rev-parse", rev], check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--number", type=int, help="write LADDER_<number>.json")
+    p.add_argument("--parent", help="also run the rungs on this revision")
+    p.add_argument("--rung", type=int, help=argparse.SUPPRESS)
+    p.add_argument("--tree", help=argparse.SUPPRESS)
+    args = p.parse_args(argv)
+    if args.rung is not None:  # the subprocess of one rung
+        sys.path[:0] = [os.path.join(args.tree, "src"),
+                        os.path.join(args.tree, "tests")]
+        print(json.dumps(rung(args.rung)))
+        return 0
+    if args.number is None:
+        p.error("--number is required")
+    result = {
+        "what": ("FOR projection of one feeder with g generators, "
+                 "loss-linearized, each rung in its own subprocess"),
+        "cap_s": CAP_S,
+        "host": (f"{os.cpu_count()} cores, Python "
+                 f"{'.'.join(platform.python_version_tuple()[:2])}, "
+                 f"one BLAS thread (set by scripts/ladder.py)"),
+        "rungs": {},
+    }
+    with tempfile.TemporaryDirectory(prefix="ladder-") as tmp:
+        trees = {"change": ROOT}
+        if args.parent:
+            result["parent"] = _archive(args.parent, tmp)
+            trees["parent"] = tmp
+        for k, g in enumerate(RUNGS):
+            sides = sorted(trees, reverse=k % 2 == 0)  # parent first on even
+            for side in sides:
+                row = _run_rung(trees[side], g)
+                result["rungs"].setdefault(side, []).append(row)
+                print(f"{side} {json.dumps(row)}", flush=True)
+    out = os.path.join(ROOT, f"LADDER_{args.number}.json")
+    with open(out, "w", encoding="utf-8") as fh:
+        json.dump(result, fh, indent=1)
+        fh.write("\n")
+    print(f"wrote {out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -26,8 +26,9 @@ point that fails the certificate falls back to the interior-point method.
 Termination: both primal residuals (each copy against the consensus) and
 the dual residual rho * ||z_new - z_old|| in the infinity norm must drop
 to the tolerance.  On max_iter the best iterate seen is returned with
-converged = False.  Costs are always reported on the original objective,
-with no multiplier or penalty terms.
+converged = False; `iterations` still counts every round spent, and
+`best_iteration` names the round returned.  Costs are always reported on
+the original objective, with no multiplier or penalty terms.
 """
 from __future__ import annotations
 
@@ -78,7 +79,8 @@ class AdmmState:
 @dataclass(frozen=True, eq=False)
 class AdmmResult:
     converged: bool
-    iterations: int
+    iterations: int  # rounds spent
+    best_iteration: int  # round returned; the last one if converged
     total_cost: float
     state: AdmmState
     history: np.ndarray  # rows: iter, primal_tau, primal_delta, dual, cost
@@ -99,6 +101,7 @@ class AdmmResult:
             "algorithm": "admm",
             "converged": bool(self.converged),
             "iterations": int(self.iterations),
+            "best_iteration": int(self.best_iteration),
             "rho": float(self.state.rho),
             "total_cost": float(self.total_cost),
             "consensus": [[float(v) for v in z] for z in self.state.z],
@@ -338,13 +341,13 @@ def run_admm(part, model_kind: str = "loss_linearized",
             break
 
     if converged:
-        iterations, total_cost = state.iteration, history[-1][4]
+        best_iteration, total_cost = state.iteration, history[-1][4]
     else:
-        (_, iterations, total_cost, tso_sol, dso_sols,
+        (_, best_iteration, total_cost, tso_sol, dso_sols,
          tso_qp, dso_qps) = best
         logger.warning("no convergence in %d iterations; best residual "
                        "score %.3e at iteration %d", max_iter, best[0],
-                       iterations)
+                       best_iteration)
     total = state.iteration * (1 + len(dso_models))
     logger.debug("warm start settled %d of %d tso_step and dso_step solves "
                  "in %d iterations, %d of them by the least-squares step to "
@@ -354,7 +357,8 @@ def run_admm(part, model_kind: str = "loss_linearized",
     solves = (("admm_tso_final", tso_qp, tso_sol),) + tuple(
         (f"admm_dso{lk.dso_index}_final", qp, sol)
         for lk, qp, sol in zip(part.links, dso_qps, dso_sols))
-    return AdmmResult(converged, iterations, float(total_cost), state,
+    return AdmmResult(converged, state.iteration, best_iteration,
+                      float(total_cost), state,
                       np.array(history, dtype=float), log,
                       timing=time.perf_counter() - t_loop,
                       setup_time=t_loop - t_start,

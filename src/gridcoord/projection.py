@@ -7,7 +7,12 @@ by two measures: variables pinned down by equality rows are eliminated by
 substitution (no row growth), and genuine cross-product eliminations are
 followed by redundancy pruning with one convex hull of the polar dual on the
 equality set.  Flat or high-dimensional input falls to one lockstep family of
-LPs, one per row, with scalar LPs only for weakly redundant rows.
+LPs, with scalar LPs only for weakly redundant rows.  When the input has a
+strictly interior point, the rows a pruning keeps are remembered as
+irredundant, and a Fourier-Motzkin step does not change that for the rows
+it carries, so the family gets only the rows each step creates, less those
+a ray shot from the interior point settles.  Without an interior point
+every row is tested.
 It also provides membership tests, feasibility lifting back to full model
 vectors, axis slicing, and 2-D vertex enumeration for polygon export.
 
@@ -31,11 +36,16 @@ from .opt_core import (INFEASIBLE, MAX_ITER, OPTIMAL, UNBOUNDED,
 log = logging.getLogger(__name__)
 
 ROW_CAP_DEFAULT = 200_000
+# the counts project_onto(stats=) reports
+_STATS = ("max_rows", "fm_steps", "subst_steps", "exact_lps", "scalar_lps",
+          "carried", "ray_certified", "hull_calls")
 _SNAP = 1e-11          # coefficients below this collapse to exact zero
 _KEEP_TOL = 1e-9       # a row survives pruning iff it can be violated by this
 _WEAK_SLACK = 1e-7     # a row whose maximum stays this far below its bound
                        # never touches the region
 _PAIR_TOL = 1e-9       # match threshold for equality pair detection
+_RAY_MARGIN = 1e-6     # a ray shot keeps a row it lets rise this far past
+                       # its bound: a thousand times _KEEP_TOL
 # Floats one chunk of the exact pass may hold.  A member LP over m rows and
 # n columns holds about (n + 24) m of them in the lockstep run: a k x m
 # product (k <= n) and some twenty m-vectors of iterates, steps and data.
@@ -123,7 +133,11 @@ def contains(poly: Polyhedron, point, slack: float = 1e-9) -> bool:
 
 
 def eliminate_variable(poly: Polyhedron, col: int) -> Polyhedron:
-    """Fourier-Motzkin elimination of one column; exact projection."""
+    """Fourier-Motzkin elimination of one column; exact projection.
+
+    The rows without the column come first, in their order, and every one
+    of them that is not all zero is kept; the cross rows follow.
+    """
     if not 0 <= col < poly.dim:
         raise ValueError(f"column {col} out of range")
     labels = poly.labels[:col] + poly.labels[col + 1:]
@@ -177,12 +191,15 @@ def _normalize(A, b):
 
 
 def _dedupe(A, b):
-    if b.size == 0:
-        return A, b
+    """Index of the first copy of each distinct row, in row order."""
     key = np.round(np.column_stack([A, b]), 10)
     _, idx = np.unique(key, axis=0, return_index=True)
-    idx.sort()
-    return A[idx], b[idx]
+    return np.sort(idx)
+
+
+def _count(stats, key, n):
+    if stats is not None:
+        stats[key] += int(n)
 
 
 def _lp_max(a, A_in, b_in, A_eq, b_eq, tol=1e-10):
@@ -218,7 +235,40 @@ def _interior_point(A_in, b_in, A_eq, b_eq):
     return sol.x[:n], float(sol.x[n])
 
 
-def _prune_rows_exact(A_in, b_in, A_eq, b_eq):
+def _ray_certified(AN, slack, shots):
+    """Rows that ray shots from an interior point z0 show to be kept.
+
+    On the equality set x = z0 + N y, row k reads (a_k N) y <= s_k with
+    slack s_k > 0.  The ray y = t (a_i N)' of row i in `shots` reaches row
+    k at t_k = s_k / r_k when its rate r_k = (a_k N)(a_i N)' is positive.
+    The first row f hit, at t1, is touched strictly inside every other
+    row, and going on to the next hit t2 (or by 1 / r_f at most) keeps
+    every other row while a_f.x rises above b_f by min((t2 - t1) r_f, 1).
+    That point is feasible for f's relaxed LP in `_prune_rows_exact`, so
+    f is kept there when the rise exceeds `_RAY_MARGIN`.  Rows constant on
+    the equality set (|a_k N| <= 1e-10, as in `_prune_rows_hull`) neither
+    shoot nor count as hit; a ray no row bounds certifies nothing.
+    """
+    live = np.abs(AN).max(axis=1, initial=0.0) > 1e-10
+    shots = shots[live[shots]]
+    R = AN @ AN[shots].T
+    R[~live] = 0.0
+    up = R > 0.0
+    T = np.where(up, slack[:, None], np.inf) / np.where(up, R, 1.0)
+    cols = np.arange(shots.size)
+    first = T.argmin(axis=0)
+    t1, r1 = T[first, cols], R[first, cols]
+    T[first, cols] = np.inf
+    t2 = T.min(axis=0)
+    hit = np.isfinite(t1)
+    rise = np.minimum((t2[hit] - t1[hit]) * r1[hit], 1.0)
+    certified = np.zeros(slack.size, dtype=bool)
+    certified[first[hit][rise > _RAY_MARGIN]] = True
+    return certified
+
+
+def _prune_rows_exact(A_in, b_in, A_eq, b_eq, known=None, z0=None,
+                      stats=None):
     """Survivor mask from one LP per row, solved as one lockstep family.
 
     Member i maximises a_i.x over the system with row i relaxed to b_i + 1;
@@ -231,6 +281,13 @@ def _prune_rows_exact(A_in, b_in, A_eq, b_eq):
     index order, against the rows still active, so of two copies of a row
     on the equality set the later one survives.
 
+    Two kinds of row get no member and count as kept, their maximum as
+    +inf: the rows flagged in `known` (already known to be irredundant;
+    see `project_onto`), and, given a strictly interior point `z0` on the
+    equality set, the rows one ray shot per untested row certifies
+    (`_ray_certified`, one m x c product over the reduction's A N).  Without
+    `known` and `z0` every row gets its member.
+
     The family runs in chunks of at least two members and under twice
     `_EXACT_CHUNK_FLOATS` floats, so its memory grows with m, not with
     m^2 n.  Members are independent, so the chunks give the mask of one
@@ -239,15 +296,26 @@ def _prune_rows_exact(A_in, b_in, A_eq, b_eq):
     m, n = A_in.shape
     base = QuadraticProgram(np.zeros((n, n)), np.zeros(n), A_in, b_in,
                             A_eq, b_eq).with_reduction()
+    test = np.ones(m, dtype=bool) if known is None else ~known
+    _count(stats, "carried", m - np.count_nonzero(test))
+    if z0 is not None and test.any():
+        shot = _ray_certified(base.reduction.A_ineq, b_in - A_in @ z0,
+                              np.flatnonzero(test)) & test
+        _count(stats, "ray_certified", np.count_nonzero(shot))
+        test &= ~shot
 
     def member(i):
         b = b_in.copy()
         b[i] += 1.0
         return base.member(g=-A_in[i], b_ineq=b)
 
+    lp_rows = np.flatnonzero(test)
+    _count(stats, "exact_lps", lp_rows.size)
     size = max(2, _EXACT_CHUNK_FLOATS // ((n + 24) * m))
-    best = np.empty(m)
-    for rows in np.array_split(np.arange(m), max(1, m // size)):
+    best = np.full(m, np.inf)
+    for rows in np.array_split(lp_rows, max(1, lp_rows.size // size)):
+        if rows.size == 0:
+            continue
         sols = solve_family([member(i) for i in rows], tol=1e-10)
         best[rows] = [-sol.objective if sol.status == OPTIMAL else np.inf
                       for sol in sols]
@@ -260,6 +328,7 @@ def _prune_rows_exact(A_in, b_in, A_eq, b_eq):
             continue
         trial_A = np.vstack([A_in[others], A_in[i:i + 1]])
         trial_b = np.concatenate([b_in[others], [b_in[i] + 1.0]])
+        _count(stats, "scalar_lps", 1)
         status, val = _lp_max(A_in[i], trial_A, trial_b, A_eq, b_eq)
         if status == OPTIMAL and val <= b_in[i] + _KEEP_TOL:
             active[i] = False
@@ -314,7 +383,8 @@ def _prune_rows_hull(A_in, b_in, z0, A_eq):
     return keep
 
 
-def _prune_rows(A_in, b_in, A_eq, b_eq, *, z0=None):
+def _prune_rows(A_in, b_in, A_eq, b_eq, *, z0=None, known=None,
+                stats=None):
     """Drop inequality rows implied by the rest of the system.
 
     One convex hull of the polar dual on the equality set settles every row
@@ -323,14 +393,24 @@ def _prune_rows(A_in, b_in, A_eq, b_eq, *, z0=None):
     else one ball-inflation LP.  Only a system without an interior point
     (after a feasibility check) or of polar rank above `_HULL_MAX_DIM` falls
     to the exact pass, `_prune_rows_exact`: one lockstep LP family, scalar
-    LPs only for weakly redundant rows.
+    LPs only for weakly redundant rows.  The exact pass skips the rows
+    flagged in `known` and shoots rays from the interior point, when there
+    is one, before it builds any LP.  When every row is known, the rows
+    come back normalized, with no test at all.
     """
+    if known is None:
+        known = np.zeros(b_in.size, dtype=bool)
     A_in, b_in = _normalize(A_in, b_in)
+    known = known[A_in.any(axis=1)]  # the rows _drop_trivial keeps
     A_in, b_in, feasible = _drop_trivial(A_in, b_in)
     if not feasible:
         return A_in[:0], b_in[:0], False
-    A_in, b_in = _dedupe(A_in, b_in)
     if b_in.size == 0:
+        return A_in, b_in, True
+    rows = _dedupe(A_in, b_in)
+    A_in, b_in, known = A_in[rows], b_in[rows], known[rows]
+    if known.all():
+        _count(stats, "carried", known.size)
         return A_in, b_in, True
     if z0 is not None and (b_in - A_in @ z0).min() <= 1e-9:
         z0 = None
@@ -339,6 +419,7 @@ def _prune_rows(A_in, b_in, A_eq, b_eq, *, z0=None):
         if cand is not None and radius > 1e-7:
             z0 = cand
     if z0 is not None:
+        _count(stats, "hull_calls", 1)
         survivors = _prune_rows_hull(A_in, b_in, z0, A_eq)
         if survivors is not None:
             return A_in[survivors], b_in[survivors], True
@@ -346,7 +427,7 @@ def _prune_rows(A_in, b_in, A_eq, b_eq, *, z0=None):
         ok, _ = check_feasible(A_in, b_in, A_eq, b_eq, tol=1e-9)
         if not ok:
             return A_in[:0], b_in[:0], False
-    active = _prune_rows_exact(A_in, b_in, A_eq, b_eq)
+    active = _prune_rows_exact(A_in, b_in, A_eq, b_eq, known, z0, stats)
     return A_in[active], b_in[active], True
 
 
@@ -440,6 +521,21 @@ def project_onto(poly: Polyhedron, keep, *, stats: dict = None) -> Polyhedron:
     an eliminated column stays exactly zero: a substitution is one
     outer-product update in place, and only Fourier-Motzkin steps and the
     final pruning take the live columns out.
+
+    When the input has a strictly interior point, one flag per inequality
+    row records that the row is known to be irredundant.  Every row a
+    pruning keeps is; a substitution drops the flags of the rows it drops
+    and keeps the rest, since it only rewrites the rows on the equality
+    set; a Fourier-Motzkin step keeps the flags of the rows without the
+    eliminated column, whose facets project onto facets, and the cross
+    rows start unflagged.  The exact pass tests only unflagged rows, and a
+    pruning with every row flagged tests none.  Without an interior point
+    no row is flagged.  `stats`, when given, receives the largest row
+    count (`max_rows`), the steps of each kind (`fm_steps`,
+    `subst_steps`), the exact pass's family members (`exact_lps`) and
+    scalar LPs (`scalar_lps`), the rows it skipped as flagged (`carried`,
+    with those of prunings that test none) or settled by a ray shot
+    (`ray_certified`), and the convex-hull passes run (`hull_calls`).
     """
     keep = list(keep)
     if len(set(keep)) != len(keep):
@@ -457,9 +553,8 @@ def project_onto(poly: Polyhedron, keep, *, stats: dict = None) -> Polyhedron:
     if z_int is not None and radius <= 1e-7:
         z_int = None
     if stats is not None:
-        stats.setdefault("max_rows", 0)
-        stats.setdefault("fm_steps", 0)
-        stats.setdefault("subst_steps", 0)
+        for key in _STATS:
+            stats.setdefault(key, 0)
 
     def record(n_eq, n_in):
         if stats is not None:
@@ -469,6 +564,7 @@ def project_onto(poly: Polyhedron, keep, *, stats: dict = None) -> Polyhedron:
     W = np.vstack([np.column_stack([A_eq, b_eq]),
                    np.column_stack([A_in, b_in])])
     n_eq = b_eq.size
+    known = np.zeros(b_in.size, dtype=bool)
     live = np.ones(n, dtype=bool)
     free = live.copy()
     free[keep] = False
@@ -481,11 +577,10 @@ def project_onto(poly: Polyhedron, keep, *, stats: dict = None) -> Polyhedron:
         free[j] = live[j] = False
         eq_coef = np.abs(W[:n_eq, j])
         if n_eq and eq_coef.max() > 1e-9:
-            W, n_eq, feasible = _substitute(W, n_eq, int(np.argmax(eq_coef)),
-                                            j, clean)
+            W, known, n_eq, feasible = _substitute(
+                W, known, n_eq, int(np.argmax(eq_coef)), j, clean)
             clean = True
-            if stats is not None:
-                stats["subst_steps"] += 1
+            _count(stats, "subst_steps", 1)
         else:
             W[:n_eq, j] = 0.0
             span = np.append(np.flatnonzero(live), j)
@@ -494,16 +589,22 @@ def project_onto(poly: Polyhedron, keep, *, stats: dict = None) -> Polyhedron:
                            tuple(poly.labels[c] for c in span)), span.size - 1)
             if sub.is_marked_empty:
                 return Polyhedron.empty(len(keep), labels)
+            # the rows without column j come first in sub and keep their
+            # flags; the cross rows are new
+            carried = known[(W[n_eq:, j] == 0.0) & W[n_eq:, :n].any(axis=1)]
+            known = np.zeros(sub.n_rows, dtype=bool)
+            known[:carried.size] = carried
             A_in, b_in, feasible = _prune_rows(
                 sub.A, sub.b, W[:n_eq, :n][:, live], W[:n_eq, n].copy(),
-                z0=None if z_int is None else z_int[live])
+                z0=None if z_int is None else z_int[live], known=known,
+                stats=stats)
+            known = np.full(b_in.size, z_int is not None)
             rows = np.zeros((b_in.size, n + 1))
             rows[:, :n][:, live] = A_in
             rows[:, n] = b_in
             W = np.vstack([W[:n_eq], rows])
             clean = False
-            if stats is not None:
-                stats["fm_steps"] += 1
+            _count(stats, "fm_steps", 1)
         if not feasible:
             return Polyhedron.empty(len(keep), labels)
         record(n_eq, W.shape[0] - n_eq)
@@ -514,7 +615,7 @@ def project_onto(poly: Polyhedron, keep, *, stats: dict = None) -> Polyhedron:
         return Polyhedron.empty(len(keep), labels)
     A_in, b_in, feasible = _prune_rows(
         W[n_eq:, keep], W[n_eq:, n].copy(), A_eq, b_eq,
-        z0=None if z_int is None else z_int[keep])
+        z0=None if z_int is None else z_int[keep], known=known, stats=stats)
     if not feasible:
         return Polyhedron.empty(len(keep), labels)
     record(b_eq.size, b_in.size)
@@ -523,7 +624,7 @@ def project_onto(poly: Polyhedron, keep, *, stats: dict = None) -> Polyhedron:
     return Polyhedron(len(keep), A, b, labels)
 
 
-def _substitute(W, n_eq, pivot, j, clean):
+def _substitute(W, known, n_eq, pivot, j, clean):
     """Eliminate column j of the working matrix [A_eq | b_eq; A_in | b_in]
     with equality row `pivot`; exact, no row growth.
 
@@ -532,7 +633,8 @@ def _substitute(W, n_eq, pivot, j, clean):
     no zero row: what every substitution leaves) only the rows with a
     nonzero in column j take the update; the others would come out the
     same but for the sign of a zero bound, so the bound column is updated
-    in full.  Returns the new matrix, its equality row count and False
+    in full.  Returns the new matrix, the flags `known` (one per
+    inequality row) of the rows it keeps, its equality row count and False
     when a row reduces to 0 = b, b != 0, or to 0 <= b, b < 0 (tolerance
     1e-9).
     """
@@ -547,7 +649,8 @@ def _substitute(W, n_eq, pivot, j, clean):
     bad = np.where(zero < n_eq, np.abs(b) > 1e-9, b < -1e-9)
     keep = np.ones(W.shape[0], dtype=bool)
     keep[zero] = False
-    return W[keep], n_eq - int(np.count_nonzero(zero < n_eq)), not bad.any()
+    return (W[keep], known[keep[n_eq:]],
+            n_eq - int(np.count_nonzero(zero < n_eq)), not bad.any())
 
 
 def coupling_region(model, *, stats: dict = None) -> Polyhedron:

@@ -287,6 +287,19 @@ class TestRunAdmm:
         assert stats["total_floats"] == 6 * n
         assert res.operations == n
 
+    def test_cut_run_reports_the_rounds_it_spent(self):
+        # five rounds do not converge: the run counts all five, as its
+        # CommLog does, and returns its best round's solutions
+        res = ad.run_admm(toy_partition(), "lindistflow", max_iter=5)
+        assert not res.converged
+        assert res.iterations == res.operations == 5
+        assert res.comm.stats()["rounds"] == 5
+        assert 1 <= res.best_iteration <= 5
+        best = res.history[:, 1:4].max(axis=1).argmin()
+        assert res.best_iteration == res.history[best, 0]
+        assert res.total_cost == res.history[best, 4]
+        assert res.to_dict()["iterations"] == 5
+
     def test_invariants_hold_every_iteration(self, monkeypatch):
         sums, copies = [], []
         original = ad.consensus_step
@@ -503,10 +516,12 @@ class TestWarmStartedRounds:
         monkeypatch.setattr(ad._Pull, "remember", lambda pull, sol: None)
         cold, _, _ = self.traced_run(part, monkeypatch, max_iter=40)
         assert not res.converged and not cold.converged
-        assert res.iterations == cold.iterations == 16
+        assert res.iterations == cold.iterations == 40
+        assert res.best_iteration == cold.best_iteration == 16
+        assert res.to_dict()["best_iteration"] == 16
 
         def best_score(r):
-            return r.history[r.iterations - 1, 1:4].max()
+            return r.history[r.best_iteration - 1, 1:4].max()
 
         assert abs(best_score(res) - best_score(cold)) <= 1e-9
         assert abs(res.total_cost - cold.total_cost) <= \

@@ -464,3 +464,15 @@ class TestRhoSweepScript:
         out = capsys.readouterr().out
         assert "FAIL" not in out
         assert "relative cost spread" in out
+
+
+class TestLadderScript:
+    def test_nine_generator_rung(self):
+        # the smallest tall rung, in this process: the FOR of the deep
+        # workload's feeder 1 as the ladder records it
+        script = load_script("ladder")
+        row = script.rung(9)
+        assert row["generators"] == 9 and row["runs"] >= 1
+        assert row["for_rows"] == 34 and row["max_rows"] == 156
+        assert 0 < row["exact_lps"] <= 100
+        assert 0.0 < row["seconds"] < script.CAP_S

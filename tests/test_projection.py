@@ -339,6 +339,24 @@ class TestExactPass:
         assert not exact[first] and exact[-1]
         np.testing.assert_array_equal(pj._prune_rows_exact(A, b, A_eq, b_eq),
                                       exact)
+        np.testing.assert_array_equal(
+            pj._prune_rows_exact(A, b, A_eq, b_eq, None, np.zeros(11)), exact)
+
+    def test_ray_hitting_two_copies_certifies_neither(self):
+        # x0 + x2 <= 1 is x0 <= 1 on the plane x2 = 0: the ray of either
+        # row from the origin hits both at once, leaving no margin, so
+        # both go to their LPs and the later copy survives
+        A = np.vstack([[1.0, 0.0, 1.0], np.eye(3)[:2], -np.eye(3)[:2]])
+        b = np.ones(5)
+        A_eq, b_eq = np.eye(3)[2:], np.zeros(1)
+        exact = sequential_prune(A, b, A_eq, b_eq)
+        np.testing.assert_array_equal(exact, [False] + [True] * 4)
+        stats = dict.fromkeys(("carried", "ray_certified", "exact_lps",
+                               "scalar_lps"), 0)
+        np.testing.assert_array_equal(
+            pj._prune_rows_exact(A, b, A_eq, b_eq, None, np.zeros(3), stats),
+            exact)
+        assert stats["ray_certified"] == 3 and stats["exact_lps"] == 2
 
     def test_weakly_redundant_vertex_row(self):
         A, b, A_eq, b_eq = rank_11_system(51)
@@ -413,18 +431,81 @@ class TestExactPass:
         np.testing.assert_array_equal(chunked,
                                       sequential_prune(A, b, A_eq, b_eq))
 
+    @pytest.mark.parametrize("n_eq", [0, 1, 2])
+    def test_fm_step_keeps_carried_rows_irredundant(self, n_eq):
+        # a pruned system around an interior point, one Fourier-Motzkin
+        # step on a column the equalities do not hold: every row without
+        # that column survives the next pruning, and the exact pass given
+        # their flags and the interior point keeps the sequential mask
+        for seed in range(4):
+            rng = np.random.default_rng([seed, n_eq])
+            dim, j = 6, 5
+            A = rng.normal(size=(30, dim))
+            A[:12, j] = 0.0
+            x0 = rng.normal(size=dim)
+            b = A @ x0 + rng.uniform(0.2, 1.5, size=30)
+            A, b = pj._normalize(A, b)
+            A_eq = rng.normal(size=(n_eq, dim))
+            A_eq[:, j] = 0.0
+            b_eq = A_eq @ x0
+            first = sequential_prune(A, b, A_eq, b_eq)
+            A, b = A[first], b[first]
+            sub = pj.eliminate_variable(
+                pj.Polyhedron(dim, A, b, tuple(f"x{k}" for k in range(dim))),
+                j)
+            carried = int(np.count_nonzero(A[:, j] == 0.0))
+            assert carried > 0
+            A2, b2 = pj._normalize(sub.A, sub.b)
+            A_eq2 = np.delete(A_eq, j, axis=1)
+            second = sequential_prune(A2, b2, A_eq2, b_eq)
+            assert second[:carried].all()
+            known = np.arange(b2.size) < carried
+            np.testing.assert_array_equal(
+                pj._prune_rows_exact(A2, b2, A_eq2, b_eq, known,
+                                     np.delete(x0, j)), second)
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_segment_for_flags_no_row(self, kind, monkeypatch):
+        # a feeder without generators has a segment for its FOR: the input
+        # has no interior point, no row is flagged, and the FOR has the
+        # bytes it has with the flags taken away
+        model = pm.build_dso_model(chain_feeder([(0.5, 0.2)], 0.1, 0.1),
+                                   LINK, kind)
+        flagged, prune = [], pj._prune_rows
+
+        def spy(*args, known=None, **kwargs):
+            flagged.append(known is not None and bool(known.any()))
+            return prune(*args, known=known, **kwargs)
+
+        def unflagged(*args, known=None, **kwargs):
+            return prune(*args, **kwargs)
+
+        monkeypatch.setattr(pj, "_prune_rows", spy)
+        stats = {}
+        region = pj.coupling_region(model, stats=stats)
+        assert flagged and not any(flagged) and stats["carried"] == 0
+        monkeypatch.setattr(pj, "_prune_rows", unflagged)
+        off = pj.coupling_region(model)
+        assert region.A.tobytes() == off.A.tobytes()
+        assert region.b.tobytes() == off.b.tobytes()
+        assert pj._interior_point(region.A, region.b, None, None)[1] <= 1e-7
+
     @pytest.mark.parametrize("kind", MODEL_KINDS)
     def test_nine_generator_feeder(self, kind, monkeypatch):
         # the first FM steps of this feeder sit above _HULL_MAX_DIM: each
-        # exact pass is one family and at most two scalar LPs, and the FOR
-        # is the one the sequential pass gives, bit for bit
+        # exact pass is at most one family and two scalar LPs, carried rows
+        # and ray shots leave at most 100 family members in all (358 when
+        # every row got one), and the FOR is the one the sequential pass,
+        # testing every row, gives, bit for bit
         model = pm.build_dso_model(*deep_feeder(), kind)
-        calls = {"family": 0, "scalar": 0}
+        calls = {"family": 0, "scalar": 0, "members": 0}
         passes = []
 
         def counted(name, fn):
             def call(*args, **kwargs):
                 calls[name] += 1
+                if name == "family":
+                    calls["members"] += len(args[0])
                 return fn(*args, **kwargs)
             return call
 
@@ -440,10 +521,17 @@ class TestExactPass:
                             counted("family", pj.solve_family))
         monkeypatch.setattr(pj, "_lp_max", counted("scalar", pj._lp_max))
         monkeypatch.setattr(pj, "_prune_rows_exact", counted_pass)
-        region = pj.coupling_region(model)
+        stats = {}
+        region = pj.coupling_region(model, stats=stats)
         assert passes
-        assert all(family == 1 and scalar <= 2 for family, scalar in passes)
-        monkeypatch.setattr(pj, "_prune_rows_exact", sequential_prune)
+        assert all(family <= 1 and scalar <= 2 for family, scalar in passes)
+        assert calls["members"] == stats["exact_lps"] <= 100
+        assert calls["scalar"] == stats["scalar_lps"]
+
+        def oracle(A_in, b_in, A_eq, b_eq, *ignored):
+            return sequential_prune(A_in, b_in, A_eq, b_eq)
+
+        monkeypatch.setattr(pj, "_prune_rows_exact", oracle)
         reference = pj.coupling_region(model)
         assert region.labels == reference.labels
         np.testing.assert_array_equal(region.A, reference.A)
@@ -565,7 +653,8 @@ def reference_split_pairs(A, b):
 
 
 def reference_substitute(A_eq, b_eq, A_in, b_in, pivot, j):
-    """Reference substitution: drop the pivot row, update, delete column j."""
+    """Reference substitution: drop the pivot row, update, delete column j.
+    Also returns the mask of the inequality rows kept."""
     alpha = A_eq[pivot, j]
     piv_row = A_eq[pivot] / alpha
     piv_b = b_eq[pivot] / alpha
@@ -581,17 +670,22 @@ def reference_substitute(A_eq, b_eq, A_in, b_in, pivot, j):
     A_eq2, b_eq2 = apply(np.delete(A_eq, pivot, axis=0),
                          np.delete(b_eq, pivot))
     A_in2, b_in2 = apply(A_in, b_in)
+    kept = np.any(A_in2 != 0.0, axis=1)
     zero_eq = ~np.any(A_eq2 != 0.0, axis=1)
     if np.any(np.abs(b_eq2[zero_eq]) > 1e-9):
-        return A_eq2, b_eq2, A_in2, b_in2, False
+        return A_eq2, b_eq2, A_in2, b_in2, False, kept
     A_eq2, b_eq2 = A_eq2[~zero_eq], b_eq2[~zero_eq]
     A_in2, b_in2, feasible = pj._drop_trivial(A_in2, b_in2, tol=1e-9)
-    return A_eq2, b_eq2, A_in2, b_in2, feasible
+    return A_eq2, b_eq2, A_in2, b_in2, feasible, kept
 
 
 def reference_project_onto(poly, keep, *, stats=None):
     """Reference projection: one column at a time, deleting each eliminated
-    column, with the greedy column choice counted column by column."""
+    column, with the greedy column choice counted column by column.  The
+    flags of the rows known to be irredundant follow the rows: every row a
+    pruning keeps is known when the input has an interior point, a
+    substitution drops the flags of the rows it drops, and an FM step keeps
+    those of the rows without the eliminated column."""
     keep = list(keep)
     labels = tuple(poly.labels[c] for c in keep)
     if poly.is_marked_empty:
@@ -602,9 +696,10 @@ def reference_project_onto(poly, keep, *, stats=None):
     if z_int is not None and radius <= 1e-7:
         z_int = None
     if stats is not None:
-        stats.setdefault("max_rows", 0)
-        stats.setdefault("fm_steps", 0)
-        stats.setdefault("subst_steps", 0)
+        for key in ("max_rows", "fm_steps", "subst_steps", "exact_lps",
+                    "scalar_lps", "carried", "ray_certified", "hull_calls"):
+            stats.setdefault(key, 0)
+    known = np.zeros(b_in.size, dtype=bool)
 
     def record():
         if stats is not None:
@@ -624,24 +719,30 @@ def reference_project_onto(poly, keep, *, stats=None):
         j = cols.index(c)
         eq_coef = np.abs(A_eq[:, j]) if b_eq.size else np.zeros(0)
         if eq_coef.size and eq_coef.max() > 1e-9:
-            A_eq, b_eq, A_in, b_in, feasible = reference_substitute(
+            A_eq, b_eq, A_in, b_in, feasible, kept = reference_substitute(
                 A_eq, b_eq, A_in, b_in, int(np.argmax(eq_coef)), j)
+            known = known[kept]
             if z_int is not None:
                 z_int = np.delete(z_int, j)
             if stats is not None:
                 stats["subst_steps"] += 1
         else:
             A_eq = np.delete(A_eq, j, axis=1)
+            carried = known[(A_in[:, j] == 0.0)
+                            & np.delete(A_in, j, axis=1).any(axis=1)]
             sub = pj.eliminate_variable(
                 pj.Polyhedron(len(cols), A_in, b_in,
                               tuple(str(k) for k in cols)), j)
             if sub.is_marked_empty:
                 return pj.Polyhedron.empty(len(keep), labels)
             A_in, b_in = sub.A, sub.b
+            known = np.zeros(b_in.size, dtype=bool)
+            known[:carried.size] = carried
             if z_int is not None:
                 z_int = np.delete(z_int, j)
-            A_in, b_in, feasible = pj._prune_rows(A_in, b_in, A_eq, b_eq,
-                                                  z0=z_int)
+            A_in, b_in, feasible = pj._prune_rows(
+                A_in, b_in, A_eq, b_eq, z0=z_int, known=known, stats=stats)
+            known = np.full(b_in.size, z_int is not None)
             if stats is not None:
                 stats["fm_steps"] += 1
         if not feasible:
@@ -656,7 +757,8 @@ def reference_project_onto(poly, keep, *, stats=None):
     A_eq, b_eq, consistent = pj._independent_equalities(A_eq, b_eq)
     if not consistent:
         return pj.Polyhedron.empty(len(keep), labels)
-    A_in, b_in, feasible = pj._prune_rows(A_in, b_in, A_eq, b_eq, z0=z_int)
+    A_in, b_in, feasible = pj._prune_rows(A_in, b_in, A_eq, b_eq, z0=z_int,
+                                          known=known, stats=stats)
     if not feasible:
         return pj.Polyhedron.empty(len(keep), labels)
     record()
