@@ -1,11 +1,12 @@
-"""Time FOR projection on the tall ladder: one feeder, more generators.
+"""Time FOR projection and ADMM on the tall ladder: more feeder generators.
 
 Rung g is `tests/suite_helpers.deep_feeder(range(2, g + 2))` under the
 loss-linearized model: the packaged 15-bus feeder with generators at its
 local buses 2..g+1.  Each rung runs in its own subprocess with one BLAS
 thread and a wall cap of CAP_S seconds; a rung over its cap is recorded as
-over budget.  Inside, the rung projects the feeder's FOR (`coupling_region`)
-until it has run RUNS times or for REPEAT_S seconds, and records
+over budget.  The FOR axis (RUNGS) projects the feeder's FOR
+(`coupling_region`) until it has run RUNS times or for REPEAT_S seconds,
+and records
 
     seconds     the fastest projection,
     runs        how many it timed,
@@ -14,6 +15,16 @@ until it has run RUNS times or for REPEAT_S seconds, and records
     exact_lps   LP members of the exact redundancy pass (null where the
                 tree does not count them).
 
+The ADMM axis (ADMM_RUNGS) runs `run_admm` on
+`tests/suite_helpers.deep_partition(range(2, g + 2))`, the built-in
+attachment with that feeder as feeder 1, the same way, and records
+
+    seconds     the fastest run,
+    runs        how many it timed,
+    rounds      the rounds a run spent,
+    converged   whether it converged,
+    gap         its cost's distance to the centralized optimum, relative.
+
 With --parent, every rung runs on that revision as well, from `git
 archive` in a temporary directory, and the side that runs first
 alternates from rung to rung (parent first on even rung indices).  The
@@ -21,7 +32,7 @@ result, with the host line BENCH_*.json files carry, goes to
 LADDER_<number>.json at the repository root.  Run from the repository
 root, for example
 
-    python3 scripts/ladder.py --number 21 --parent HEAD
+    python3 scripts/ladder.py --number 22 --parent HEAD
 """
 import argparse
 import io
@@ -36,6 +47,7 @@ import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 RUNGS = (9, 11, 12, 13, 14)
+ADMM_RUNGS = (9, 10, 11)
 CAP_S = 60.0
 RUNS = 5
 REPEAT_S = 5.0
@@ -61,13 +73,35 @@ def rung(generators: int) -> dict:
             "for_rows": region.n_rows, "exact_lps": stats.get("exact_lps")}
 
 
-def _run_rung(tree: str, generators: int) -> dict:
-    """One rung in a subprocess on the tree, or its over-budget record."""
+def admm_rung(generators: int) -> dict:
+    """Time one ADMM rung in this process, like `rung`."""
+    from gridcoord import admm_coordinator as ad
+    from gridcoord import powerflow_models as pm
+    from gridcoord.opt_core import solve_qp
+    from suite_helpers import deep_partition
+
+    part = deep_partition(range(2, generators + 2))
+    times, start = [], time.perf_counter()
+    while len(times) < RUNS and time.perf_counter() - start < REPEAT_S:
+        t0 = time.perf_counter()
+        res = ad.run_admm(part, "loss_linearized")
+        times.append(time.perf_counter() - t0)
+    central = solve_qp(pm.assemble_centralized(part, "loss_linearized").qp,
+                       tol=1e-9).objective
+    return {"generators": generators, "seconds": min(times),
+            "runs": len(times), "rounds": res.iterations,
+            "converged": bool(res.converged),
+            "gap": abs(res.total_cost - central) / abs(central)}
+
+
+def _run_rung(tree: str, generators: int, axis: str) -> dict:
+    """One rung of the axis ("for" or "admm") in a subprocess on the tree,
+    or its over-budget record."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
     try:
         proc = subprocess.run(
             [sys.executable, os.path.abspath(__file__), "--rung",
-             str(generators), "--tree", tree],
+             str(generators), "--axis", axis, "--tree", tree],
             env=env, check=True, capture_output=True, text=True,
             timeout=CAP_S)
     except subprocess.TimeoutExpired:
@@ -93,35 +127,42 @@ def main(argv=None) -> int:
     p.add_argument("--number", type=int, help="write LADDER_<number>.json")
     p.add_argument("--parent", help="also run the rungs on this revision")
     p.add_argument("--rung", type=int, help=argparse.SUPPRESS)
+    p.add_argument("--axis", default="for", help=argparse.SUPPRESS)
     p.add_argument("--tree", help=argparse.SUPPRESS)
     args = p.parse_args(argv)
     if args.rung is not None:  # the subprocess of one rung
         sys.path[:0] = [os.path.join(args.tree, "src"),
                         os.path.join(args.tree, "tests")]
-        print(json.dumps(rung(args.rung)))
+        timer = admm_rung if args.axis == "admm" else rung
+        print(json.dumps(timer(args.rung)))
         return 0
     if args.number is None:
         p.error("--number is required")
     result = {
-        "what": ("FOR projection of one feeder with g generators, "
-                 "loss-linearized, each rung in its own subprocess"),
+        "what": ("FOR projection of one feeder with g generators (rungs) "
+                 "and ADMM on the partition with that feeder as feeder 1 "
+                 "(admm_rungs), loss-linearized, each rung in its own "
+                 "subprocess"),
         "cap_s": CAP_S,
         "host": (f"{os.cpu_count()} cores, Python "
                  f"{'.'.join(platform.python_version_tuple()[:2])}, "
                  f"one BLAS thread (set by scripts/ladder.py)"),
         "rungs": {},
+        "admm_rungs": {},
     }
     with tempfile.TemporaryDirectory(prefix="ladder-") as tmp:
         trees = {"change": ROOT}
         if args.parent:
             result["parent"] = _archive(args.parent, tmp)
             trees["parent"] = tmp
-        for k, g in enumerate(RUNGS):
-            sides = sorted(trees, reverse=k % 2 == 0)  # parent first on even
-            for side in sides:
-                row = _run_rung(trees[side], g)
-                result["rungs"].setdefault(side, []).append(row)
-                print(f"{side} {json.dumps(row)}", flush=True)
+        for axis, key, rungs in (("for", "rungs", RUNGS),
+                                 ("admm", "admm_rungs", ADMM_RUNGS)):
+            for k, g in enumerate(rungs):
+                # parent first on even rung indices
+                for side in sorted(trees, reverse=k % 2 == 0):
+                    row = _run_rung(trees[side], g, axis)
+                    result[key].setdefault(side, []).append(row)
+                    print(f"{side} {axis} {json.dumps(row)}", flush=True)
     out = os.path.join(ROOT, f"LADDER_{args.number}.json")
     with open(out, "w", encoding="utf-8") as fh:
         json.dump(result, fh, indent=1)

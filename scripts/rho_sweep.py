@@ -1,9 +1,10 @@
-"""Sweep the consensus penalty weight on the built-in benchmark.
+"""Sweep the starting consensus penalty weight on the built-in benchmark.
 
-The converged consensus cost must not depend on rho; only the iteration
-path does.  Runs the benchmark at each weight, prints a table, and fails
-if any run misses convergence or the costs spread by more than 1e-5
-relative.
+`run_admm` balances rho against its residuals from the starting weight on.
+The converged consensus cost must not depend on where rho starts; only the
+iteration path does.  Runs the benchmark from each starting weight, prints
+a table with the weight each run ended at, and fails if any run misses
+convergence or the costs spread by more than 1e-5 relative.
 
 Run from the repository root:  python3 scripts/rho_sweep.py
 """
@@ -25,7 +26,7 @@ def main(argv=None) -> int:
     parser.add_argument("--model", default="loss_linearized",
                         choices=["lindistflow", "loss_linearized"])
     parser.add_argument("--rhos", default="10,50,100",
-                        help="comma-separated penalty weights")
+                        help="comma-separated starting penalty weights")
     parser.add_argument("--tol", type=float, default=ac.DEFAULT_TOL)
     parser.add_argument("--max-iter", type=int, default=ac.DEFAULT_MAX_ITER)
     args = parser.parse_args(argv)
@@ -39,11 +40,11 @@ def main(argv=None) -> int:
                           max_iter=args.max_iter)
         rows.append((rho, res))
 
-    print(f"{'rho':>8}  {'iterations':>10}  {'converged':>9}  "
-          f"{'total cost':>16}")
+    print(f"{'rho':>8}  {'final rho':>9}  {'iterations':>10}  "
+          f"{'converged':>9}  {'total cost':>16}")
     for rho, res in rows:
-        print(f"{rho:8.1f}  {res.iterations:10d}  {str(res.converged):>9}  "
-              f"{res.total_cost:16.8f}")
+        print(f"{rho:8.1f}  {res.state.rho:9g}  {res.iterations:10d}  "
+              f"{str(res.converged):>9}  {res.total_cost:16.8f}")
 
     ok = True
     if not all(res.converged for _, res in rows):

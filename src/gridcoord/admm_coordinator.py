@@ -11,8 +11,21 @@ Each round makes one TSO solve and one `solve_family` call for all DSO
 subproblems, so the DSOs of one reduced shape (copies of one feeder
 topology) run as one lockstep interior-point family.  The fixed part of
 every pull, rho on each coupling block of H and of the model's equality
-reduction, is added once per model and run; a round changes only the
+reduction, is added once per model and weight; a round changes only the
 linear and constant terms of each subproblem.
+
+Penalty: rho starts at the caller's weight and is balanced against the
+residuals (Boyd et al. 2011, section 3.4.1).  After a round that has not
+converged, rho doubles when the larger primal residual exceeds ten times
+the dual residual, and halves when the dual exceeds ten times the primal;
+after RHO_MAX_CHANGES changes it stays where it is, as the convergence
+argument needs.  A fixed rho prices a direction that only one side's cost
+sees by a step of price / (2 rho) a round, so a large one crawls there,
+and a small one lets the copies drift apart; balancing finds the scale.
+The multipliers are unscaled, so a change leaves them as they are and
+their sum stays exactly zero; each model's pull is rebuilt at the new
+weight from its unpenalized model and equality reduction (no new SVD), and
+keeps its prior.
 
 Each subproblem carries its previous round's solution as its `prior`.
 Once the active set settles, `opt_core` solves the subproblem by that
@@ -24,11 +37,12 @@ point nearest the previous round's, reached by one least-squares step.  A
 point that fails the certificate falls back to the interior-point method.
 
 Termination: both primal residuals (each copy against the consensus) and
-the dual residual rho * ||z_new - z_old|| in the infinity norm must drop
-to the tolerance.  On max_iter the best iterate seen is returned with
-converged = False; `iterations` still counts every round spent, and
-`best_iteration` names the round returned.  Costs are always reported on
-the original objective, with no multiplier or penalty terms.
+the dual residual rho * ||z_new - z_old|| in the infinity norm, at the rho
+of the round it measures, must drop to the tolerance.  On max_iter the
+best iterate seen is returned with converged = False; `iterations` still
+counts every round spent, and `best_iteration` names the round returned.
+Costs are always reported on the original objective, with no multiplier
+or penalty terms.
 """
 from __future__ import annotations
 
@@ -52,6 +66,12 @@ logger = logging.getLogger(__name__)
 DEFAULT_RHO = 100.0
 DEFAULT_TOL = 1e-6
 DEFAULT_MAX_ITER = 2000
+# Residual balancing (Boyd et al. 2011, section 3.4.1): rho moves by a
+# factor RHO_STEP when one residual exceeds the other by RHO_BALANCE, and
+# stays fixed after RHO_MAX_CHANGES moves.
+RHO_BALANCE = 10.0
+RHO_STEP = 2.0
+RHO_MAX_CHANGES = 20
 
 
 @dataclass
@@ -90,6 +110,8 @@ class AdmmResult:
     tso_solution: QpSolution = field(repr=False, default=None)
     dso_solutions: tuple = field(repr=False, default=())
     solves: tuple = field(repr=False, default=())  # final (label, qp, sol)
+    rho: float = DEFAULT_RHO  # starting weight; state.rho is the final one
+    rho_path: tuple = ()  # (round after which rho changed, the new rho)
 
     @property
     def operations(self) -> int:
@@ -102,7 +124,9 @@ class AdmmResult:
             "converged": bool(self.converged),
             "iterations": int(self.iterations),
             "best_iteration": int(self.best_iteration),
-            "rho": float(self.state.rho),
+            "rho": float(self.rho),
+            "final_rho": float(self.state.rho),
+            "rho_changes": len(self.rho_path),
             "total_cost": float(self.total_cost),
             "consensus": [[float(v) for v in z] for z in self.state.z],
             "residuals": {
@@ -137,12 +161,19 @@ class _Pull:
     """
 
     def __init__(self, model: PolyhedralModel, rho: float, slots):
-        self.model, self.rho, self.slots = model, rho, tuple(slots)
+        self.model, self.slots = model, tuple(slots)
+        self.prior = None
+        self.penalize(rho)
+
+    def penalize(self, rho: float) -> None:
+        """Rebuild the penalized H and reduction from the unpenalized model
+        at weight rho; the prior stays."""
+        self.rho = rho
+        model = self.model
         penalty = QuadraticValueFn(rho * np.eye(3), np.zeros(3), 0.0)
         for slot in self.slots:
             model = attach_quadratic_cost(model, penalty, slot)
         self.penalized = model.qp_skeleton
-        self.prior = None
 
     def qp(self, lams, z_bars) -> QuadraticProgram:
         """The subproblem pulled by lams toward z_bars, one per slot."""
@@ -211,6 +242,17 @@ def dso_step(dso_model: PolyhedralModel, state: AdmmState, i: int, *,
     (z,), (sol,), (qp,) = _dso_steps({i: _Pull(dso_model, state.rho, (0,))},
                                      state, solver_tol)
     return z, sol, qp
+
+
+def balanced_rho(rho: float, primal: float, dual: float) -> float:
+    """rho raised by RHO_STEP when the primal residual exceeds RHO_BALANCE
+    times the dual, lowered by RHO_STEP when the dual exceeds RHO_BALANCE
+    times the primal, and otherwise kept."""
+    if primal > RHO_BALANCE * dual:
+        return rho * RHO_STEP
+    if dual > RHO_BALANCE * primal:
+        return rho / RHO_STEP
+    return rho
 
 
 def consensus_step(state: AdmmState) -> None:
@@ -305,6 +347,7 @@ def run_admm(part, model_kind: str = "loss_linearized",
     # subproblem solves the least-squares warm start settled, and those
     # that ran the interior-point method
     nearest = ipm = 0
+    rho_path = []  # (round after which rho changed, the new rho)
     for _ in range(max_iter):
         z_prev = [z.copy() for z in state.z]
         z_tau, tso_sol, tso_qp = _tso_step(tso_pull, state, SOLVER_TOL)
@@ -326,8 +369,9 @@ def run_admm(part, model_kind: str = "loss_linearized",
         primal_delta = max((float(np.abs(zd - z).max())
                             for zd, z in zip(state.z_delta, state.z)),
                            default=0.0)
-        dual = rho * max((float(np.abs(zn - zp).max())
-                          for zn, zp in zip(state.z, z_prev)), default=0.0)
+        dual = state.rho * max((float(np.abs(zn - zp).max())
+                                for zn, zp in zip(state.z, z_prev)),
+                               default=0.0)
         cost = tso_model.qp_skeleton.objective(tso_sol.x) + sum(
             m.qp_skeleton.objective(s.x) for m, s in zip(dso_models, dso_sols))
         history.append((state.iteration, primal_tau, primal_delta, dual,
@@ -339,6 +383,15 @@ def run_admm(part, model_kind: str = "loss_linearized",
         if primal_tau <= tol and primal_delta <= tol and dual <= tol:
             converged = True
             break
+        if len(rho_path) < RHO_MAX_CHANGES:
+            new_rho = balanced_rho(state.rho, max(primal_tau, primal_delta),
+                                   dual)
+            if new_rho != state.rho:
+                # lambda is unscaled, so only the pulls change
+                state.rho = new_rho
+                rho_path.append((state.iteration, new_rho))
+                for pull in (tso_pull, *dso_pulls.values()):
+                    pull.penalize(new_rho)
 
     if converged:
         best_iteration, total_cost = state.iteration, history[-1][4]
@@ -351,8 +404,11 @@ def run_admm(part, model_kind: str = "loss_linearized",
     total = state.iteration * (1 + len(dso_models))
     logger.debug("warm start settled %d of %d tso_step and dso_step solves "
                  "in %d iterations, %d of them by the least-squares step to "
-                 "the nearest optimal point; %d ran the interior-point method",
-                 total - ipm, total, state.iteration, nearest, ipm)
+                 "the nearest optimal point; %d ran the interior-point "
+                 "method; rho %s", total - ipm, total, state.iteration,
+                 nearest, ipm, " ".join(
+                     [f"{rho:g}"] + [f"-> {r:g} after {k}"
+                                     for k, r in rho_path]))
 
     solves = (("admm_tso_final", tso_qp, tso_sol),) + tuple(
         (f"admm_dso{lk.dso_index}_final", qp, sol)
@@ -363,7 +419,7 @@ def run_admm(part, model_kind: str = "loss_linearized",
                       timing=time.perf_counter() - t_loop,
                       setup_time=t_loop - t_start,
                       tso_solution=tso_sol, dso_solutions=tuple(dso_sols),
-                      solves=solves)
+                      solves=solves, rho=float(rho), rho_path=tuple(rho_path))
 
 
 def consensus_certificate(part, result: AdmmResult,

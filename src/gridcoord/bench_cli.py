@@ -373,6 +373,7 @@ def _build_parser() -> _Parser:
                        help="feeder case file; repeatable")
         p.add_argument("--out", default=".", help="output directory")
 
+    rho_help = f"ADMM starting penalty weight (default {DEFAULT_RHO:g})"
     run = sub.add_parser("run", help="run one method")
     run.add_argument("method", choices=METHODS)
     add_shared(run)
@@ -381,7 +382,7 @@ def _build_parser() -> _Parser:
     run.add_argument("--samples", type=int, default=None)
     run.add_argument("--seed", type=int, default=None)
     run.add_argument("--weight", type=float, default=None)
-    run.add_argument("--rho", type=float, default=None)
+    run.add_argument("--rho", type=float, default=None, help=rho_help)
     run.add_argument("--tol", type=float, default=None)
     run.add_argument("--max-iter", type=int, default=None)
 
@@ -390,7 +391,7 @@ def _build_parser() -> _Parser:
     comp.add_argument("--samples", type=int, default=None)
     comp.add_argument("--seed", type=int, default=None)
     comp.add_argument("--weight", type=float, default=None)
-    comp.add_argument("--rho", type=float, default=None)
+    comp.add_argument("--rho", type=float, default=None, help=rho_help)
     comp.add_argument("--tol", type=float, default=None)
     comp.add_argument("--max-iter", type=int, default=None)
 

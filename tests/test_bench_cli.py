@@ -464,6 +464,7 @@ class TestRhoSweepScript:
         out = capsys.readouterr().out
         assert "FAIL" not in out
         assert "relative cost spread" in out
+        assert "final rho" in out
 
 
 class TestLadderScript:
@@ -475,4 +476,13 @@ class TestLadderScript:
         assert row["generators"] == 9 and row["runs"] >= 1
         assert row["for_rows"] == 34 and row["max_rows"] == 156
         assert 0 < row["exact_lps"] <= 100
+        assert 0.0 < row["seconds"] < script.CAP_S
+
+    def test_nine_generator_admm_rung(self):
+        # the smallest ADMM rung, in this process: the deep workload
+        script = load_script("ladder")
+        row = script.admm_rung(9)
+        assert row["generators"] == 9 and row["runs"] >= 1
+        assert row["converged"] and row["rounds"] == 36
+        assert row["gap"] <= 1e-6
         assert 0.0 < row["seconds"] < script.CAP_S
