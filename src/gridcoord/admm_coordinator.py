@@ -22,6 +22,9 @@ after RHO_MAX_CHANGES changes it stays where it is, as the convergence
 argument needs.  A fixed rho prices a direction that only one side's cost
 sees by a step of price / (2 rho) a round, so a large one crawls there,
 and a small one lets the copies drift apart; balancing finds the scale.
+rho stays within a factor RHO_RANGE of its starting weight: the stopping
+test below is absolute, so a rho that fell without bound would accept
+consensus steps of up to tol / rho and stop further from the optimum.
 The multipliers are unscaled, so a change leaves them as they are and
 their sum stays exactly zero; each model's pull is rebuilt at the new
 weight from its unpenalized model and equality reduction (no new SVD), and
@@ -67,10 +70,12 @@ DEFAULT_RHO = 100.0
 DEFAULT_TOL = 1e-6
 DEFAULT_MAX_ITER = 2000
 # Residual balancing (Boyd et al. 2011, section 3.4.1): rho moves by a
-# factor RHO_STEP when one residual exceeds the other by RHO_BALANCE, and
-# stays fixed after RHO_MAX_CHANGES moves.
+# factor RHO_STEP when one residual exceeds the other by RHO_BALANCE, stays
+# within a factor RHO_RANGE of its starting weight, and stays fixed after
+# RHO_MAX_CHANGES moves.
 RHO_BALANCE = 10.0
 RHO_STEP = 2.0
+RHO_RANGE = 32.0
 RHO_MAX_CHANGES = 20
 
 
@@ -244,14 +249,16 @@ def dso_step(dso_model: PolyhedralModel, state: AdmmState, i: int, *,
     return z, sol, qp
 
 
-def balanced_rho(rho: float, primal: float, dual: float) -> float:
+def balanced_rho(rho: float, primal: float, dual: float,
+                 start: float) -> float:
     """rho raised by RHO_STEP when the primal residual exceeds RHO_BALANCE
     times the dual, lowered by RHO_STEP when the dual exceeds RHO_BALANCE
-    times the primal, and otherwise kept."""
+    times the primal, and otherwise kept; never more than a factor
+    RHO_RANGE from the starting weight."""
     if primal > RHO_BALANCE * dual:
-        return rho * RHO_STEP
+        return min(rho * RHO_STEP, start * RHO_RANGE)
     if dual > RHO_BALANCE * primal:
-        return rho / RHO_STEP
+        return max(rho / RHO_STEP, start / RHO_RANGE)
     return rho
 
 
@@ -385,7 +392,7 @@ def run_admm(part, model_kind: str = "loss_linearized",
             break
         if len(rho_path) < RHO_MAX_CHANGES:
             new_rho = balanced_rho(state.rho, max(primal_tau, primal_delta),
-                                   dual)
+                                   dual, rho)
             if new_rho != state.rho:
                 # lambda is unscaled, so only the pulls change
                 state.rho = new_rho

@@ -107,11 +107,13 @@ def reference_admm(part, kind="loss_linearized", rho=ad.DEFAULT_RHO,
             return state.iteration, cost, True
         if changes < ad.RHO_MAX_CHANGES:
             if primal > ad.RHO_BALANCE * dual:
-                state.rho *= ad.RHO_STEP
-                changes += 1
+                new_rho = min(state.rho * ad.RHO_STEP, rho * ad.RHO_RANGE)
             elif dual > ad.RHO_BALANCE * primal:
-                state.rho /= ad.RHO_STEP
-                changes += 1
+                new_rho = max(state.rho / ad.RHO_STEP, rho / ad.RHO_RANGE)
+            else:
+                new_rho = state.rho
+            changes += new_rho != state.rho
+            state.rho = new_rho
     return state.iteration, cost, False
 
 
@@ -476,7 +478,7 @@ class TestWarmStartedRounds:
         monkeypatch.setattr(ad._Pull, "remember", lambda pull, sol: None)
         cold, cold_rounds, _ = self.traced_run(part, monkeypatch)
         assert res.converged and cold.converged
-        assert res.iterations == cold.iterations == 36
+        assert res.iterations == cold.iterations == 35
         assert abs(res.total_cost - cold.total_cost) <= \
             1e-9 * abs(cold.total_cost)
         assert dual_sum <= 1e-12
@@ -486,7 +488,7 @@ class TestWarmStartedRounds:
         settled = later.count(0)
         assert settled >= 0.9 * len(later)
         assert (f"warm start settled {settled} of {len(later) + 3} "
-                f"tso_step and dso_step solves in 36 iterations"
+                f"tso_step and dso_step solves in 35 iterations"
                 in caplog.text)
         path = " ".join([f"rho {res.rho:g}"] + [f"-> {r:g} after {k}"
                                                 for k, r in res.rho_path])
@@ -522,9 +524,7 @@ class TestWarmStartedRounds:
     def test_ten_generator_stall_keeps_its_best_round(self, monkeypatch):
         # With ten generators on feeder 1, a run cut at 40 rounds has not
         # converged yet; warm starts do not move the best round, its score
-        # or its cost.  A subproblem solved to SOLVER_TOL places its copy to
-        # within about SOLVER_TOL / rho, so the score may differ by as much
-        # more as rho fell below its start (1e-9 at rho = 100).
+        # or its cost.
         part = deep_partition(range(2, 12))
         res, rounds, _ = self.traced_run(part, monkeypatch, max_iter=40)
         monkeypatch.undo()
@@ -532,15 +532,14 @@ class TestWarmStartedRounds:
         cold, _, _ = self.traced_run(part, monkeypatch, max_iter=40)
         assert not res.converged and not cold.converged
         assert res.iterations == cold.iterations == 40
-        assert res.best_iteration == cold.best_iteration == 39
-        assert res.to_dict()["best_iteration"] == 39
+        assert res.best_iteration == cold.best_iteration == 17
+        assert res.to_dict()["best_iteration"] == 17
 
         def best_score(r):
             return r.history[r.best_iteration - 1, 1:4].max()
 
         assert res.rho_path == cold.rho_path
-        fall = res.rho / min(r for _, r in res.rho_path)
-        assert abs(best_score(res) - best_score(cold)) <= 1e-9 * fall
+        assert abs(best_score(res) - best_score(cold)) <= 1e-9
         assert abs(res.total_cost - cold.total_cost) <= \
             1e-9 * abs(cold.total_cost)
         later = [its for r in rounds[1:] for its in r[1:]]
@@ -551,11 +550,17 @@ class TestResidualBalancing:
     """rho follows the residuals from its starting weight on."""
 
     def test_rule(self):
-        assert ad.balanced_rho(8.0, 1.0, 0.05) == 16.0
-        assert ad.balanced_rho(8.0, 0.05, 1.0) == 4.0
-        assert ad.balanced_rho(8.0, 1.0, 0.1) == 8.0
-        assert ad.balanced_rho(8.0, 0.1, 1.0) == 8.0
-        assert ad.balanced_rho(8.0, 0.3, 0.6) == 8.0
+        assert ad.balanced_rho(8.0, 1.0, 0.05, 8.0) == 16.0
+        assert ad.balanced_rho(8.0, 0.05, 1.0, 8.0) == 4.0
+        assert ad.balanced_rho(8.0, 1.0, 0.1, 8.0) == 8.0
+        assert ad.balanced_rho(8.0, 0.1, 1.0, 8.0) == 8.0
+        assert ad.balanced_rho(8.0, 0.3, 0.6, 8.0) == 8.0
+        top, floor = 8.0 * ad.RHO_RANGE, 8.0 / ad.RHO_RANGE
+        assert ad.balanced_rho(top, 1.0, 0.05, 8.0) == top
+        assert ad.balanced_rho(0.75 * top, 1.0, 0.05, 8.0) == top
+        assert ad.balanced_rho(floor, 0.05, 1.0, 8.0) == floor
+        assert ad.balanced_rho(1.5 * floor, 0.05, 1.0, 8.0) == floor
+        assert ad.balanced_rho(floor, 1.0, 0.05, 8.0) == 2.0 * floor
 
     def test_rho_change_keeps_multiplier_sum_zero(self, monkeypatch):
         rhos, sums = [], []
@@ -607,9 +612,23 @@ class TestResidualBalancing:
     def test_ten_generator_partition_converges(self, kind):
         part = deep_partition(range(2, 12))
         res = ad.run_admm(part, kind)
-        assert res.converged and res.iterations < 200
+        assert res.converged and res.iterations < 300
         central = centralized_cost(part, kind)
         assert abs(res.total_cost - central) <= 1e-6 * abs(central)
+
+    @pytest.mark.parametrize("kind", ["lindistflow", "loss_linearized"])
+    def test_accuracy_holds_as_rho_falls(self, kind):
+        # The stopping test is absolute, so a converged run accepts
+        # consensus steps of up to tol / rho.  On the toy partition rho
+        # falls to its floor; there the cost stays within 2e-8 of
+        # centralized (a rho free to fall ends at 0.78 and misses by
+        # 6e-8 to 1.2e-7).
+        part = toy_partition()
+        res = ad.run_admm(part, kind)
+        assert res.converged
+        assert min(r for _, r in res.rho_path) == res.rho / ad.RHO_RANGE
+        central = centralized_cost(part, kind)
+        assert abs(res.total_cost - central) <= 2e-8 * abs(central)
 
 
 class TestBatchedDsoSteps:
