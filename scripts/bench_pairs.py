@@ -45,21 +45,21 @@ WHAT = ("alternating parent/change pairs of the frozen benchmark, one run "
         "first on even pair indices)")
 
 
-def _git(*args) -> bytes:
+def git(*args) -> bytes:
     return subprocess.run(["git", *args], cwd=ROOT, check=True,
                           capture_output=True).stdout
 
 
-def _archive(rev: str, dest: str) -> None:
+def archive(rev: str, dest: str) -> None:
     """The files of revision rev, as `git archive` gives them, in dest."""
-    with tarfile.open(fileobj=io.BytesIO(_git("archive", rev))) as tar:
+    with tarfile.open(fileobj=io.BytesIO(git("archive", rev))) as tar:
         tar.extractall(dest, filter="data")
 
 
 def _working_tree(dest: str) -> None:
     """This checkout's tracked and unignored untracked files, in dest."""
-    names = _git("ls-files", "-z", "--cached", "--others",
-                 "--exclude-standard").decode().split("\0")
+    names = git("ls-files", "-z", "--cached", "--others",
+                "--exclude-standard").decode().split("\0")
     for name in filter(None, names):
         src = os.path.join(ROOT, name)
         if os.path.isfile(src):  # a tracked file deleted in the tree is not
@@ -126,11 +126,11 @@ def main(argv=None) -> int:
     p.add_argument("--number", type=int, required=True,
                    help="write BENCH_<number>.json; sets the seeds")
     args = p.parse_args(argv)
-    parent = _git("rev-parse", args.parent).decode().strip()
+    parent = git("rev-parse", args.parent).decode().strip()
     out_path = os.path.join(ROOT, f"BENCH_{args.number}.json")
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         trees = {side: os.path.join(tmp, side) for side in SIDES}
-        _archive(parent, trees["parent"])
+        archive(parent, trees["parent"])
         _working_tree(trees["change"])
         with open(os.path.join(trees["parent"], "BENCHMARK.json")) as fh:
             bench = json.load(fh)

@@ -35,13 +35,11 @@ root, for example
     python3 scripts/ladder.py --number 22 --parent HEAD
 """
 import argparse
-import io
 import json
 import os
 import platform
 import subprocess
 import sys
-import tarfile
 import tempfile
 import time
 
@@ -110,18 +108,6 @@ def _run_rung(tree: str, generators: int, axis: str) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def _archive(rev: str, dest: str) -> str:
-    """The files of revision rev, as `git archive` gives them, in dest;
-    returns the full commit name."""
-    git = ["git", "-C", ROOT]
-    data = subprocess.run(git + ["archive", rev], check=True,
-                          capture_output=True).stdout
-    with tarfile.open(fileobj=io.BytesIO(data)) as tar:
-        tar.extractall(dest, filter="data")
-    return subprocess.run(git + ["rev-parse", rev], check=True,
-                          capture_output=True, text=True).stdout.strip()
-
-
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--number", type=int, help="write LADDER_<number>.json")
@@ -153,7 +139,9 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="ladder-") as tmp:
         trees = {"change": ROOT}
         if args.parent:
-            result["parent"] = _archive(args.parent, tmp)
+            from bench_pairs import archive, git  # this script's sibling
+            archive(args.parent, tmp)
+            result["parent"] = git("rev-parse", args.parent).decode().strip()
             trees["parent"] = tmp
         for axis, key, rungs in (("for", "rungs", RUNGS),
                                  ("admm", "admm_rungs", ADMM_RUNGS)):

@@ -7,12 +7,13 @@ current consensus, averages the copies, and updates the multipliers.
 With zero-initialized multipliers the averaging update keeps the two
 multiplier vectors exact negatives of each other at every iteration.
 
-Each round makes one TSO solve and one `solve_family` call for all DSO
-subproblems, so the DSOs of one reduced shape (copies of one feeder
-topology) run as one lockstep interior-point family.  The fixed part of
-every pull, rho on each coupling block of H and of the model's equality
-reduction, is added once per model and weight; a round changes only the
-linear and constant terms of each subproblem.
+The TSO and DSO pulls of a round are independent (Jacobi consensus), so
+each round solves them all in one `solve_family` call, and the DSOs of one
+reduced shape (copies of one feeder topology) run as one lockstep
+interior-point family.  The fixed part of every pull, rho on each coupling
+block of H and of the model's equality reduction, is added once per model
+and weight; a round changes only the linear and constant terms of each
+subproblem.
 
 Penalty: rho starts at the caller's weight and is balanced against the
 residuals (Boyd et al. 2011, section 3.4.1).  After a round that has not
@@ -58,7 +59,7 @@ import numpy as np
 from .adp_coordinator import SOLVER_TOL, CoordinationError, _dso_agent
 from .messaging import CommLog
 from .opt_core import (OPTIMAL, QpSolution, QuadraticProgram, kkt_residuals,
-                       solve_family, solve_qp)
+                       solve_family)
 from .powerflow_models import (PolyhedralModel, assemble_centralized,
                                attach_quadratic_cost, build_dc_model,
                                build_dso_model, normalize_model_kind)
@@ -205,26 +206,21 @@ def _optimal(sol: QpSolution, stage: str) -> QpSolution:
     return sol
 
 
-def _tso_step(pull: _Pull, state: AdmmState, solver_tol: float):
-    qp = pull.qp(state.lambda_tau, state.z)
-    sol = _optimal(solve_qp(qp, tol=solver_tol),
-                   f"admm iteration {state.iteration + 1} tso_step")
-    pull.remember(sol)
-    return pull.copies(sol), sol, qp
-
-
-def _dso_steps(pulls: dict, state: AdmmState, solver_tol: float):
-    """The pulled dispatch of every DSO i of `pulls` (i -> its _Pull), all
-    solved in one `solve_family` call.  Returns (z_delta list, solutions,
-    solved qps) in the order of `pulls`."""
-    qps = [pull.qp([state.lambda_delta[i]], [state.z[i]])
-           for i, pull in pulls.items()]
+def _steps(pulls, state: AdmmState, solver_tol: float):
+    """The pulled subproblem of every (key, _Pull) of `pulls`, all solved in
+    one `solve_family` call: key None is the TSO, pulled by lambda_tau
+    toward every consensus value, and key i is DSO i, pulled by
+    lambda_delta[i] toward z[i].  Returns (copies, solutions, solved qps) in
+    the order of `pulls`, copies being each pull's list of coupling values."""
+    qps = [pull.qp(state.lambda_tau, state.z) if i is None
+           else pull.qp([state.lambda_delta[i]], [state.z[i]])
+           for i, pull in pulls]
     sols = solve_family(qps, tol=solver_tol)
-    for (i, pull), sol in zip(pulls.items(), sols):
-        _optimal(sol, f"admm iteration {state.iteration + 1} dso_step {i}")
+    for (i, pull), sol in zip(pulls, sols):
+        step = "tso_step" if i is None else f"dso_step {i}"
+        _optimal(sol, f"admm iteration {state.iteration + 1} {step}")
         pull.remember(sol)
-    return ([pull.copies(sol)[0] for pull, sol in zip(pulls.values(), sols)],
-            sols, qps)
+    return [pull.copies(sol) for (_, pull), sol in zip(pulls, sols)], sols, qps
 
 
 def tso_step(tso_model: PolyhedralModel, state: AdmmState, *,
@@ -234,8 +230,10 @@ def tso_step(tso_model: PolyhedralModel, state: AdmmState, *,
     Returns (new z_tau list, solution, solved qp).  Does not mutate the
     state.
     """
-    return _tso_step(_Pull(tso_model, state.rho, range(len(state.z))), state,
-                     solver_tol)
+    (z,), (sol,), (qp,) = _steps(
+        [(None, _Pull(tso_model, state.rho, range(len(state.z))))], state,
+        solver_tol)
+    return z, sol, qp
 
 
 def dso_step(dso_model: PolyhedralModel, state: AdmmState, i: int, *,
@@ -244,8 +242,8 @@ def dso_step(dso_model: PolyhedralModel, state: AdmmState, i: int, *,
 
     Returns (z_delta_i, solution, solved qp).
     """
-    (z,), (sol,), (qp,) = _dso_steps({i: _Pull(dso_model, state.rho, (0,))},
-                                     state, solver_tol)
+    ((z,),), (sol,), (qp,) = _steps([(i, _Pull(dso_model, state.rho, (0,)))],
+                                    state, solver_tol)
     return z, sol, qp
 
 
@@ -339,8 +337,9 @@ def run_admm(part, model_kind: str = "loss_linearized",
     tso_model = _reduced(build_dc_model(part.tso, part.links))
     dso_models = [_reduced(build_dso_model(case, link, model_kind))
                   for case, link in zip(part.dsos, part.links)]
-    tso_pull = _Pull(tso_model, rho, range(len(part.links)))
-    dso_pulls = {i: _Pull(m, rho, (0,)) for i, m in enumerate(dso_models)}
+    # the TSO's pull first, then each DSO's, as `_steps` takes them
+    pulls = [(None, _Pull(tso_model, rho, range(len(part.links))))] + [
+        (i, _Pull(m, rho, (0,))) for i, m in enumerate(dso_models)]
     agents = ("tso",) + tuple(_dso_agent(lk.dso_index) for lk in part.links)
     log = CommLog(agents)
     state = AdmmState.fresh(_informed_start(part.dsos, dso_models), rho)
@@ -357,10 +356,10 @@ def run_admm(part, model_kind: str = "loss_linearized",
     rho_path = []  # (round after which rho changed, the new rho)
     for _ in range(max_iter):
         z_prev = [z.copy() for z in state.z]
-        z_tau, tso_sol, tso_qp = _tso_step(tso_pull, state, SOLVER_TOL)
-        z_delta, dso_sols, dso_qps = _dso_steps(dso_pulls, state, SOLVER_TOL)
-        state.z_tau, state.z_delta = z_tau, z_delta
-        for sol in (tso_sol, *dso_sols):
+        copies, sols, qps = _steps(pulls, state, SOLVER_TOL)
+        state.z_tau, state.z_delta = copies[0], [z for z, in copies[1:]]
+        (tso_sol, *dso_sols), (tso_qp, *dso_qps) = sols, qps
+        for sol in sols:
             nearest += sol.warm_start == "nearest"
             ipm += sol.iterations > 0
         consensus_step(state)
@@ -397,7 +396,7 @@ def run_admm(part, model_kind: str = "loss_linearized",
                 # lambda is unscaled, so only the pulls change
                 state.rho = new_rho
                 rho_path.append((state.iteration, new_rho))
-                for pull in (tso_pull, *dso_pulls.values()):
+                for _, pull in pulls:
                     pull.penalize(new_rho)
 
     if converged:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -49,7 +49,8 @@ class CoordinationError(RuntimeError):
 @dataclass(frozen=True)
 class AdpConfig:
     """The settings of one coordinated run; its QPs are solved to
-    `SOLVER_TOL`.
+    `SOLVER_TOL`, and it renegotiates when an achieved interface misses
+    its setpoint by more than `DEFAULT_RENEGOTIATE_TOL`.
 
     disagg_model_kind = None disaggregates on the same convex model the
     regions were computed from; setting it to a different kind reproduces
@@ -62,7 +63,6 @@ class AdpConfig:
     n_samples: int = DEFAULT_SAMPLES
     seed: int = 0
     weight: float = DEFAULT_PENALTY_WEIGHT
-    tol_renegotiate: float = DEFAULT_RENEGOTIATE_TOL
     disagg_model_kind: str | None = None
     interface_rating: float = DEFAULT_INTERFACE_RATING
 
@@ -71,8 +71,6 @@ class AdpConfig:
             raise ValueError(f"unknown value_mode {self.value_mode!r}")
         if self.weight <= 0.0:
             raise ValueError("penalty weight must be positive")
-        if self.tol_renegotiate <= 0.0:
-            raise ValueError("renegotiation tolerance must be positive")
         normalize_model_kind(self.model_kind)
         if self.disagg_model_kind is not None:
             normalize_model_kind(self.disagg_model_kind)
@@ -222,14 +220,11 @@ def _add_region_rows(model: PolyhedralModel, region: Polyhedron,
     if region.n_rows == 0:
         return model
     qp = model.qp_skeleton
-    cols = list(model.vmap.coupling_triple(slot))
     rows = np.zeros((region.n_rows, qp.n))
-    rows[:, cols] = region.A
-    A_in = np.vstack([qp.A_ineq, rows]) if qp.b_ineq.size else rows
-    b_in = np.concatenate([qp.b_ineq, region.b])
-    qp2 = QuadraticProgram(qp.H, qp.g, A_in, b_in, qp.A_eq, qp.b_eq, qp.c0)
-    return PolyhedralModel(qp2, model.vmap, model.operating_point,
-                           model.kind, model.case, model.links)
+    rows[:, list(model.vmap.coupling_triple(slot))] = region.A
+    return replace(model, qp_skeleton=replace(
+        qp, A_ineq=np.concatenate([qp.A_ineq, rows]),
+        b_ineq=np.concatenate([qp.b_ineq, region.b]), reduction=None))
 
 
 def _forward_model(tso_model: PolyhedralModel, packages) -> PolyhedralModel:
@@ -278,15 +273,6 @@ def run_fp_adp(part, config: AdpConfig = AdpConfig()) -> AdpResult:
     disagg_kind = normalize_model_kind(config.disagg_model_kind or model_kind)
     timings = {}
 
-    if not part.dsos:
-        tso_model = build_dc_model(part.tso, (), config.interface_rating)
-        sol = solve_qp(tso_model.qp_skeleton, tol=SOLVER_TOL)
-        timings["total"] = time.perf_counter() - t_start
-        return AdpResult((), (), float(sol.objective), (),
-                         float(sol.objective), sol.status == OPTIMAL,
-                         CommLog(("tso",)), timings, False,
-                         (("tso_solve", tso_model.qp_skeleton, sol),))
-
     t = time.perf_counter()
     packages, log = backward_sweep(part, model_kind, config.value_mode,
                                    config.n_samples, config.seed)
@@ -325,12 +311,12 @@ def run_fp_adp(part, config: AdpConfig = AdpConfig()) -> AdpResult:
     deviation = max((float(np.abs(a - z).max())
                      for a, z in zip(achieved, setpoints)), default=0.0)
     logger.info("setpoint deviation %.3e (tolerance %.1e)",
-                deviation, config.tol_renegotiate)
+                deviation, DEFAULT_RENEGOTIATE_TOL)
 
     renegotiated = False
     final_tso_x = tso_sol.x
     timings["renegotiation"] = 0.0
-    if feasible and deviation > config.tol_renegotiate:
+    if feasible and deviation > DEFAULT_RENEGOTIATE_TOL:
         # One extra round: achieved interfaces go up, the TSO re-solves
         # with its coupling pinned there.  Region rows are dropped for
         # the pinned solve: with the coupling fixed they can only sit

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import os
 import re
+from collections import namedtuple
 from dataclasses import dataclass, replace
 from importlib import resources
 
@@ -154,67 +155,65 @@ class Partition:
             raise ValidationError([Violation("duplicate_link", f"indices {idx}")])
 
 
-def _reachable(buses, lines, start) -> set:
-    adj = {b.id: [] for b in buses}
-    for ln in lines:
-        if ln.from_bus in adj and ln.to_bus in adj:
-            adj[ln.from_bus].append(ln.to_bus)
-            adj[ln.to_bus].append(ln.from_bus)
-    seen = {start}
-    stack = [start]
-    while stack:
-        for nxt in adj[stack.pop()]:
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return seen
+TreeWalk = namedtuple("TreeWalk", "order line reached extra")
+
+
+def walk(buses, lines, root) -> TreeWalk:
+    """Breadth-first walk of the line graph over bus positions, from the bus
+    with id root, then from each bus not yet reached; lines to an unknown
+    bus are left out.  `order` lists every bus, each after the one it was
+    reached from, order[:reached] being those the root reaches; line[i] is
+    the line bus i was reached by (-1 at a start); each `extra` line, one
+    the walk did not take, closes a cycle (`_cycle`).  A tree has
+    reached == len(buses) == len(lines) + 1."""
+    pos = {b.id: k for k, b in enumerate(buses)}
+    adj = [[] for _ in buses]
+    for k, ln in enumerate(lines):
+        if ln.from_bus in pos and ln.to_bus in pos:
+            adj[pos[ln.from_bus]].append((pos[ln.to_bus], k))
+            adj[pos[ln.to_bus]].append((pos[ln.from_bus], k))
+    seen = [False] * len(buses)
+    order, line, reached = [], [-1] * len(buses), 0
+    for start in (pos[root], *range(len(buses))):
+        if seen[start]:
+            continue
+        seen[start] = True
+        head = len(order)
+        order.append(start)
+        while head < len(order):
+            for v, k in adj[order[head]]:
+                if not seen[v]:
+                    seen[v] = True
+                    line[v] = k
+                    order.append(v)
+            head += 1
+        reached = reached or len(order)
+    taken = set(line)
+    return TreeWalk(tuple(order), tuple(line), reached, tuple(
+        k for k, ln in enumerate(lines) if k not in taken
+        and ln.from_bus in pos and ln.to_bus in pos))
 
 
 def infer_topology(buses, lines) -> str:
     """A connected line graph with |lines| = |buses| - 1 is a tree: radial."""
     if not buses:
         return "meshed"
-    connected = len(_reachable(buses, lines, buses[0].id)) == len(buses)
+    connected = walk(buses, lines, buses[0].id).reached == len(buses)
     return "radial" if connected and len(lines) == len(buses) - 1 else "meshed"
 
 
-def _find_cycle(buses, lines):
-    """Return the bus ids of one cycle in the undirected line graph, or None."""
-    adj = {b.id: [] for b in buses}
-    for k, ln in enumerate(lines):
-        if ln.from_bus not in adj or ln.to_bus not in adj:
-            continue
-        if ln.from_bus == ln.to_bus:
-            return [ln.from_bus]
-        adj[ln.from_bus].append((ln.to_bus, k))
-        adj[ln.to_bus].append((ln.from_bus, k))
-    color: dict = {}
-    parent: dict = {}
-
-    def dfs(u, via):
-        color[u] = 1
-        for v, k in adj[u]:
-            if k == via:
-                continue
-            if v not in color:
-                parent[v] = u
-                cyc = dfs(v, k)
-                if cyc is not None:
-                    return cyc
-            elif color[v] == 1:
-                cyc = [u]
-                while cyc[-1] != v:
-                    cyc.append(parent[cyc[-1]])
-                return cyc
-        color[u] = 2
-        return None
-
-    for root in adj:
-        if root not in color:
-            found = dfs(root, None)
-            if found is not None:
-                return found
-    return None
+def _cycle(buses, lines, w: TreeWalk, k: int) -> list:
+    """The bus ids of the cycle extra line k of walk w closes: the walk's
+    paths from the line's two ends back to the bus where they meet."""
+    pos = {b.id: i for i, b in enumerate(buses)}
+    a, b = [pos[lines[k].from_bus]], [pos[lines[k].to_bus]]
+    for path in (a, b):
+        while w.line[path[-1]] >= 0:
+            ln = lines[w.line[path[-1]]]
+            path.append(pos[ln.from_bus] + pos[ln.to_bus] - path[-1])
+    common = set(a) & set(b)
+    meet = next(i for i in a if i in common)
+    return [buses[i].id for i in a[:a.index(meet) + 1] + b[:b.index(meet)]]
 
 
 def validate(case: GridCase) -> list:
@@ -261,16 +260,15 @@ def validate(case: GridCase) -> list:
             out.append(Violation("empty_range", tag, "q_min > q_max"))
         if g.cost_a2 < 0.0:
             out.append(Violation("nonconvex_cost", tag))
-    if case.buses and not (len(ids) != len(idset)):
-        start = slacks[0] if slacks else case.buses[0].id
-        unreachable = idset - _reachable(case.buses, case.lines, start)
-        if unreachable:
-            out.append(Violation("disconnected", f"buses {sorted(unreachable)}"))
+    w = walk(case.buses, case.lines, (slacks or ids)[0]) if ids else None
+    if w and w.reached < len(ids) == len(idset):
+        unreachable = sorted(ids[i] for i in w.order[w.reached:])
+        out.append(Violation("disconnected", f"buses {unreachable}"))
     if case.topology_kind not in ("radial", "meshed"):
         out.append(Violation("unknown_kind", "case", repr(case.topology_kind)))
     elif case.topology_kind == "radial":
-        cycle = _find_cycle(case.buses, case.lines)
-        if cycle is not None:
+        if w and w.extra:
+            cycle = _cycle(case.buses, case.lines, w, w.extra[0])
             out.append(Violation("not_radial", f"cycle through buses {sorted(cycle)}"))
         elif len(case.lines) != len(case.buses) - 1:
             out.append(Violation("not_radial", "line count differs from tree"))

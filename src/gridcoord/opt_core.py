@@ -825,38 +825,36 @@ def check_feasible(A_ineq=None, b_ineq=None, A_eq=None, b_eq=None,
                    tol: float = 1e-8) -> tuple[bool, np.ndarray]:
     """Phase-1 feasibility test: minimize the largest constraint violation.
 
-    The equalities are reduced first (x = x_p + N y, `split_svd`): when x_p
-    misses them by more than tol there is no solution, and otherwise the LP
-    runs over y against the inequalities alone.  Returns (feasible,
-    witness). When feasible the witness satisfies every constraint within
-    tol.
+    The equalities are reduced first (x = x_p + N y, `EqualityReduction`):
+    when x_p misses them by more than tol there is no solution, and
+    otherwise the LP runs over y against the inequalities alone.  Returns
+    (feasible, witness). When feasible the witness satisfies every
+    constraint within tol.
     """
-    b_in = _as_vector(b_ineq)
-    b_e = _as_vector(b_eq)
     ncols = 0
     for a in (A_ineq, A_eq):
         if a is not None and np.size(a):
             ncols = np.atleast_2d(np.asarray(a)).shape[1]
             break
-    A_in = _as_matrix(A_ineq, b_in.size, ncols)
-    A_e = _as_matrix(A_eq, b_e.size, ncols)
-    m, q = b_in.size, b_e.size
-    if m == 0 and q == 0:
+    qp = QuadraticProgram(np.zeros((ncols, ncols)), np.zeros(ncols), A_ineq,
+                          b_ineq, A_eq, b_eq)
+    m = qp.b_ineq.size
+    if m == 0 and qp.b_eq.size == 0:
         return True, np.zeros(ncols)
 
-    U, s, V, N = split_svd(A_e)
-    x_p = V @ ((U.T @ b_e) / s)
-    if np.abs(A_e @ x_p - b_e).max(initial=0.0) > tol:
+    red = EqualityReduction.of(qp)
+    x_p = red.particular(qp.b_eq)
+    if np.abs(qp.A_eq @ x_p - qp.b_eq).max(initial=0.0) > tol:
         return False, x_p
-    k = N.shape[1]
+    k = red.N.shape[1]
     if m == 0 or k == 0:
-        return (A_in @ x_p - b_in).max(initial=0.0) <= tol, x_p
+        return (qp.A_ineq @ x_p - qp.b_ineq).max(initial=0.0) <= tol, x_p
 
     # Variables (y, t): A_in N y - t <= b_in - A_in x_p, -t <= 0.
     A = np.zeros((m + 1, k + 1))
     b = np.zeros(m + 1)
-    A[:m, :k] = A_in @ N if q else A_in
-    b[:m] = b_in - A_in @ x_p
+    A[:m, :k] = red.A_ineq
+    b[:m] = qp.b_ineq - qp.A_ineq @ x_p
     A[:, k] = -1.0
 
     # Solve two orders tighter than the verdict threshold, then judge the
@@ -865,12 +863,12 @@ def check_feasible(A_ineq=None, b_ineq=None, A_eq=None, b_eq=None,
     cost[k] = 1.0
     sol = solve_qp(QuadraticProgram(np.zeros((k + 1, k + 1)), cost, A, b),
                    tol=max(min(tol * 1e-2, 1e-11), 1e-12))
-    x = x_p + N @ sol.x[:k]
+    x = x_p + red.N @ sol.x[:k]
     if sol.status not in (OPTIMAL, MAX_ITER):
         return False, x
-    worst = float(np.maximum(A_in @ x - b_in, 0.0).max())
-    if q:
-        worst = max(worst, float(np.abs(A_e @ x - b_e).max()))
+    worst = float(np.maximum(qp.A_ineq @ x - qp.b_ineq, 0.0).max())
+    if qp.b_eq.size:
+        worst = max(worst, float(np.abs(qp.A_eq @ x - qp.b_eq).max()))
     return worst <= tol, x
 
 

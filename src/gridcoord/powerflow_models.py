@@ -20,11 +20,12 @@ end. Voltage variables are squared magnitudes.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from operator import attrgetter
 
 import numpy as np
 
-from .grid_model import GridCase, ValidationError, Violation
+from .grid_model import GridCase, ValidationError, Violation, walk
 from .opt_core import QuadraticProgram
 
 log = logging.getLogger(__name__)
@@ -87,7 +88,7 @@ class _Layout:
         a = len(self.labels)
         self.labels.extend(labels)
         self.slots.append((name, a, len(self.labels)))
-        return range(a, len(self.labels))
+        return np.arange(a, len(self.labels))
 
     def freeze(self, n_links=0):
         return VarIndexMap(tuple(self.slots), tuple(self.labels), n_links)
@@ -121,39 +122,48 @@ class PolyhedralModel:
     links: tuple
 
 
-def _gen_cost_terms(case, n, gp_span):
+def _fields(items, *names):
+    """One float array per field name, with one entry per item."""
+    return [np.fromiter(map(attrgetter(nm), items), float, len(items))
+            for nm in names]
+
+
+def _gen_cost_terms(case, n, gp):
     H = np.zeros((n, n))
     g = np.zeros(n)
-    c0 = 0.0
-    for k, gen in enumerate(case.gens):
-        col = gp_span.start + k
-        H[col, col] = 2.0 * gen.cost_a2
-        g[col] = gen.cost_a1
-        c0 += gen.cost_a0
-    return H, g, c0
+    a2, a1 = _fields(case.gens, "cost_a2", "cost_a1")
+    H[gp, gp] = 2.0 * a2
+    g[gp] = a1
+    return H, g, sum((gen.cost_a0 for gen in case.gens), 0.0)
 
 
-def _gen_boxes(case, n, span, lo_attr, hi_attr, rows, rhs):
-    for k, gen in enumerate(case.gens):
-        col = span.start + k
-        row = np.zeros(n)
-        row[col] = 1.0
-        rows.append(row)
-        rhs.append(getattr(gen, hi_attr))
-        row = np.zeros(n)
-        row[col] = -1.0
-        rows.append(row)
-        rhs.append(-getattr(gen, lo_attr))
+def _pairs(R, hi, lo):
+    """Rows R x <= hi and -R x <= -lo, each row of R next to its negation."""
+    A = np.empty((2 * len(R), R.shape[1]))
+    A[0::2], A[1::2] = R, -R
+    b = np.empty(2 * len(R))
+    b[0::2], b[1::2] = hi, -lo
+    return A, b
+
+
+def _boxes(n, cols, hi, lo):
+    """lo <= x_c <= hi for each column c of cols, as `_pairs` rows."""
+    E = np.zeros((len(cols), n))
+    E[np.arange(len(cols)), cols] = 1.0
+    return _pairs(E, hi, lo)
 
 
 def build_dc_model(case: GridCase, couplings=(),
                    interface_rating: float = DEFAULT_INTERFACE_RATING) -> PolyhedralModel:
     """Lossless DC model: angle variables, nodal balances, rated line flows.
 
-    Each interconnection contributes a coupling triple: its p_if enters the
-    interface bus balance as a load, q_if is box-bounded by the interface
-    rating (the DC model carries no reactive physics), and nu_if is pinned
-    to 1.0 since the model carries no voltage magnitudes either.
+    The balances are B theta - gen_p + p_if = -load, with B = C'diag(1/x)C
+    the bus susceptance matrix of the line-bus incidence C; a rated line
+    carries -s_max <= diag(1/x)C theta <= s_max.  Each interconnection
+    contributes a coupling triple: its p_if enters the interface bus balance
+    as a load, q_if is box-bounded by the interface rating (the DC model
+    carries no reactive physics), and nu_if is pinned to 1.0 since the
+    model carries no voltage magnitudes either.
     """
     couplings = tuple(couplings)
     bidx = case.bus_index()
@@ -169,108 +179,72 @@ def build_dc_model(case: GridCase, couplings=(),
     lay = _Layout()
     gp = lay.add("gen_p", [f"gen_p:{g.bus}#{k}" for k, g in enumerate(case.gens)])
     th = lay.add("theta", [f"theta:{b.id}" for b in case.buses])
-    lay.add("coupling", [f"{nm}:{lk.dso_index}" for lk in couplings
-                         for nm in ("p_if", "q_if", "nu_if")])
+    cp = lay.add("coupling", [f"{nm}:{lk.dso_index}" for lk in couplings
+                              for nm in ("p_if", "q_if", "nu_if")])
     vmap = lay.freeze(len(couplings))
-    n = vmap.n
+    n, nb, nc = vmap.n, len(case.buses), len(couplings)
+    f = np.array([bidx[ln.from_bus] for ln in case.lines], dtype=int)
+    t = np.array([bidx[ln.to_bus] for ln in case.lines], dtype=int)
+    x, s_max = _fields(case.lines, "x", "s_max")
+    sus = 1.0 / x
+    c_p, c_q, c_nu = cp[0::3], cp[1::3], cp[2::3]
 
-    eq_rows, eq_rhs = [], []
-    balance = [np.zeros(n) for _ in case.buses]
-    for ln in case.lines:
-        i, j = bidx[ln.from_bus], bidx[ln.to_bus]
-        sus = 1.0 / ln.x
-        balance[i][th.start + i] += sus
-        balance[i][th.start + j] -= sus
-        balance[j][th.start + j] += sus
-        balance[j][th.start + i] -= sus
-    for k, gen in enumerate(case.gens):
-        balance[bidx[gen.bus]][gp.start + k] -= 1.0
-    for kk, lk in enumerate(couplings):
-        balance[bidx[lk.tso_bus]][vmap.coupling_triple(kk)[0]] += 1.0
-    for i, b in enumerate(case.buses):
-        eq_rows.append(balance[i])
-        eq_rhs.append(-b.p_load)
+    # balances, slack angle, pinned nu_if; np.add.at accumulates B line by
+    # line, so each entry sums in line order
+    A_eq = np.zeros((nb + 1 + nc, n))
+    np.add.at(A_eq, (np.array((f, f, t, t)).T.ravel(),
+                     th[np.array((f, t, t, f)).T.ravel()]),
+              np.array((sus, -sus, sus, -sus)).T.ravel())
+    A_eq[[bidx[gen.bus] for gen in case.gens], gp] = -1.0
+    A_eq[[bidx[lk.tso_bus] for lk in couplings], c_p] = 1.0
+    A_eq[nb, th[bidx[case.slack_id()]]] = 1.0
+    A_eq[nb + 1 + np.arange(nc), c_nu] = 1.0
+    b_eq = np.concatenate([-_fields(case.buses, "p_load")[0], [0.0], np.ones(nc)])
 
-    slack_row = np.zeros(n)
-    slack_row[th.start + bidx[case.slack_id()]] = 1.0
-    eq_rows.append(slack_row)
-    eq_rhs.append(0.0)
-    for kk in range(len(couplings)):
-        row = np.zeros(n)
-        row[vmap.coupling_triple(kk)[2]] = 1.0
-        eq_rows.append(row)
-        eq_rhs.append(1.0)
-
-    in_rows, in_rhs = [], []
-    for ln in case.lines:
-        if ln.s_max <= 0:
-            continue
-        i, j = bidx[ln.from_bus], bidx[ln.to_bus]
-        sus = 1.0 / ln.x
-        row = np.zeros(n)
-        row[th.start + i] = sus
-        row[th.start + j] = -sus
-        in_rows.append(row)
-        in_rhs.append(ln.s_max)
-        in_rows.append(-row)
-        in_rhs.append(ln.s_max)
-    _gen_boxes(case, n, gp, "p_min", "p_max", in_rows, in_rhs)
-    for kk in range(len(couplings)):
-        c_p, c_q, _ = vmap.coupling_triple(kk)
-        for col in (c_p, c_q):
-            row = np.zeros(n)
-            row[col] = 1.0
-            in_rows.append(row)
-            in_rhs.append(interface_rating)
-            in_rows.append(-row)
-            in_rhs.append(interface_rating)
+    rated = np.flatnonzero(s_max > 0)
+    flows = np.zeros((rated.size, n))
+    flows[np.arange(rated.size), th[f[rated]]] = sus[rated]
+    flows[np.arange(rated.size), th[t[rated]]] = -sus[rated]
+    A_in, b_in = _pairs(flows, s_max[rated], -s_max[rated])
+    p_max, p_min = _fields(case.gens, "p_max", "p_min")
+    rating = np.full(2 * nc, interface_rating)
+    A_box, b_box = _boxes(n, np.concatenate([gp, np.array((c_p, c_q)).T.ravel()]),
+                          np.concatenate([p_max, rating]),
+                          np.concatenate([p_min, -rating]))
 
     H, g, c0 = _gen_cost_terms(case, n, gp)
-    qp = QuadraticProgram(H, g, np.array(in_rows).reshape(-1, n), in_rhs,
-                          np.array(eq_rows).reshape(-1, n), eq_rhs, c0)
-    log.debug("dc model: %d vars, %d eq, %d ineq", n, len(eq_rhs), len(in_rhs))
+    qp = QuadraticProgram(H, g, np.concatenate([A_in, A_box]),
+                          np.concatenate([b_in, b_box]), A_eq, b_eq, c0)
+    log.debug("dc model: %d vars, %d eq, %d ineq", n, b_eq.size, qp.b_ineq.size)
     return PolyhedralModel(qp, vmap, None, MODEL_DC, case, couplings)
 
 
-def _tree_structure(case, root):
-    """Orient every line away from the root. Raises unless the case is a tree."""
-    if root not in case.bus_index():
+def _feeder_tree(case, root):
+    """The walk of a feeder from its root bus (`walk`) and the parent and
+    child bus position of each line.  Raises unless the case is a tree."""
+    bidx = case.bus_index()
+    if root not in bidx:
         raise ValidationError([Violation("unknown_bus", f"bus {root}", "feeder root")])
-    adj = {b.id: [] for b in case.buses}
-    for k, ln in enumerate(case.lines):
-        adj[ln.from_bus].append((ln.to_bus, k))
-        adj[ln.to_bus].append((ln.from_bus, k))
-    orient = {}
-    order = []
-    seen = {root}
-    queue = [root]
-    while queue:
-        u = queue.pop(0)
-        order.append(u)
-        for v, k in adj[u]:
-            if v in seen:
-                continue
-            seen.add(v)
-            orient[k] = (u, v)
-            queue.append(v)
-    if len(seen) != len(case.buses) or len(orient) != len(case.lines):
+    w = walk(case.buses, case.lines, root)
+    if w.reached != len(case.buses) or len(case.lines) != len(case.buses) - 1:
         raise ValidationError([Violation(
             "not_radial", "case", "not a tree rooted at the interface bus")])
-    children = {b.id: [] for b in case.buses}
-    for k, (u, _) in orient.items():
-        children[u].append(k)
-    for u in children:
-        children[u].sort()
-    return orient, children, order
+    below = np.array(w.order[1:], dtype=int)  # every bus but the root
+    child = np.empty(len(case.lines), dtype=int)
+    child[np.array(w.line)[below]] = below
+    ends = np.array([bidx[ln.from_bus] + bidx[ln.to_bus] for ln in case.lines],
+                    dtype=int)
+    return w, ends - child, child
 
 
 def loss_coefficients(r, p0, q0, nu0):
     """First-order Taylor coefficients of the line loss r (P^2 + Q^2) / nu.
 
     Returns (alpha, beta, gamma) with loss ~ alpha P + beta Q + gamma; the
-    denominator is frozen at the sending-end base voltage nu0.
+    denominator is frozen at the sending-end base voltage nu0.  The
+    arguments may be arrays, one entry a line.
     """
-    if nu0 <= 0:
+    if np.any(np.asarray(nu0) <= 0):
         raise ValidationError([Violation("nonpositive_voltage_bound",
                                          "operating point")])
     alpha = 2.0 * r * p0 / nu0
@@ -280,121 +254,80 @@ def loss_coefficients(r, p0, q0, nu0):
 
 
 def _build_radial(case, link, op):
-    root = link.dso_root_bus
-    orient, children, _ = _tree_structure(case, root)
-    bidx = case.bus_index()
+    w, par, child = _feeder_tree(case, link.dso_root_bus)
+    root = w.order[0]
+    nb, nl = len(case.buses), len(case.lines)
 
     lay = _Layout()
     gp = lay.add("gen_p", [f"gen_p:{g.bus}#{k}" for k, g in enumerate(case.gens)])
     gq = lay.add("gen_q", [f"gen_q:{g.bus}#{k}" for k, g in enumerate(case.gens)])
     nu = lay.add("nu", [f"nu:{b.id}" for b in case.buses])
-    fp = lay.add("flow_p", [f"flow_p:{case.lines[k].from_bus}-{case.lines[k].to_bus}"
-                            for k in range(len(case.lines))])
-    fq = lay.add("flow_q", [f"flow_q:{case.lines[k].from_bus}-{case.lines[k].to_bus}"
-                            for k in range(len(case.lines))])
+    fp = lay.add("flow_p", [f"flow_p:{ln.from_bus}-{ln.to_bus}" for ln in case.lines])
+    fq = lay.add("flow_q", [f"flow_q:{ln.from_bus}-{ln.to_bus}" for ln in case.lines])
     lay.add("coupling", [f"{nm}:{link.dso_index}" for nm in ("p_if", "q_if", "nu_if")])
     vmap = lay.freeze(1)
     n = vmap.n
     c_p, c_q, c_nu = vmap.coupling_triple(0)
+    r, x, s_max = _fields(case.lines, "r", "x", "s_max")
 
     if op is not None:
-        if len(op.flow_p) != len(case.lines) or len(op.flow_q) != len(case.lines) \
-                or len(op.nu) != len(case.buses):
+        if len(op.flow_p) != nl or len(op.flow_q) != nl or len(op.nu) != nb:
             raise ValidationError([Violation("dimension_mismatch", "operating point")])
         for i, b in enumerate(case.buses):
             if not (b.v2_min - 1e-9 <= op.nu[i] <= b.v2_max + 1e-9):
                 raise ValidationError([Violation(
                     "voltage_bound", f"bus {b.id}",
                     f"base point nu {op.nu[i]:.4f} outside band")])
+        alpha, beta, gamma = loss_coefficients(
+            r, np.array(op.flow_p), np.array(op.flow_q), np.array(op.nu)[par])
+    else:
+        alpha = beta = gamma = np.zeros(nl)
 
-    coeff = {}
-    for k, (u, _) in orient.items():
-        if op is None:
-            coeff[k] = (0.0, 0.0, 0.0)
-        else:
-            coeff[k] = loss_coefficients(case.lines[k].r, op.flow_p[k],
-                                         op.flow_q[k], op.nu[bidx[u]])
+    # Active balance: delivered parent flow + local generation covers the bus
+    # load, onward child flows, and the child lines' linearized loss; the
+    # reactive balance is lossless.  Rows interleave per bus.
+    bidx = case.bus_index()
+    gen_at = [bidx[gen.bus] for gen in case.gens]
+    P, Q = np.zeros((nb, n)), np.zeros((nb, n))
+    P[root, c_p] = Q[root, c_q] = 1.0
+    P[child, fp] = Q[child, fq] = 1.0
+    P[gen_at, gp] = Q[gen_at, gq] = 1.0
+    P[par, fp] = -(1.0 + alpha)
+    P[par, fq] -= beta
+    Q[par, fq] = -1.0
+    p_load, q_load, v2_min, v2_max = _fields(
+        case.buses, "p_load", "q_load", "v2_min", "v2_max")
+    np.add.at(p_load, par, gamma)
 
-    eq_rows, eq_rhs = [], []
-    gens_at = {}
-    for k, gen in enumerate(case.gens):
-        gens_at.setdefault(gen.bus, []).append(k)
-    parent_edge = {v: k for k, (_, v) in orient.items()}
+    # Voltage drop along each line, then the root voltage as nu_if.
+    V = np.zeros((nl + 1, n))
+    lines = np.arange(nl)
+    V[lines, nu[child]] = 1.0
+    V[lines, nu[par]] = -1.0
+    V[lines, fp] = 2.0 * r
+    V[lines, fq] = 2.0 * x
+    V[nl, [nu[root], c_nu]] = 1.0, -1.0
 
-    for b in case.buses:
-        # Active balance: delivered parent flow + local generation covers the
-        # bus load, onward child flows, and the child lines' linearized loss.
-        row = np.zeros(n)
-        if b.id == root:
-            row[c_p] = 1.0
-        else:
-            row[fp.start + parent_edge[b.id]] = 1.0
-        for k in gens_at.get(b.id, ()):
-            row[gp.start + k] = 1.0
-        rhs = b.p_load
-        for m in children[b.id]:
-            alpha, beta, gamma = coeff[m]
-            row[fp.start + m] = -(1.0 + alpha)
-            row[fq.start + m] += -beta
-            rhs += gamma
-        eq_rows.append(row)
-        eq_rhs.append(rhs)
+    A_eq = np.empty((2 * nb, n))
+    A_eq[0::2], A_eq[1::2] = P, Q
+    b_eq = np.empty(2 * nb)
+    b_eq[0::2], b_eq[1::2] = p_load, q_load
 
-        # Reactive balance (lossless).
-        row = np.zeros(n)
-        if b.id == root:
-            row[c_q] = 1.0
-        else:
-            row[fq.start + parent_edge[b.id]] = 1.0
-        for k in gens_at.get(b.id, ()):
-            row[gq.start + k] = 1.0
-        for m in children[b.id]:
-            row[fq.start + m] += -1.0
-        eq_rows.append(row)
-        eq_rhs.append(b.q_load)
-
-    for k, (u, v) in sorted(orient.items()):
-        ln = case.lines[k]
-        row = np.zeros(n)
-        row[nu.start + bidx[v]] = 1.0
-        row[nu.start + bidx[u]] = -1.0
-        row[fp.start + k] = 2.0 * ln.r
-        row[fq.start + k] = 2.0 * ln.x
-        eq_rows.append(row)
-        eq_rhs.append(0.0)
-
-    row = np.zeros(n)
-    row[nu.start + bidx[root]] = 1.0
-    row[c_nu] = -1.0
-    eq_rows.append(row)
-    eq_rhs.append(0.0)
-
-    in_rows, in_rhs = [], []
-    for i, b in enumerate(case.buses):
-        row = np.zeros(n)
-        row[nu.start + i] = 1.0
-        in_rows.append(row)
-        in_rhs.append(b.v2_max)
-        in_rows.append(-row)
-        in_rhs.append(-b.v2_min)
-    _gen_boxes(case, n, gp, "p_min", "p_max", in_rows, in_rhs)
-    _gen_boxes(case, n, gq, "q_min", "q_max", in_rows, in_rhs)
-    for k, ln in enumerate(case.lines):
-        if ln.s_max <= 0:
-            continue
-        for span in (fp, fq):
-            row = np.zeros(n)
-            row[span.start + k] = 1.0
-            in_rows.append(row)
-            in_rhs.append(ln.s_max)
-            in_rows.append(-row)
-            in_rhs.append(ln.s_max)
+    rated = np.flatnonzero(s_max > 0)
+    s_max = np.repeat(s_max[rated], 2)
+    p_max, p_min, q_max, q_min = _fields(case.gens, "p_max", "p_min",
+                                         "q_max", "q_min")
+    A_in, b_in = _boxes(
+        n, np.concatenate([nu, gp, gq, np.array((fp[rated], fq[rated])).T.ravel()]),
+        np.concatenate([v2_max, p_max, q_max, s_max]),
+        np.concatenate([v2_min, p_min, q_min, -s_max]))
 
     H, g, c0 = _gen_cost_terms(case, n, gp)
-    qp = QuadraticProgram(H, g, np.array(in_rows).reshape(-1, n), in_rhs,
-                          np.array(eq_rows).reshape(-1, n), eq_rhs, c0)
+    qp = QuadraticProgram(H, g, A_in, b_in, np.concatenate([A_eq, V]),
+                          np.concatenate([b_eq, np.zeros(nl + 1)]), c0)
     kind = MODEL_LINDISTFLOW if op is None else MODEL_LOSS_LINEARIZED
-    log.debug("%s model: %d vars, %d eq, %d ineq", kind, n, len(eq_rhs), len(in_rhs))
+    log.debug("%s model: %d vars, %d eq, %d ineq", kind, n, qp.b_eq.size,
+              qp.b_ineq.size)
     return PolyhedralModel(qp, vmap, op, kind, case, (link,))
 
 
@@ -425,22 +358,21 @@ def default_operating_point(case: GridCase, link) -> OperatingPoint:
     the base point well defined even for feeders that cannot balance
     themselves.
     """
-    orient, children, order = _tree_structure(case, link.dso_root_bus)
-    bidx = case.bus_index()
+    w, par, _ = _feeder_tree(case, link.dso_root_bus)
+    par = par.tolist()
+    children = [[] for _ in case.buses]
+    for k, u in enumerate(par):
+        children[u].append(k)
     fp = [0.0] * len(case.lines)
     fq = [0.0] * len(case.lines)
-    for u in reversed(order):
-        for k in children[u]:
-            child = orient[k][1]
-            b = case.buses[bidx[child]]
-            fp[k] = b.p_load + sum(fp[m] for m in children[child])
-            fq[k] = b.q_load + sum(fq[m] for m in children[child])
+    for v in reversed(w.order[1:]):
+        k, b = w.line[v], case.buses[v]
+        fp[k] = b.p_load + sum(fp[m] for m in children[v])
+        fq[k] = b.q_load + sum(fq[m] for m in children[v])
     nu = [1.0] * len(case.buses)
-    for u in order:
-        for k in children[u]:
-            child = orient[k][1]
-            ln = case.lines[k]
-            nu[bidx[child]] = nu[bidx[u]] - 2.0 * (ln.r * fp[k] + ln.x * fq[k])
+    for v in w.order[1:]:
+        k, ln = w.line[v], case.lines[w.line[v]]
+        nu[v] = nu[par[k]] - 2.0 * (ln.r * fp[k] + ln.x * fq[k])
     return OperatingPoint(tuple(fp), tuple(fq), tuple(nu))
 
 
@@ -528,20 +460,13 @@ def attach_quadratic_cost(model: PolyhedralModel, extra,
     reduction the skeleton carries is kept, updated by the Q term.
     """
     qp = model.qp_skeleton
-    cols = model.vmap.coupling_triple(slot)
-    Q = np.asarray(extra.Q, dtype=float)
-    c = np.asarray(extra.c, dtype=float).ravel()
-    H = qp.H.copy()
-    g = qp.g.copy()
-    for a, ca in enumerate(cols):
-        g[ca] += c[a]
-        for bb, cb in enumerate(cols):
-            H[ca, cb] += Q[a, bb]
-    red = qp.reduction.with_cost(cols, Q) if qp.reduction is not None else None
-    qp2 = QuadraticProgram(H, g, qp.A_ineq, qp.b_ineq, qp.A_eq, qp.b_eq,
-                           qp.c0 + float(extra.d), red)
-    return PolyhedralModel(qp2, model.vmap, model.operating_point, model.kind,
-                           model.case, model.links)
+    cols = list(model.vmap.coupling_triple(slot))
+    H, g = qp.H.copy(), qp.g.copy()
+    H[np.ix_(cols, cols)] += np.asarray(extra.Q, dtype=float)
+    g[cols] += np.asarray(extra.c, dtype=float).ravel()
+    red = qp.reduction.with_cost(cols, extra.Q) if qp.reduction is not None else None
+    return replace(model, qp_skeleton=replace(
+        qp, H=H, g=g, c0=qp.c0 + float(extra.d), reduction=red))
 
 
 def pin_coupling(model: PolyhedralModel, z_by_slot) -> QuadraticProgram:
@@ -551,18 +476,13 @@ def pin_coupling(model: PolyhedralModel, z_by_slot) -> QuadraticProgram:
     """
     if not isinstance(z_by_slot, dict):
         z_by_slot = {0: z_by_slot}
+    slots = sorted(z_by_slot)
+    z = [np.asarray(z_by_slot[s], dtype=float).ravel() for s in slots]
+    if any(v.size != 3 for v in z):
+        raise ValueError("coupling value must be a 3-vector")
     qp = model.qp_skeleton
-    n = qp.n
-    rows, rhs = [], []
-    for slot, z in sorted(z_by_slot.items()):
-        z = np.asarray(z, dtype=float).ravel()
-        if z.size != 3:
-            raise ValueError("coupling value must be a 3-vector")
-        for col, val in zip(model.vmap.coupling_triple(slot), z):
-            row = np.zeros(n)
-            row[col] = 1.0
-            rows.append(row)
-            rhs.append(float(val))
-    A_eq = np.vstack([qp.A_eq, rows]) if qp.b_eq.size else np.array(rows)
-    b_eq = np.concatenate([qp.b_eq, rhs])
-    return QuadraticProgram(qp.H, qp.g, qp.A_ineq, qp.b_ineq, A_eq, b_eq, qp.c0)
+    cols = [c for s in slots for c in model.vmap.coupling_triple(s)]
+    pins = np.zeros((len(cols), qp.n))
+    pins[np.arange(len(cols)), cols] = 1.0
+    return replace(qp, A_eq=np.concatenate([qp.A_eq, pins]),
+                   b_eq=np.concatenate([qp.b_eq, *z]), reduction=None)

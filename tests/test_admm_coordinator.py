@@ -442,13 +442,7 @@ class TestWarmStartedRounds:
         one list a round (the TSO's first), and the multiplier-sum identity
         after every round."""
         calls, sums = [], []
-        solve_qp_, solve_family_, step = (ad.solve_qp, ad.solve_family,
-                                          ad.consensus_step)
-
-        def qp_spy(*args, **kwargs):
-            sol = solve_qp_(*args, **kwargs)
-            calls.append([sol.iterations])
-            return sol
+        solve_family_, step = ad.solve_family, ad.consensus_step
 
         def family_spy(*args, **kwargs):
             sols = solve_family_(*args, **kwargs)
@@ -460,13 +454,12 @@ class TestWarmStartedRounds:
             sums.append(max(float(np.abs(lt + ld).max()) for lt, ld in
                             zip(state.lambda_tau, state.lambda_delta)))
 
-        monkeypatch.setattr(ad, "solve_qp", qp_spy)
         monkeypatch.setattr(ad, "solve_family", family_spy)
         monkeypatch.setattr(ad, "consensus_step", step_spy)
         res = ad.run_admm(part, "loss_linearized", **kwargs)
-        # the informed starts' family call, then a TSO solve and a family
-        # call a round
-        rounds = [tso + dsos for tso, dsos in zip(calls[1::2], calls[2::2])]
+        # the informed starts' family call, then one family call a round
+        # with the TSO's solve first
+        rounds = calls[1:]
         assert len(rounds) == len(sums) == res.state.iteration
         return res, rounds, max(sums)
 
@@ -655,8 +648,10 @@ class TestBatchedDsoSteps:
 
         monkeypatch.setattr(ad, "solve_family", spy)
         res = ad.run_admm(copies, "loss_linearized")
-        # one call for the informed starts, then one a round
-        assert sizes == [len(copies.dsos)] * (res.iterations + 1)
+        # one call for the informed starts, then one a round for the TSO
+        # and every DSO
+        assert sizes == [len(copies.dsos)] + \
+            [len(copies.dsos) + 1] * res.iterations
 
     def test_failed_member_names_dso_and_round(self, copies, monkeypatch):
         calls = []
@@ -665,7 +660,7 @@ class TestBatchedDsoSteps:
             sols = oc.solve_family(qps, *args, **kwargs)
             calls.append(None)
             if len(calls) == 4:  # the informed starts, then rounds 1..3
-                sols[2].status = oc.MAX_ITER
+                sols[3].status = oc.MAX_ITER  # the TSO's is sols[0]
             return sols
 
         monkeypatch.setattr(ad, "solve_family", fail_member_two_in_round_three)

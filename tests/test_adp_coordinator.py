@@ -53,7 +53,7 @@ class TestAdpConfig:
     def test_defaults(self):
         cfg = adp.AdpConfig()
         assert cfg.weight == 1e4
-        assert cfg.tol_renegotiate == 1e-4
+        assert adp.DEFAULT_RENEGOTIATE_TOL == 1e-4
         assert cfg.disagg_model_kind is None
 
     def test_rejects_bad_values(self):
@@ -61,8 +61,6 @@ class TestAdpConfig:
             adp.AdpConfig(value_mode="linear")
         with pytest.raises(ValueError):
             adp.AdpConfig(weight=0.0)
-        with pytest.raises(ValueError):
-            adp.AdpConfig(tol_renegotiate=-1.0)
         with pytest.raises(Exception):
             adp.AdpConfig(model_kind="ac_exact")
 

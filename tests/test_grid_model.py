@@ -150,6 +150,26 @@ class TestValidate:
         # cycle oracle: the triangle is the only cycle
         assert all(str(b) in hits[0].element for b in (1, 2, 3))
 
+    def test_radial_flag_names_a_real_cycle(self):
+        # Two cycles (a triangle and a square sharing bus 3), a parallel
+        # pair 6-7, a self-loop at 7 and a second component 8-9.
+        buses = tuple(gm.Bus(i, "slack" if i == 1 else "load")
+                      for i in range(1, 10))
+        ends = ((1, 2), (2, 3), (3, 1), (3, 4), (4, 5), (5, 6), (6, 3),
+                (6, 7), (6, 7), (7, 7), (8, 9))
+        lines = tuple(gm.Line(a, b, 0.0, 0.1) for a, b in ends)
+        case = gm.GridCase(100.0, buses, lines, (), topology_kind="radial")
+        found = gm.validate(case)
+        hits = [v for v in found if v.kind == "not_radial"]
+        assert len(hits) == 1
+        named = set(json.loads(hits[0].element.split("buses ")[1]))
+        # cycle oracle: the simple cycles of the line graph
+        assert named in ({1, 2, 3}, {3, 4, 5, 6}, {6, 7}, {7})
+        assert [v.element for v in found if v.kind == "self_loop"] == \
+            ["line 9 (7-7)"]
+        assert [v.element for v in found if v.kind == "disconnected"] == \
+            ["buses [8, 9]"]
+
     def test_empty_generator_range(self):
         case = gm.GridCase(100.0, (gm.Bus(1, "slack"),), (), (
             gm.Generator(1, 0.0, 1.0, q_min=0.5, q_max=-0.5),))

@@ -158,6 +158,29 @@ class TestDcModel:
         assert sol.objective <= best + 1e-9 * (1.0 + abs(best))
         assert abs(sol.objective - best) / abs(best) <= 1e-4
 
+    def test_case9_matrix_form(self):
+        # The balance block is the susceptance matrix C'diag(1/x)C and the
+        # rated-line rows are +-diag(1/x)C, C the line-bus incidence.
+        case = gm.load_case(str(DATA / "case9.m"), fmt="matpower_m")
+        model = pm.build_dc_model(case)
+        qp = model.qp_skeleton
+        bidx = case.bus_index()
+        C = np.zeros((len(case.lines), len(case.buses)))
+        for k, ln in enumerate(case.lines):
+            C[k, bidx[ln.from_bus]], C[k, bidx[ln.to_bus]] = 1.0, -1.0
+        DC = np.diag([1.0 / ln.x for ln in case.lines]) @ C
+        th = list(model.vmap.span("theta"))
+        nb = len(case.buses)
+        np.testing.assert_allclose(qp.A_eq[:nb, th], C.T @ DC,
+                                   rtol=1e-14, atol=1e-12)
+        rated = [k for k, ln in enumerate(case.lines) if ln.s_max > 0]
+        assert rated and np.array_equal(qp.A_ineq[0:2 * len(rated):2, th],
+                                        DC[rated])
+        assert np.array_equal(qp.A_ineq[1:2 * len(rated):2, th], -DC[rated])
+        assert not qp.A_ineq[:2 * len(rated)][:, model.vmap.span("gen_p")].any()
+        assert np.array_equal(qp.b_ineq[:2 * len(rated)],
+                              np.repeat([case.lines[k].s_max for k in rated], 2))
+
 
 class TestLinDistFlow:
     def test_single_line_formula(self):
@@ -217,6 +240,96 @@ class TestLinDistFlow:
         case = gm.GridCase(100.0, buses, lines, ())
         with pytest.raises(gm.ValidationError):
             pm.build_lindistflow_model(case, LINK)
+
+
+def loop_radial_rows(model):
+    """A feeder model's rows built one at a time by loops over its buses and
+    lines, as (A_eq, b_eq, A_ineq, b_ineq); the lines are oriented away
+    from the root by this function's own search."""
+    case, link, op = model.case, model.links[0], model.operating_point
+    vm, n, root = model.vmap, model.vmap.n, model.links[0].dso_root_bus
+    gp, gq, nu, fp, fq = (vm.span(s).start for s in
+                          ("gen_p", "gen_q", "nu", "flow_p", "flow_q"))
+    c_p, c_q, c_nu = vm.coupling_triple(0)
+    bidx = case.bus_index()
+    up, queue = {root: None}, [root]  # bus -> (parent bus, line)
+    for u in queue:
+        for k, ln in enumerate(case.lines):
+            for a, b in ((ln.from_bus, ln.to_bus), (ln.to_bus, ln.from_bus)):
+                if a == u and b not in up:
+                    up[b] = (u, k)
+                    queue.append(b)
+
+    def row(*entries):
+        r = np.zeros(n)
+        for c, v in entries:
+            r[c] += v
+        return r
+
+    eq, b_eq = [], []
+    for b in case.buses:
+        kids = sorted(k for v, (u, k) in filter(lambda e: e[1], up.items())
+                      if u == b.id)
+        gens = [k for k, g in enumerate(case.gens) if g.bus == b.id]
+        head = [(c_p, 1.0)] if b.id == root else [(fp + up[b.id][1], 1.0)]
+        active, rhs = head + [(gp + k, 1.0) for k in gens], b.p_load
+        for m in kids:
+            al, be, ga = ((0.0, 0.0, 0.0) if op is None else
+                          pm.loss_coefficients(case.lines[m].r, op.flow_p[m],
+                                               op.flow_q[m], op.nu[bidx[b.id]]))
+            active += [(fp + m, -(1.0 + al)), (fq + m, -be)]
+            rhs += ga
+        eq += [row(*active), row(
+            (c_q, 1.0) if b.id == root else (fq + up[b.id][1], 1.0),
+            *[(gq + k, 1.0) for k in gens], *[(fq + m, -1.0) for m in kids])]
+        b_eq += [rhs, b.q_load]
+    for v, (u, k) in sorted(((v, e) for v, e in up.items() if e),
+                            key=lambda item: item[1][1]):
+        ln = case.lines[k]
+        eq.append(row((nu + bidx[v], 1.0), (nu + bidx[u], -1.0),
+                      (fp + k, 2.0 * ln.r), (fq + k, 2.0 * ln.x)))
+        b_eq.append(0.0)
+    eq.append(row((nu + bidx[root], 1.0), (c_nu, -1.0)))
+    b_eq.append(0.0)
+    boxes = [(nu + i, b.v2_max, b.v2_min) for i, b in enumerate(case.buses)]
+    boxes += [(gp + k, g.p_max, g.p_min) for k, g in enumerate(case.gens)]
+    boxes += [(gq + k, g.q_max, g.q_min) for k, g in enumerate(case.gens)]
+    boxes += [(c + k, ln.s_max, -ln.s_max) for k, ln in enumerate(case.lines)
+              if ln.s_max > 0 for c in (fp, fq)]
+    ineq = [row((c, sign)) for c, _, _ in boxes for sign in (1.0, -1.0)]
+    b_in = [v for _, hi, lo in boxes for v in (hi, -lo)]
+    return np.array(eq), np.array(b_eq), np.array(ineq), np.array(b_in)
+
+
+class TestMatrixForm:
+    """The radial builder's index-array rows against loops, row for row."""
+
+    @staticmethod
+    def branching_feeder():
+        # lines listed out of walk order, some pointing at the root, two
+        # generators on bus 4 and one on the root, one rated line
+        buses = (gm.Bus(1, "slack"), gm.Bus(2, "load", 0.2, 0.1),
+                 gm.Bus(3, "load", 0.1, 0.05), gm.Bus(4, "load", 0.3, 0.1),
+                 gm.Bus(5, "load", 0.05, 0.02))
+        lines = (gm.Line(4, 2, 0.02, 0.03), gm.Line(1, 2, 0.01, 0.02, 1.5),
+                 gm.Line(3, 1, 0.01, 0.01), gm.Line(2, 5, 0.03, 0.02))
+        gens = (gm.Generator(4, 0.0, 0.2, -0.1, 0.1),
+                gm.Generator(1, 0.0, 0.1, -0.1, 0.1),
+                gm.Generator(4, 0.0, 0.1, -0.05, 0.05))
+        return gm.GridCase(100.0, buses, lines, gens)
+
+    @pytest.mark.parametrize("kind", ["lindistflow", "loss_linearized"])
+    def test_rows_match_loops(self, kind, benchmark_partition):
+        feeders = [(self.branching_feeder(), LINK)] + list(
+            zip(benchmark_partition.dsos, benchmark_partition.links))
+        for case, link in feeders:
+            model = pm.build_dso_model(case, link, kind)
+            qp = model.qp_skeleton
+            A_eq, b_eq, A_in, b_in = loop_radial_rows(model)
+            assert np.array_equal(qp.A_eq, A_eq)
+            assert np.array_equal(qp.b_eq, b_eq)
+            assert np.array_equal(qp.A_ineq, A_in)
+            assert np.array_equal(qp.b_ineq, b_in)
 
 
 class TestLossLinearized:
