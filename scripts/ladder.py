@@ -25,6 +25,20 @@ attachment with that feeder as feeder 1, the same way, and records
     converged   whether it converged,
     gap         its cost's distance to the centralized optimum, relative.
 
+The degenerate axis (DEGENERATE_RUNGS) runs `gridcoord compare` on the
+genless partition, `tests/suite_helpers.toy_tso_case` with
+`genless_dso_case` as its one feeder: a feeder without generators, whose
+FOR is a segment.  It records
+
+    exit_code   the exit code of `compare`,
+    flagged     each flagged row's error stage (the error's text before
+                its first colon),
+    seconds     the wall time of `compare`.
+
+A rung whose subprocess fails is recorded with the last line of its
+error output: a parent tree whose `tests/suite_helpers.py` lacks the
+genless case cannot run the degenerate rung.
+
 With --parent, every rung runs on that revision as well, from `git
 archive` in a temporary directory, and the side that runs first
 alternates from rung to rung (parent first on even rung indices).  The
@@ -46,6 +60,7 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 RUNGS = (9, 11, 12, 13, 14)
 ADMM_RUNGS = (9, 10, 11)
+DEGENERATE_RUNGS = (0,)  # generators on the feeder
 CAP_S = 60.0
 RUNS = 5
 REPEAT_S = 5.0
@@ -92,9 +107,41 @@ def admm_rung(generators: int) -> dict:
             "gap": abs(res.total_cost - central) / abs(central)}
 
 
+def degenerate_rung(generators: int = 0) -> dict:
+    """Run `compare` on the genless partition in this process, like
+    `rung`; `generators` is the feeder's count, 0, kept for the record."""
+    from gridcoord import bench_cli as bc
+    from gridcoord import grid_model as gm
+    from suite_helpers import genless_dso_case, toy_tso_case
+
+    with tempfile.TemporaryDirectory(prefix="ladder-genless-") as tmp:
+        files = []
+        for name, case in (("tso", toy_tso_case()),
+                           ("dso", genless_dso_case())):
+            files.append(os.path.join(tmp, f"{name}.json"))
+            with open(files[-1], "w", encoding="utf-8") as fh:
+                fh.write(gm.serialize_case(case))
+        t0 = time.perf_counter()
+        code = bc.main(["compare", "--tso", files[0], "--dso",
+                        f"2={files[1]}", "--out", tmp])
+        seconds = time.perf_counter() - t0
+        with open(os.path.join(tmp, "compare.json"), encoding="utf-8") as fh:
+            rows = json.load(fh)["rows"]
+    return {"generators": generators, "exit_code": code,
+            "flagged": {r["algorithm"]: r["error"].partition(":")[0]
+                        for r in rows if "error" in r},
+            "seconds": seconds}
+
+
+AXES = {"for": ("rungs", RUNGS, rung),
+        "admm": ("admm_rungs", ADMM_RUNGS, admm_rung),
+        "degenerate": ("degenerate_rungs", DEGENERATE_RUNGS,
+                       degenerate_rung)}
+
+
 def _run_rung(tree: str, generators: int, axis: str) -> dict:
-    """One rung of the axis ("for" or "admm") in a subprocess on the tree,
-    or its over-budget record."""
+    """One rung of the axis in a subprocess on the tree, its over-budget
+    record, or its failure."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
     try:
         proc = subprocess.run(
@@ -105,6 +152,9 @@ def _run_rung(tree: str, generators: int, axis: str) -> dict:
     except subprocess.TimeoutExpired:
         return {"generators": generators, "over_budget": True,
                 "cap_s": CAP_S}
+    except subprocess.CalledProcessError as exc:
+        return {"generators": generators,
+                "failed": (exc.stderr.strip().splitlines() or [""])[-1]}
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
@@ -113,28 +163,28 @@ def main(argv=None) -> int:
     p.add_argument("--number", type=int, help="write LADDER_<number>.json")
     p.add_argument("--parent", help="also run the rungs on this revision")
     p.add_argument("--rung", type=int, help=argparse.SUPPRESS)
-    p.add_argument("--axis", default="for", help=argparse.SUPPRESS)
+    p.add_argument("--axis", default="for", choices=AXES,
+                   help=argparse.SUPPRESS)
     p.add_argument("--tree", help=argparse.SUPPRESS)
     args = p.parse_args(argv)
     if args.rung is not None:  # the subprocess of one rung
         sys.path[:0] = [os.path.join(args.tree, "src"),
                         os.path.join(args.tree, "tests")]
-        timer = admm_rung if args.axis == "admm" else rung
-        print(json.dumps(timer(args.rung)))
+        print(json.dumps(AXES[args.axis][2](args.rung)))
         return 0
     if args.number is None:
         p.error("--number is required")
     result = {
         "what": ("FOR projection of one feeder with g generators (rungs) "
                  "and ADMM on the partition with that feeder as feeder 1 "
-                 "(admm_rungs), loss-linearized, each rung in its own "
+                 "(admm_rungs), loss-linearized; compare on the genless "
+                 "partition (degenerate_rungs); each rung in its own "
                  "subprocess"),
         "cap_s": CAP_S,
         "host": (f"{os.cpu_count()} cores, Python "
                  f"{'.'.join(platform.python_version_tuple()[:2])}, "
                  f"one BLAS thread (set by scripts/ladder.py)"),
-        "rungs": {},
-        "admm_rungs": {},
+        **{key: {} for key, _, _ in AXES.values()},
     }
     with tempfile.TemporaryDirectory(prefix="ladder-") as tmp:
         trees = {"change": ROOT}
@@ -143,8 +193,7 @@ def main(argv=None) -> int:
             archive(args.parent, tmp)
             result["parent"] = git("rev-parse", args.parent).decode().strip()
             trees["parent"] = tmp
-        for axis, key, rungs in (("for", "rungs", RUNGS),
-                                 ("admm", "admm_rungs", ADMM_RUNGS)):
+        for axis, (key, rungs, _) in AXES.items():
             for k, g in enumerate(rungs):
                 # parent first on even rung indices
                 for side in sorted(trees, reverse=k % 2 == 0):

@@ -118,13 +118,16 @@ class AdmmResult:
     solves: tuple = field(repr=False, default=())  # final (label, qp, sol)
     rho: float = DEFAULT_RHO  # starting weight; state.rho is the final one
     rho_path: tuple = ()  # (round after which rho changed, the new rho)
+    consensus: tuple = ()  # z of the round returned; state.z is the last
 
     @property
     def operations(self) -> int:
         return self.iterations
 
     def to_dict(self) -> dict:
+        """The round returned: its cost, residuals and consensus."""
         hist = self.history
+        returned = hist[self.best_iteration - 1]
         return {
             "algorithm": "admm",
             "converged": bool(self.converged),
@@ -134,12 +137,10 @@ class AdmmResult:
             "final_rho": float(self.state.rho),
             "rho_changes": len(self.rho_path),
             "total_cost": float(self.total_cost),
-            "consensus": [[float(v) for v in z] for z in self.state.z],
-            "residuals": {
-                "primal_tau": float(hist[-1, 1]) if len(hist) else 0.0,
-                "primal_delta": float(hist[-1, 2]) if len(hist) else 0.0,
-                "dual": float(hist[-1, 3]) if len(hist) else 0.0,
-            },
+            "consensus": [[float(v) for v in z] for z in self.consensus],
+            "residuals": {"primal_tau": float(returned[1]),
+                          "primal_delta": float(returned[2]),
+                          "dual": float(returned[3])},
             "history": [[float(v) for v in row] for row in hist],
             "operations": self.operations,
             "comm": self.comm.stats(),
@@ -346,7 +347,9 @@ def run_admm(part, model_kind: str = "loss_linearized",
     t_loop = time.perf_counter()
 
     history = []
-    best = None  # (score, iteration, cost, solutions, solved qps)
+    # (score, iteration, cost, solutions, solved qps, z); consensus_step
+    # rebinds each z, so a tuple of them keeps its round's values
+    best = None
     converged = False
     tso_sol, dso_sols = None, ()
     tso_qp, dso_qps = None, ()
@@ -385,7 +388,7 @@ def run_admm(part, model_kind: str = "loss_linearized",
         score = max(primal_tau, primal_delta, dual)
         if best is None or score < best[0]:
             best = (score, state.iteration, cost, tso_sol, tuple(dso_sols),
-                    tso_qp, tuple(dso_qps))
+                    tso_qp, tuple(dso_qps), tuple(state.z))
         if primal_tau <= tol and primal_delta <= tol and dual <= tol:
             converged = True
             break
@@ -400,10 +403,11 @@ def run_admm(part, model_kind: str = "loss_linearized",
                     pull.penalize(new_rho)
 
     if converged:
-        best_iteration, total_cost = state.iteration, history[-1][4]
+        best_iteration, total_cost, z = (state.iteration, history[-1][4],
+                                         tuple(state.z))
     else:
         (_, best_iteration, total_cost, tso_sol, dso_sols,
-         tso_qp, dso_qps) = best
+         tso_qp, dso_qps, z) = best
         logger.warning("no convergence in %d iterations; best residual "
                        "score %.3e at iteration %d", max_iter, best[0],
                        best_iteration)
@@ -425,7 +429,8 @@ def run_admm(part, model_kind: str = "loss_linearized",
                       timing=time.perf_counter() - t_loop,
                       setup_time=t_loop - t_start,
                       tso_solution=tso_sol, dso_solutions=tuple(dso_sols),
-                      solves=solves, rho=float(rho), rho_path=tuple(rho_path))
+                      solves=solves, rho=float(rho), rho_path=tuple(rho_path),
+                      consensus=z)
 
 
 def consensus_certificate(part, result: AdmmResult,

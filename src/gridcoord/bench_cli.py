@@ -8,9 +8,10 @@ Subcommands
   project-for                per-DSO feasible-region slice at fixed nu as
                              a CCW polygon CSV with JSON sidecar
 
-Exit codes: 0 success, 2 declared infeasibility / non-convergence /
-empty region, 1 anything else.  Logging level via GRIDCOORD_LOG
-(error, info, debug).
+Exit codes: 0 success; 2 a declared failure: infeasibility,
+non-convergence, an empty region or a row explosion, in `run` as in
+`compare`; 1 anything else (usage or input errors).  Logging level
+via GRIDCOORD_LOG (error, info, debug).
 
 Timing convention: every "comp time" is the coordination stage only
 (centralized solve, consensus iteration loop, or forward dispatch +
@@ -26,7 +27,7 @@ import logging
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 from . import grid_model as gm
 from .adp_coordinator import (DEFAULT_PENALTY_WEIGHT, AdpConfig,
@@ -51,19 +52,27 @@ VALUE_FN_CHOICES = ("none", "quadratic")
 MODEL_CHOICES = ("ldf", "ll", "lindistflow", "loss_linearized")
 _VALUE_MODE = {"none": "zero", "quadratic": "quadratic"}
 
-# flags each method may set beyond the shared case/output group
+# flags each method may set beyond the shared case/output group, and the
+# order in which `run` checks them
+_RUN_FLAGS = ("for_model", "value_fn", "samples", "seed", "weight", "rho",
+              "tol", "max_iter")
 _METHOD_FLAGS = {
     "centralized": {"for_model"},
     "admm": {"for_model", "rho", "tol", "max_iter"},
     "adp": {"for_model", "value_fn", "samples", "seed", "weight"},
 }
 
-# the six comparison rows, in report order: reference, consensus, then
-# per-model pairs with the flat value function before the fitted one
-COMPARE_VARIANTS = (("adp_ll_none", "loss_linearized", "zero"),
-                    ("adp_ll_quadratic", "loss_linearized", "quadratic"),
-                    ("adp_ldf_none", "lindistflow", "zero"),
-                    ("adp_ldf_quadratic", "lindistflow", "quadratic"))
+# the six comparison rows, in report order: (row name, method, model,
+# value function); reference, consensus, then per-model pairs with the flat
+# value function before the fitted one
+COMPARE_ROWS = (("centralized", "centralized", "loss_linearized", "none"),
+                ("admm", "admm", "loss_linearized", "none"),
+                ("adp_ll_none", "adp", "loss_linearized", "none"),
+                ("adp_ll_quadratic", "adp", "loss_linearized", "quadratic"),
+                ("adp_ldf_none", "adp", "lindistflow", "none"),
+                ("adp_ldf_quadratic", "adp", "lindistflow", "quadratic"))
+# failures a run declares: exit 2 from `run`, a flagged row in `compare`
+DECLARED = (CoordinationError, EmptyRegion, RowExplosion)
 CSV_HEADER = "algorithm,total_cost,operations,comp_time_s,feasible"
 
 
@@ -165,73 +174,58 @@ def _interfaces(tso_model, x, links) -> list:
     return out
 
 
-def _run_centralized(part, kind: str):
-    """Returns (result dict, timing dict); operations is a single solve."""
-    t0 = time.perf_counter()
-    prob = assemble_centralized(part, kind)
-    t1 = time.perf_counter()
-    sol = solve_qp(prob.qp)
-    t2 = time.perf_counter()
-    offsets = prob.offsets
-    feasible = sol.status == OPTIMAL
-    result = {
-        "algorithm": "centralized",
-        "model": kind,
-        "status": sol.status,
-        "feasible": feasible,
-        "total_cost": float(sol.objective) if feasible else None,
-        "operations": 1,
-        "interfaces": _interfaces(prob.tso, sol.x[offsets[0]:], part.links),
-    }
-    timing = {"setup_s": t1 - t0, "solve_s": t2 - t1, "total_s": t2 - t0}
-    return result, timing
+def _run_method(part, cfg: RunConfig):
+    """Run cfg.method on the partition.
 
-
-def _run_admm(part, cfg: RunConfig):
-    res = run_admm(part, cfg.for_model, rho=cfg.rho, tol=cfg.tol,
-                   max_iter=cfg.max_iter)
-    doc = res.to_dict()
-    doc["model"] = cfg.for_model
-    doc["feasible"] = doc["converged"]
-    timing = doc.pop("timing")
-    return res, doc, timing
-
-
-def _run_adp(part, cfg: RunConfig, model_kind=None, value_mode=None):
-    config = AdpConfig(model_kind=model_kind or cfg.for_model,
-                       value_mode=value_mode or _VALUE_MODE[cfg.value_fn],
-                       n_samples=cfg.samples, seed=cfg.seed,
-                       weight=cfg.weight)
+    Returns (result document, timing block, coordination-stage seconds,
+    the AdmmResult or None); centralized counts one operation.
+    """
+    if cfg.method == "centralized":
+        t0 = time.perf_counter()
+        prob = assemble_centralized(part, cfg.for_model)
+        t1 = time.perf_counter()
+        sol = solve_qp(prob.qp)
+        t2 = time.perf_counter()
+        feasible = sol.status == OPTIMAL
+        doc = {"algorithm": "centralized", "model": cfg.for_model,
+               "status": sol.status, "feasible": feasible,
+               "total_cost": float(sol.objective) if feasible else None,
+               "operations": 1,
+               "interfaces": _interfaces(prob.tso, sol.x[prob.offsets[0]:],
+                                         part.links)}
+        return (doc, {"setup_s": t1 - t0, "solve_s": t2 - t1,
+                      "total_s": t2 - t0}, t2 - t1, None)
+    if cfg.method == "admm":
+        res = run_admm(part, cfg.for_model, rho=cfg.rho, tol=cfg.tol,
+                       max_iter=cfg.max_iter)
+        doc = res.to_dict()
+        timing = doc.pop("timing")
+        doc.update(model=cfg.for_model, feasible=doc["converged"])
+        return doc, timing, timing["loop_s"], res
+    config = AdpConfig(model_kind=cfg.for_model,
+                       value_mode=_VALUE_MODE[cfg.value_fn],
+                       n_samples=cfg.samples, seed=cfg.seed, weight=cfg.weight)
     res = run_fp_adp(part, config)
     doc = res.to_dict()
-    doc["total_cost"] = res.total_cost
-    doc["model"] = config.model_kind
-    doc["value_mode"] = config.value_mode
-    timings = doc.pop("timings")
-    timing = {"setup_s": timings["backward_sweep"],
-              "coordination_s": timings["total"] - timings["backward_sweep"],
-              "total_s": timings["total"],
-              "stages": timings}
-    return res, doc, timing
+    stages = doc.pop("timings")
+    doc.update(total_cost=res.total_cost, model=config.model_kind,
+               value_mode=config.value_mode)
+    setup_s = stages["backward_sweep"]
+    comp_s = stages["total"] - setup_s
+    return (doc, {"setup_s": setup_s, "coordination_s": comp_s,
+                  "total_s": stages["total"], "stages": stages}, comp_s, None)
 
 
 def cmd_run(cfg: RunConfig) -> int:
     part = _load_partition(cfg)
     os.makedirs(cfg.out, exist_ok=True)
-    if cfg.method == "centralized":
-        result, timing = _run_centralized(part, cfg.for_model)
-        ok = result["feasible"]
-    elif cfg.method == "admm":
-        res, result, timing = _run_admm(part, cfg)
-        write_history_csv(os.path.join(cfg.out, "admm_history.csv"), res)
-        ok = result["converged"]
-    else:
-        _, result, timing = _run_adp(part, cfg)
-        ok = result["feasible"]
+    result, timing, _, admm = _run_method(part, cfg)
+    if admm is not None:
+        write_history_csv(os.path.join(cfg.out, "admm_history.csv"), admm)
     doc = {"config": cfg.public_dict(), "result": result,
            "timing": {**timing, "generated_at": _now_iso()}}
     path = _write_json(os.path.join(cfg.out, f"run_{cfg.method}.json"), doc)
-    cost = result["total_cost"]
+    cost, ok = result["total_cost"], result["feasible"]
     cost_text = "n/a" if cost is None else f"{cost:.6f}"
     print(f"{cfg.method}: total_cost={cost_text} "
           f"operations={result['operations']} feasible={ok}")
@@ -242,44 +236,21 @@ def cmd_run(cfg: RunConfig) -> int:
 def _compare_rows(part, cfg: RunConfig):
     """All six comparison runs; failures become flagged rows."""
     rows, timing = [], {}
-
-    def attempt(name, fn):
+    for name, method, model, value_fn in COMPARE_ROWS:
         try:
-            row, t = fn()
-        except (CoordinationError, EmptyRegion, RowExplosion,
-                gm.ValidationError) as exc:
+            doc, t, comp_s, _ = _run_method(part, replace(
+                cfg, method=method, for_model=model, value_fn=value_fn))
+            row = {"algorithm": name, "total_cost": doc["total_cost"],
+                   "operations": doc["operations"],
+                   "feasible": doc["feasible"]}
+            t = {"comp_s": comp_s, **t}
+        except (*DECLARED, gm.ValidationError) as exc:
             logger.warning("%s failed: %s", name, exc)
             row = {"algorithm": name, "total_cost": None, "operations": None,
                    "feasible": False, "error": str(exc)}
             t = {"total_s": 0.0}
         rows.append(row)
         timing[name] = t
-
-    def centralized():
-        result, t = _run_centralized(part, "loss_linearized")
-        return ({"algorithm": "centralized",
-                 "total_cost": result["total_cost"],
-                 "operations": 1, "feasible": result["feasible"]},
-                {"comp_s": t["solve_s"], **t})
-
-    def admm():
-        res, doc, t = _run_admm(part, cfg)
-        return ({"algorithm": "admm", "total_cost": doc["total_cost"],
-                 "operations": doc["operations"],
-                 "feasible": doc["converged"]},
-                {"comp_s": t["loop_s"], **t})
-
-    def adp(name, kind, mode):
-        res, doc, t = _run_adp(part, cfg, model_kind=kind, value_mode=mode)
-        return ({"algorithm": name, "total_cost": doc["total_cost"],
-                 "operations": doc["operations"],
-                 "feasible": doc["feasible"]},
-                {"comp_s": t["coordination_s"], **t})
-
-    attempt("centralized", centralized)
-    attempt("admm", admm)
-    for name, kind, mode in COMPARE_VARIANTS:
-        attempt(name, lambda n=name, k=kind, m=mode: adp(n, k, m))
     return rows, timing
 
 
@@ -331,9 +302,7 @@ def cmd_compare(cfg: RunConfig) -> int:
                                         cfg.public_dict())
     print(f"wrote {csv_path}")
     print(f"wrote {json_path}")
-    if all(row["feasible"] for row in rows):
-        return EXIT_OK
-    return EXIT_DECLARED
+    return EXIT_OK if all(row["feasible"] for row in rows) else EXIT_DECLARED
 
 
 def cmd_project_for(cfg: RunConfig) -> int:
@@ -347,7 +316,7 @@ def cmd_project_for(cfg: RunConfig) -> int:
             model = build_dso_model(case, link, cfg.for_model)
             region = coupling_region(model)
             verts = vertices_2d(slice_fix(region, 2, cfg.nu))
-        except (EmptyRegion, RowExplosion) as exc:
+        except DECLARED as exc:
             print(f"dso {index}: empty region at nu={cfg.nu:g} ({exc})")
             any_empty = True
             continue
@@ -360,82 +329,62 @@ def cmd_project_for(cfg: RunConfig) -> int:
 
 
 def _build_parser() -> _Parser:
+    """A flag left out stays out of the namespace, so RunConfig's defaults
+    are the only ones."""
+    def flags():
+        return argparse.ArgumentParser(add_help=False,
+                                       argument_default=argparse.SUPPRESS)
+
+    case = flags()
+    case.add_argument("--benchmark", action="store_true",
+                      help="use the built-in study system")
+    case.add_argument("--tso", help="transmission case file")
+    case.add_argument("--dso", action="append", dest="dsos",
+                      metavar="[TSOBUS[:ROOTBUS]=]FILE",
+                      help="feeder case file; repeatable")
+    case.add_argument("--out", help="output directory")
+    model = flags()
+    model.add_argument("--for-model", choices=MODEL_CHOICES)
+    tuning = flags()
+    tuning.add_argument("--samples", type=int)
+    tuning.add_argument("--seed", type=int)
+    tuning.add_argument("--weight", type=float)
+    tuning.add_argument("--rho", type=float, help="ADMM starting penalty "
+                        f"weight (default {RunConfig.rho:g})")
+    tuning.add_argument("--tol", type=float)
+    tuning.add_argument("--max-iter", type=int)
+
     parser = _Parser(prog="gridcoord",
                      description="TSO-DSO coordination benchmark harness")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_shared(p):
-        p.add_argument("--benchmark", action="store_true",
-                       help="use the built-in study system")
-        p.add_argument("--tso", help="transmission case file")
-        p.add_argument("--dso", action="append", default=[],
-                       metavar="[TSOBUS[:ROOTBUS]=]FILE",
-                       help="feeder case file; repeatable")
-        p.add_argument("--out", default=".", help="output directory")
-
-    rho_help = f"ADMM starting penalty weight (default {DEFAULT_RHO:g})"
-    run = sub.add_parser("run", help="run one method")
+    run = sub.add_parser("run", help="run one method",
+                         parents=[case, model, tuning],
+                         argument_default=argparse.SUPPRESS)
     run.add_argument("method", choices=METHODS)
-    add_shared(run)
-    run.add_argument("--for-model", choices=MODEL_CHOICES, default=None)
-    run.add_argument("--value-fn", choices=VALUE_FN_CHOICES, default=None)
-    run.add_argument("--samples", type=int, default=None)
-    run.add_argument("--seed", type=int, default=None)
-    run.add_argument("--weight", type=float, default=None)
-    run.add_argument("--rho", type=float, default=None, help=rho_help)
-    run.add_argument("--tol", type=float, default=None)
-    run.add_argument("--max-iter", type=int, default=None)
-
-    comp = sub.add_parser("compare", help="run all six methods")
-    add_shared(comp)
-    comp.add_argument("--samples", type=int, default=None)
-    comp.add_argument("--seed", type=int, default=None)
-    comp.add_argument("--weight", type=float, default=None)
-    comp.add_argument("--rho", type=float, default=None, help=rho_help)
-    comp.add_argument("--tol", type=float, default=None)
-    comp.add_argument("--max-iter", type=int, default=None)
-
-    proj = sub.add_parser("project-for", help="export FOR polygon slices")
-    add_shared(proj)
-    proj.add_argument("--for-model", choices=MODEL_CHOICES, default=None)
-    proj.add_argument("--nu", type=float, default=None,
-                      help="squared voltage at which to slice (default 1.0)")
+    run.add_argument("--value-fn", choices=VALUE_FN_CHOICES)
+    sub.add_parser("compare", help="run all six methods",
+                   parents=[case, tuning])
+    proj = sub.add_parser("project-for", help="export FOR polygon slices",
+                          parents=[case, model],
+                          argument_default=argparse.SUPPRESS)
+    proj.add_argument("--nu", type=float, help="squared voltage at which "
+                      f"to slice (default {RunConfig.nu})")
     return parser
 
 
 def _to_config(args) -> RunConfig:
-    method = getattr(args, "method", "")
+    given = dict(vars(args))
     if args.command == "run":
-        allowed = _METHOD_FLAGS[method]
-        for flag in ("for_model", "value_fn", "samples", "seed", "weight",
-                     "rho", "tol", "max_iter"):
-            if getattr(args, flag, None) is not None and flag not in allowed:
+        for flag in _RUN_FLAGS:
+            if flag in given and flag not in _METHOD_FLAGS[args.method]:
                 raise ValueError(
                     f"--{flag.replace('_', '-')} is not valid for "
-                    f"method {method!r}")
-
-    def pick(name, default):
-        value = getattr(args, name, None)
-        return default if value is None else value
-
-    for_model = pick("for_model", "loss_linearized")
-    return RunConfig(
-        command=args.command,
-        method=method,
-        benchmark=args.benchmark,
-        tso=args.tso,
-        dsos=tuple(args.dso),
-        for_model=normalize_model_kind(for_model),
-        value_fn=pick("value_fn", "quadratic"),
-        samples=pick("samples", DEFAULT_SAMPLES),
-        seed=pick("seed", 0),
-        weight=pick("weight", DEFAULT_PENALTY_WEIGHT),
-        rho=pick("rho", DEFAULT_RHO),
-        tol=pick("tol", DEFAULT_TOL),
-        max_iter=pick("max_iter", DEFAULT_MAX_ITER),
-        nu=pick("nu", 1.0),
-        out=args.out,
-    )
+                    f"method {args.method!r}")
+    if "dsos" in given:
+        given["dsos"] = tuple(given["dsos"])
+    if "for_model" in given:
+        given["for_model"] = normalize_model_kind(given["for_model"])
+    return RunConfig(**given)
 
 
 def _setup_logging() -> None:
@@ -456,12 +405,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _to_config(args)
-        if args.command == "run":
-            return cmd_run(cfg)
-        if args.command == "compare":
-            return cmd_compare(cfg)
-        return cmd_project_for(cfg)
-    except (CoordinationError,) as exc:
+        return {"run": cmd_run, "compare": cmd_compare,
+                "project-for": cmd_project_for}[cfg.command](cfg)
+    except DECLARED as exc:
         sys.stderr.write(f"declared failure: {exc}\n")
         return EXIT_DECLARED
     except (gm.ParseError, gm.ValidationError, ValueError, OSError) as exc:

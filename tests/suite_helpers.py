@@ -25,6 +25,23 @@ def record_criterion(num, desc, ok, detail=""):
         (f" ({detail})" if detail else "")
 
 
+def toy_tso_case():
+    """A two-bus transmission case: one generator at the slack bus, one load
+    at bus 2."""
+    buses = (gm.Bus(1, "slack"), gm.Bus(2, "load", 1.0, 0.3))
+    lines = (gm.Line(1, 2, 0.0, 0.1),)
+    gens = (gm.Generator(1, 0.0, 5.0, -3.0, 3.0, 0.5, 1.0, 0.0),)
+    return gm.GridCase(100.0, buses, lines, gens)
+
+
+def genless_dso_case():
+    """A two-bus feeder without generators.  Its FOR is a segment, on which
+    value samples are affinely degenerate, so no quadratic fits them."""
+    buses = (gm.Bus(1, "slack"), gm.Bus(2, "load", 0.5, 0.2))
+    lines = (gm.Line(1, 2, 0.1, 0.1),)
+    return gm.GridCase(100.0, buses, lines, ())
+
+
 def _templates():
     """The packaged 9-bus transmission case, its generators raised to
     TSO_PMAX_FACTOR times their rating as the benchmark raises them, and the

@@ -311,6 +311,22 @@ class TestRunAdmm:
         assert res.total_cost == res.history[best, 4]
         assert res.to_dict()["iterations"] == 5
 
+    def test_cut_run_reports_the_round_it_returns(self):
+        # builtin stopped at 12 rounds returns round 10; its document is
+        # round 10's, as the run stopped there reports it
+        part = gm.load_builtin_benchmark()
+        cut = ad.run_admm(part, "loss_linearized", max_iter=12)
+        assert not cut.converged and cut.best_iteration == 10
+        doc = cut.to_dict()
+        stopped = ad.run_admm(part, "loss_linearized", max_iter=10)
+        assert stopped.best_iteration == 10
+        ref = stopped.to_dict()
+        for key in ("total_cost", "residuals", "consensus"):
+            assert doc[key] == ref[key], key
+        assert doc["residuals"]["dual"] == cut.history[9, 3]
+        assert doc["consensus"] != [[float(v) for v in z]
+                                    for z in cut.state.z]
+
     def test_invariants_hold_every_iteration(self, monkeypatch):
         sums, copies = [], []
         original = ad.consensus_step

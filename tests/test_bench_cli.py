@@ -3,21 +3,20 @@ import dataclasses
 import json
 import importlib.util
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gridcoord
+from gridcoord import adp_coordinator
 from gridcoord import bench_cli as bc
 from gridcoord import grid_model as gm
 from gridcoord.adp_coordinator import CoordinationError
-
-
-def toy_tso_case():
-    buses = (gm.Bus(1, "slack"), gm.Bus(2, "load", 1.0, 0.3))
-    lines = (gm.Line(1, 2, 0.0, 0.1),)
-    gens = (gm.Generator(1, 0.0, 5.0, -3.0, 3.0, 0.5, 1.0, 0.0),)
-    return gm.GridCase(100.0, buses, lines, gens)
+from gridcoord.projection import RowExplosion
+from suite_helpers import genless_dso_case, toy_tso_case
 
 
 def toy_dso_case():
@@ -33,14 +32,6 @@ def forced_export_dso_case():
     lines = (gm.Line(1, 2, 0.05, 0.05),)
     gens = (gm.Generator(2, 10.0, 10.0, -3.0, 3.0, 0.0, 1.0),)
     return gm.GridCase(100.0, buses, lines, gens)
-
-
-def genless_dso_case():
-    # no generator: the region is a single interface point, on which the
-    # value samples are affinely degenerate
-    buses = (gm.Bus(1, "slack"), gm.Bus(2, "load", 0.5, 0.2))
-    lines = (gm.Line(1, 2, 0.1, 0.1),)
-    return gm.GridCase(100.0, buses, lines, ())
 
 
 @pytest.fixture(scope="module")
@@ -90,6 +81,55 @@ class TestParsing:
         code = bc.main(["run", method, "--benchmark", flag])
         assert code == bc.EXIT_ERROR
         assert "not valid for method" in capsys.readouterr().err
+
+    # every flag with a value and the RunConfig field it sets, and the
+    # flags each subcommand accepts
+    FLAGS = {"--benchmark": ((), "benchmark", True),
+             "--tso": (("t.json",), "tso", "t.json"),
+             "--dso": (("2=d.json",), "dsos", ("2=d.json",)),
+             "--out": (("o",), "out", "o"),
+             "--for-model": (("ldf",), "for_model", "lindistflow"),
+             "--value-fn": (("none",), "value_fn", "none"),
+             "--samples": (("7",), "samples", 7),
+             "--seed": (("3",), "seed", 3),
+             "--weight": (("2.5",), "weight", 2.5),
+             "--rho": (("5",), "rho", 5.0),
+             "--tol": (("1e-5",), "tol", 1e-5),
+             "--max-iter": (("9",), "max_iter", 9),
+             "--nu": (("1.02",), "nu", 1.02)}
+    CASE = ("--benchmark", "--tso", "--dso", "--out")
+    ACCEPTS = {
+        ("run", "centralized"): CASE + ("--for-model",),
+        ("run", "admm"): CASE + ("--for-model", "--rho", "--tol",
+                                 "--max-iter"),
+        ("run", "adp"): CASE + ("--for-model", "--value-fn", "--samples",
+                                "--seed", "--weight"),
+        ("compare",): CASE + ("--samples", "--seed", "--weight", "--rho",
+                              "--tol", "--max-iter"),
+        ("project-for",): CASE + ("--for-model", "--nu"),
+    }
+
+    @pytest.mark.parametrize("command", list(ACCEPTS), ids=" ".join)
+    @pytest.mark.parametrize("flag", list(FLAGS))
+    def test_accepted_flags(self, command, flag):
+        values, field, expected = self.FLAGS[flag]
+        argv = [*command, flag, *values]
+        if flag not in self.ACCEPTS[command]:
+            with pytest.raises((SystemExit, ValueError)) as exc:
+                bc._to_config(bc._build_parser().parse_args(argv))
+            if exc.type is SystemExit:
+                assert exc.value.code == bc.EXIT_ERROR
+            else:
+                assert "not valid for method" in str(exc.value)
+            return
+        cfg = bc._to_config(bc._build_parser().parse_args(argv))
+        assert getattr(cfg, field) == expected
+
+    @pytest.mark.parametrize("command", list(ACCEPTS), ids=" ".join)
+    def test_unset_flags_keep_the_config_defaults(self, command):
+        cfg = bc._to_config(bc._build_parser().parse_args(list(command)))
+        assert cfg == bc.RunConfig(command=command[0],
+                                   method="".join(command[1:]))
 
     def test_invalid_method_choice_exits_with_error_code(self):
         with pytest.raises(SystemExit) as exc:
@@ -209,6 +249,38 @@ class TestRunSubcommand:
         assert code == bc.EXIT_DECLARED
         assert "declared failure" in capsys.readouterr().err
 
+    def test_empty_region_is_declared(self, toy_files, tmp_path, capsys):
+        code = bc.main(["run", "adp", "--tso", toy_files["tso"],
+                        "--dso", f"2={toy_files['bad']}",
+                        "--out", str(tmp_path)])
+        assert code == bc.EXIT_DECLARED
+        assert "declared failure: dso 1: interface region is empty" \
+            in capsys.readouterr().err
+
+    def test_row_explosion_is_declared(self, toy_files, tmp_path,
+                                       monkeypatch, capsys):
+        def explode(*args, **kwargs):
+            raise RowExplosion("99 rows would exceed cap 1")
+
+        monkeypatch.setattr(adp_coordinator, "coupling_region", explode)
+        code = bc.main(["run", "adp",
+                        *toy_args(toy_files, "--out", str(tmp_path))])
+        assert code == bc.EXIT_DECLARED
+        assert "declared failure: dso 1: 99 rows" in capsys.readouterr().err
+
+    def test_declared_failure_exit_status_of_the_process(self, toy_files,
+                                                         tmp_path):
+        src = os.path.dirname(os.path.dirname(gridcoord.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "gridcoord.bench_cli", "run", "adp",
+             "--tso", toy_files["tso"], "--dso", f"2={toy_files['bad']}",
+             "--out", str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == bc.EXIT_DECLARED
+        assert "declared failure: dso 1:" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_infeasible_centralized_writes_null_cost(self, toy_files,
                                                      tmp_path):
         code = bc.main(["run", "centralized", "--tso", toy_files["tso"],
@@ -316,6 +388,25 @@ class TestCompare:
                      "centralized", "admm", "adp_ll_none",
                      "adp_ldf_quadratic"):
             assert name in text
+
+    def test_rows_equal_single_runs(self, toy_files, tmp_path):
+        # each row is the run of its method, model and value function
+        assert bc.main(["compare", *toy_args(toy_files, "--seed", "5",
+                                             "--out", str(tmp_path))]) == 0
+        rows = load_json(tmp_path / "compare.json")["rows"]
+        assert [r["algorithm"] for r in rows] == \
+            [name for name, *_ in bc.COMPARE_ROWS]
+        for row, (name, method, model, value_fn) in zip(rows,
+                                                        bc.COMPARE_ROWS):
+            extra = ("--value-fn", value_fn, "--seed", "5") \
+                if method == "adp" else ()
+            out = tmp_path / name
+            assert bc.main(["run", method, *toy_args(
+                toy_files, "--for-model", model, *extra,
+                "--out", str(out))]) == 0
+            result = load_json(out / f"run_{method}.json")["result"]
+            for key in ("total_cost", "operations", "feasible"):
+                assert row[key] == result[key], (name, key)
 
     def test_repeat_byte_identical_modulo_timing(self, tmp_path):
         args = ["compare", "--benchmark", "--seed", "7",
@@ -486,3 +577,13 @@ class TestLadderScript:
         assert row["converged"] and row["rounds"] == 36
         assert row["gap"] <= 1e-6
         assert 0.0 < row["seconds"] < script.CAP_S
+
+    def test_degenerate_rung(self, capsys):
+        # the genless partition: a feeder without generators, whose FOR is
+        # a segment, so no quadratic fits its value samples
+        script = load_script("ladder")
+        row = script.degenerate_rung()
+        assert row["generators"] == 0
+        assert row["exit_code"] == bc.EXIT_DECLARED
+        assert row["flagged"] == {"adp_ll_quadratic": "dso 1 value fit",
+                                  "adp_ldf_quadratic": "dso 1 value fit"}
