@@ -35,6 +35,21 @@ FOR is a segment.  It records
                 its first colon),
     seconds     the wall time of `compare`.
 
+The broad axis (BROAD_RUNGS) runs the six `compare` rows
+(`bench_cli._compare_rows`, defaults as `gridcoord compare` has them) on
+`tests/suite_helpers.feeder_copies(n)`, n copies of the packaged feeder,
+the same way, and records
+
+    seconds       the fastest `compare`, all six rows,
+    runs          how many it timed,
+    rows          per row, its fastest end-to-end time (`total_s`), its
+                  operations and whether it is feasible,
+    centralized   the loss-linearized centralized QP's n, p, m (columns,
+                  equality and inequality rows) and k (free directions
+                  after its equality reduction),
+    admm_rounds   the rounds of the ADMM row,
+    peak_rss_mb   the subprocess's peak resident set size.
+
 A rung whose subprocess fails is recorded with the last line of its
 error output: a parent tree whose `tests/suite_helpers.py` lacks the
 genless case cannot run the degenerate rung.
@@ -61,6 +76,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 RUNGS = (9, 11, 12, 13, 14)
 ADMM_RUNGS = (9, 10, 11)
 DEGENERATE_RUNGS = (0,)  # generators on the feeder
+BROAD_RUNGS = (14, 28, 56)  # feeders
 CAP_S = 60.0
 RUNS = 5
 REPEAT_S = 5.0
@@ -133,27 +149,61 @@ def degenerate_rung(generators: int = 0) -> dict:
             "seconds": seconds}
 
 
-AXES = {"for": ("rungs", RUNGS, rung),
-        "admm": ("admm_rungs", ADMM_RUNGS, admm_rung),
+def broad_rung(feeders: int) -> dict:
+    """Time `compare` on `feeders` feeder copies in this process, like
+    `rung`."""
+    import resource
+
+    from gridcoord import bench_cli as bc
+    from gridcoord import opt_core as oc
+    from gridcoord import powerflow_models as pm
+    from suite_helpers import feeder_copies
+
+    part = feeder_copies(feeders)
+    cfg = bc.RunConfig(command="compare")
+    runs, times, start = [], [], time.perf_counter()
+    while len(times) < RUNS and time.perf_counter() - start < REPEAT_S:
+        t0 = time.perf_counter()
+        runs.append(bc._compare_rows(part, cfg))
+        times.append(time.perf_counter() - t0)
+    rows = {row["algorithm"]: {
+        "total_s": min(timing[row["algorithm"]]["total_s"]
+                       for _, timing in runs),
+        "operations": row["operations"], "feasible": bool(row["feasible"])}
+        for row in runs[-1][0]}
+    qp = pm.assemble_centralized(part, "loss_linearized").qp
+    return {"feeders": feeders, "seconds": min(times), "runs": len(times),
+            "rows": rows,
+            "centralized": {"n": qp.n, "p": qp.b_eq.size, "m": qp.b_ineq.size,
+                            "k": oc.EqualityReduction.of(qp).N.shape[1]},
+            "admm_rounds": rows["admm"]["operations"],
+            "peak_rss_mb": resource.getrusage(
+                resource.RUSAGE_SELF).ru_maxrss / 1024.0}
+
+
+# axis: (result key, rungs, rung function, the field a rung is named by)
+AXES = {"for": ("rungs", RUNGS, rung, "generators"),
+        "admm": ("admm_rungs", ADMM_RUNGS, admm_rung, "generators"),
         "degenerate": ("degenerate_rungs", DEGENERATE_RUNGS,
-                       degenerate_rung)}
+                       degenerate_rung, "generators"),
+        "broad": ("broad_rungs", BROAD_RUNGS, broad_rung, "feeders")}
 
 
-def _run_rung(tree: str, generators: int, axis: str) -> dict:
+def _run_rung(tree: str, size: int, axis: str) -> dict:
     """One rung of the axis in a subprocess on the tree, its over-budget
     record, or its failure."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    field = AXES[axis][3]
     try:
         proc = subprocess.run(
             [sys.executable, os.path.abspath(__file__), "--rung",
-             str(generators), "--axis", axis, "--tree", tree],
+             str(size), "--axis", axis, "--tree", tree],
             env=env, check=True, capture_output=True, text=True,
             timeout=CAP_S)
     except subprocess.TimeoutExpired:
-        return {"generators": generators, "over_budget": True,
-                "cap_s": CAP_S}
+        return {field: size, "over_budget": True, "cap_s": CAP_S}
     except subprocess.CalledProcessError as exc:
-        return {"generators": generators,
+        return {field: size,
                 "failed": (exc.stderr.strip().splitlines() or [""])[-1]}
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
@@ -178,13 +228,13 @@ def main(argv=None) -> int:
         "what": ("FOR projection of one feeder with g generators (rungs) "
                  "and ADMM on the partition with that feeder as feeder 1 "
                  "(admm_rungs), loss-linearized; compare on the genless "
-                 "partition (degenerate_rungs); each rung in its own "
-                 "subprocess"),
+                 "partition (degenerate_rungs) and on n feeder copies "
+                 "(broad_rungs); each rung in its own subprocess"),
         "cap_s": CAP_S,
         "host": (f"{os.cpu_count()} cores, Python "
                  f"{'.'.join(platform.python_version_tuple()[:2])}, "
                  f"one BLAS thread (set by scripts/ladder.py)"),
-        **{key: {} for key, _, _ in AXES.values()},
+        **{key: {} for key, *_ in AXES.values()},
     }
     with tempfile.TemporaryDirectory(prefix="ladder-") as tmp:
         trees = {"change": ROOT}
@@ -193,7 +243,7 @@ def main(argv=None) -> int:
             archive(args.parent, tmp)
             result["parent"] = git("rev-parse", args.parent).decode().strip()
             trees["parent"] = tmp
-        for axis, (key, rungs, _) in AXES.items():
+        for axis, (key, rungs, *_) in AXES.items():
             for k, g in enumerate(rungs):
                 # parent first on even rung indices
                 for side in sorted(trees, reverse=k % 2 == 0):

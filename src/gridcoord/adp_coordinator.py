@@ -20,7 +20,8 @@ import numpy as np
 
 from .grid_model import ValidationError, Violation
 from .messaging import CommLog
-from .opt_core import OPTIMAL, QpSolution, QuadraticProgram, solve_qp
+from .opt_core import (OPTIMAL, QpSolution, QuadraticProgram,
+                       solve_family, solve_qp)
 from .powerflow_models import (DEFAULT_INTERFACE_RATING, PolyhedralModel,
                                attach_quadratic_cost, build_dc_model,
                                build_dso_model, normalize_model_kind,
@@ -152,8 +153,8 @@ def backward_sweep(part, model_kind: str, value_mode: str = "quadratic",
     """Per-DSO region projection and surrogate fit; one upload round.
 
     Three stages: every DSO's model is built and its region projected; the
-    sample points of all DSOs are drawn by one lockstep hit-and-run; then
-    each DSO's samples are solved as one family and fitted, and the
+    sample points of all DSOs are drawn by one lockstep hit-and-run and
+    solved as one family; then each DSO's samples are fitted, and the
     packages are sent in link order.  Returns (packages, comm_log).  DSO k
     samples with seed + k so the streams are distinct but the whole sweep
     is reproducible.  Samples a quadratic cannot be fitted to raise
@@ -243,27 +244,31 @@ def _forward_model(tso_model: PolyhedralModel, packages) -> PolyhedralModel:
     return model
 
 
-def disaggregate(dso_model: PolyhedralModel, z_star,
-                 weight: float = DEFAULT_PENALTY_WEIGHT) -> Disaggregation:
-    """Local dispatch pulled toward a setpoint by a soft quadratic penalty.
+def disaggregate(dso_models, setpoints,
+                 weight: float = DEFAULT_PENALTY_WEIGHT
+                 ) -> list[Disaggregation]:
+    """Each DSO's local dispatch pulled toward its setpoint by a soft
+    quadratic penalty, all DSOs solved as one family (`solve_family`).
 
-    Solves min f(y, z) + weight * ||z - z_star||^2 over the model's set.
-    The reported dso_cost is f at the optimum with the penalty excluded.
+    DSO k solves min f_k(y, z) + weight * ||z - setpoints[k]||^2 over its
+    model's set; one Disaggregation comes back a model, in order.  Its
+    dso_cost is f_k at the optimum with the penalty excluded.
     """
     if weight <= 0.0:
         raise ValueError("penalty weight must be positive")
-    z_star = np.asarray(z_star, dtype=float).ravel()
-    if z_star.size != 3:
-        raise ValueError("setpoint must be a 3-vector")
-    penalty = QuadraticValueFn(2.0 * weight * np.eye(3),
-                               -2.0 * weight * z_star,
-                               weight * float(z_star @ z_star))
-    qp = attach_quadratic_cost(dso_model, penalty).qp_skeleton
-    sol = solve_qp(qp, tol=SOLVER_TOL)
-    cols = list(dso_model.vmap.coupling_triple(0))
-    achieved = sol.x[cols].copy()
-    return Disaggregation(sol, achieved,
-                          dso_model.qp_skeleton.objective(sol.x), qp)
+    qps = []
+    for model, z_star in zip(dso_models, setpoints, strict=True):
+        z_star = np.asarray(z_star, dtype=float).ravel()
+        if z_star.size != 3:
+            raise ValueError("setpoint must be a 3-vector")
+        penalty = QuadraticValueFn(2.0 * weight * np.eye(3),
+                                   -2.0 * weight * z_star,
+                                   weight * float(z_star @ z_star))
+        qps.append(attach_quadratic_cost(model, penalty).qp_skeleton)
+    return [Disaggregation(sol, sol.x[list(model.vmap.coupling_triple(0))],
+                           model.qp_skeleton.objective(sol.x), qp)
+            for model, qp, sol in zip(dso_models, qps,
+                                      solve_family(qps, tol=SOLVER_TOL))]
 
 
 def run_fp_adp(part, config: AdpConfig = AdpConfig()) -> AdpResult:
@@ -297,13 +302,11 @@ def run_fp_adp(part, config: AdpConfig = AdpConfig()) -> AdpResult:
         log.send("tso", _dso_agent(lk.dso_index), "setpoint", 3)
 
     t = time.perf_counter()
-    disaggs = []
-    for (case, link), z in zip(zip(part.dsos, part.links), setpoints):
-        model = build_dso_model(case, link, disagg_kind)
-        d = disaggregate(model, z, config.weight)
-        disaggs.append(d)
-        solves.append((f"dso{link.dso_index}_disaggregation", d.qp,
-                       d.solution))
+    disaggs = disaggregate([build_dso_model(case, link, disagg_kind)
+                            for case, link in zip(part.dsos, part.links)],
+                           setpoints, config.weight)
+    solves += [(f"dso{link.dso_index}_disaggregation", d.qp, d.solution)
+               for link, d in zip(part.links, disaggs)]
     timings["disaggregation"] = time.perf_counter() - t
 
     feasible = all(d.solution.status == OPTIMAL for d in disaggs)

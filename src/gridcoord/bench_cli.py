@@ -10,7 +10,9 @@ Subcommands
 
 Exit codes: 0 success; 2 a declared failure: infeasibility,
 non-convergence, an empty region or a row explosion, in `run` as in
-`compare`; 1 anything else (usage or input errors).  Logging level
+`compare`, whose reports still carry the failed method with feasible
+false, a null cost and, when it ended on an exception, its error; 1
+anything else (usage or input errors).  Logging level
 via GRIDCOORD_LOG (error, info, debug).
 
 Timing convention: every "comp time" is the coordination stage only
@@ -216,10 +218,20 @@ def _run_method(part, cfg: RunConfig):
                   "total_s": stages["total"], "stages": stages}, comp_s, None)
 
 
+def _declared(name: str, exc: Exception) -> dict:
+    """The result of a method that ended on a declared failure."""
+    return {"algorithm": name, "total_cost": None, "operations": None,
+            "feasible": False, "error": str(exc)}
+
+
 def cmd_run(cfg: RunConfig) -> int:
     part = _load_partition(cfg)
     os.makedirs(cfg.out, exist_ok=True)
-    result, timing, _, admm = _run_method(part, cfg)
+    try:
+        result, timing, _, admm = _run_method(part, cfg)
+    except DECLARED as exc:
+        sys.stderr.write(f"declared failure: {exc}\n")
+        result, timing, admm = _declared(cfg.method, exc), {}, None
     if admm is not None:
         write_history_csv(os.path.join(cfg.out, "admm_history.csv"), admm)
     doc = {"config": cfg.public_dict(), "result": result,
@@ -246,8 +258,7 @@ def _compare_rows(part, cfg: RunConfig):
             t = {"comp_s": comp_s, **t}
         except (*DECLARED, gm.ValidationError) as exc:
             logger.warning("%s failed: %s", name, exc)
-            row = {"algorithm": name, "total_cost": None, "operations": None,
-                   "feasible": False, "error": str(exc)}
+            row = _declared(name, exc)
             t = {"total_s": 0.0}
         rows.append(row)
         timing[name] = t

@@ -26,18 +26,20 @@ One primal-dual interior-point method with Mehrotra predictor-corrector
 steps solves the inequality-only problems in y. It runs on a family of
 B >= 1 of them (solve_family; solve_qp is a family of one): QPs with the
 same reduced shape (k free directions, m inequality rows) advance in
-lockstep on stacked iterates, as in OptNet's batched solver (Amos & Kolter,
-ICML 2017). Each keeps its own H, g, constraints and EqualityReduction;
-members of one reduction (the value samples of one model) share its H and
-A_ineq, and are set up and lifted back as stacked arrays, one row a member.
+lockstep on stacked iterates, up to 512 a run, as in OptNet's batched
+solver (Amos & Kolter, ICML 2017). Each keeps its own H, g, constraints and
+EqualityReduction; members of one reduction (the value samples of one model)
+share its H and A_ineq, and are set up and lifted back as stacked arrays,
+one row a member.
 Each step eliminates the slacks and multipliers into one k x k normal
 matrix per member, H + A' diag(mu/s) A (Wright, Primal-Dual Interior-Point
 Methods, 1997, ch. 11), all solved in one batched LU call. Every product is
-taken per member, so a QP solved alone runs bit for bit as it runs in a
-family. A member whose normal step is not finite takes the step of its
-(k + m) quasi-definite KKT system for that solve, and leaves with its last
-iterate when that is not finite either. Each member stops on its own test
-and keeps its own status. Infeasibility of the inequalities is decided by
+taken per member: a run of one reduction's members gives each bit for bit
+what it gets alone, a run of several (H and A_ineq stacked) within 1e-12.
+A member whose normal step is not finite takes the step of its (k + m)
+quasi-definite KKT system for that solve, and leaves with its last iterate
+when that is not finite either. Each member stops on its own test and keeps
+its own status. Infeasibility of the inequalities is decided by
 an auxiliary phase-1 LP (minimize the largest constraint violation), never
 by divergence heuristics alone; unboundedness is certified by a feasible
 descent ray.
@@ -84,6 +86,9 @@ _TOL = 1e-8
 # A row is active at a prior when its multiplier exceeds this fraction of
 # max(1, largest multiplier).
 _ACTIVE_FRACTION = 1e-6
+# Members of one lockstep interior-point run at most; it bounds the memory
+# of the run's stacked iterates.
+_RUN_SIZE = 512
 
 
 def _as_matrix(a, rows: int, cols: int) -> np.ndarray:
@@ -563,9 +568,9 @@ def _interior_point(H, A_in, G, B_in, C0, tol: float, max_iter: int,
         if stop.any():
             for j in np.flatnonzero(stop):
                 member = live[j]
-                if done[j]:
-                    sols[member] = QpSolution(OPTIMAL, x[j], obj[j], np.zeros(0),
-                                              mu[j], it)
+                if done[j]:  # copies: a view keeps the whole iterate
+                    sols[member] = QpSolution(OPTIMAL, x[j].copy(), obj[j],
+                                              np.zeros(0), mu[j].copy(), it)
                 else:
                     sols[member] = _undecided(
                         _member_qp(H, A_in, G, B_in, C0, member), x[j], mu[j],
@@ -767,9 +772,11 @@ def solve_family(qps, tol: float = _TOL,
     (`_Members`).  Members that need no iteration, and members whose
     prior settles them, are decided there.  The rest, grouped by
     reduced shape (k free directions, m inequality rows), run one lockstep
-    interior-point method a group; a group of one is a single solve.  Each
-    member stops on its own test and keeps its own status and iteration
-    count, bit for bit what solve_qp gives it alone.
+    interior-point method a group, in runs of at most `_RUN_SIZE` members;
+    a run of one is a single solve.  Each member stops on its own test and
+    keeps its own status and iteration count: bit for bit what solve_qp
+    gives it alone in a run of one reduction, within 1e-12 of that in a run
+    of several.
     """
     qps = list(qps)
     groups = {}
@@ -778,12 +785,12 @@ def solve_family(qps, tol: float = _TOL,
         groups.setdefault(red, []).append(i)
     families = [(idx, _Members(red, [qps[i] for i in idx], tol))
                 for red, idx in groups.items()]
-    runs = {}  # reduced shape (m, k) -> [(members, rows into live)]
+    shapes = {}  # reduced shape (m, k) -> [(members, rows into live)]
     for _, fam in families:
         rest = fam.presolve(tol)
         if rest.size:
-            runs.setdefault(fam.red.A_ineq.shape, []).append((fam, rest))
-    for (m, k), run in runs.items():
+            shapes.setdefault(fam.red.A_ineq.shape, []).append((fam, rest))
+    for run in (run for group in shapes.values() for run in _runs(group)):
         G = np.concatenate([fam.G_r[rest] for fam, rest in run])
         B_in = np.concatenate([fam.B_r[rest] for fam, rest in run])
         C0 = np.concatenate([fam.C0_r[rest] for fam, rest in run])
@@ -811,6 +818,21 @@ def solve_family(qps, tol: float = _TOL,
         for i, sol in zip(idx, fam.lift()):
             out[i] = sol
     return out
+
+
+def _runs(group):
+    """The (members, rows) pairs of a group, cut into consecutive runs of
+    at most `_RUN_SIZE` rows."""
+    run, room = [], _RUN_SIZE
+    for fam, rest in group:
+        while rest.size:
+            run.append((fam, rest[:room]))
+            rest, room = rest[room:], room - min(room, rest.size)
+            if not room:
+                yield run
+                run, room = [], _RUN_SIZE
+    if run:
+        yield run
 
 
 def solve_lp(g, A_ineq=None, b_ineq=None, A_eq=None, b_eq=None,

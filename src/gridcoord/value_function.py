@@ -16,13 +16,16 @@ their padded FOR rows, while each chain keeps its own random stream,
 seed + k for DSO k, and so the points it would draw alone.
 
 The pinned QPs of one model share H, g and every constraint row; only the
-pinned triple z in b_eq moves.  So the samples of one model are one
-`opt_core.solve_family` call on members of one QP (`QuadraticProgram.member`)
-that share its EqualityReduction (one SVD of the pinned equality rows):
-every x_p(z) and reduced problem set up as one stacked array operation, one
-lockstep interior-point run in y (x = x_p(z) + N y) whose steps solve only
-the members' k x k normal matrices, and one stacked lift back to x.  Each
-sample comes out bit for bit as solve_qp gives it alone.
+pinned triple z in b_eq moves.  So the samples of one model are members of
+one QP (`QuadraticProgram.member`) that share its EqualityReduction (one SVD
+of the pinned equality rows), and the samples of all models of a sweep are
+one `opt_core.solve_family` call: each model's x_p(z) and reduced problems
+set up as one stacked array operation, one lockstep interior-point run in y
+(x = x_p(z) + N y) for every model of one reduced shape, whose steps solve
+only the members' k x k normal matrices, and one stacked lift back to x a
+model.  A model whose reduced shape no other model shares gets each sample
+bit for bit as solve_qp gives it alone; models that share one run within
+1e-12 of that (`solve_family`).
 """
 import logging
 import math
@@ -114,16 +117,18 @@ def _hit_and_run(regions, n: int, rngs, burn: int) -> np.ndarray:
 
     Region r's chain starts at its Chebyshev center, the centers of all
     regions found by one LP family (`chebyshev_centers`), and draws from
-    rngs[r] alone: a step draws normal(size=dim) for the direction, then one
-    uniform for the position on the chord; a direction of norm below 1e-14
-    draws no uniform and does not move.  The draws do not depend on where
-    a chain is, so each point's draws are made first, chain by chain; the
-    steps then run in lockstep.  The rows are padded with zero rows (A = 0,
-    b = 0, never bounding a step) to one (R, m_max) stack, and the slack,
-    the directions' rates along each row, the chord bounds and the move are
-    each one array operation for every chain.
+    rngs[r] alone: a step draws standard_normal(dim) for the direction,
+    then one uniform for the position on the chord; a direction of norm
+    below 1e-14 draws no uniform and does not move.  The draws do not
+    depend on where a chain is, so all n * burn steps of a chain are drawn
+    first and their directions formed once; the rates along each row are
+    formed a point's steps at a time, and the steps run in lockstep.  The
+    rows are padded with zero rows (A = 0, b = 0, never bounding a step) to
+    one (R, m_max) stack, and the slack, the chord bounds (one masked
+    reduction a side) and the move are each one array operation for every
+    chain.
     """
-    dim, size = regions[0].dim, len(regions)
+    dim, size, steps = regions[0].dim, len(regions), n * burn
     # At least one row, so that no chord reduction is over an empty axis.
     rows = max(1, max(region.n_rows for region in regions))
     A = np.zeros((dim, size, rows))
@@ -134,36 +139,47 @@ def _hit_and_run(regions, n: int, rngs, burn: int) -> np.ndarray:
     x = np.array([center for center, _ in chebyshev_centers(regions)])
     # Views: A x is summed one column at a time as x moves in place.
     A_cols, x_cols = list(A), [x[:, j:j + 1] for j in range(dim)]
-    pts = np.empty((size, n, dim))
-    u = np.empty((size, burn, dim))
-    norm = np.empty((size, burn))
-    t = np.zeros((size, burn))
-    for k in range(n):
+    u = np.empty((size, steps, dim))
+    norm = np.empty((size, steps))
+    t = np.empty((size, steps))
+    for r, rng in enumerate(rngs):
         # rng.uniform(lo, hi) is exactly lo + (hi - lo) * rng.random(), so
         # the uniform is drawn before its chord is known.
-        for r, rng in enumerate(rngs):
-            for s in range(burn):
-                u[r, s] = v = rng.normal(size=dim)
-                norm[r, s] = length = math.sqrt(v @ v)  # = np.linalg.norm(v)
-                if length >= 1e-14:
-                    t[r, s] = rng.random()
-        moves = norm >= 1e-14
-        # A step that does not move gets the zero direction.
-        d = np.divide(u, norm[..., None], out=np.zeros_like(u),
-                      where=moves[..., None])
-        along = _dot(A[:, :, None], d.transpose(2, 0, 1)[..., None])
+        normal, uniform = rng.standard_normal, rng.random
+        vs, lengths, ts = [], [], []
+        for _ in range(steps):
+            v = normal(dim)
+            length = math.sqrt(v @ v)  # = np.linalg.norm(v)
+            vs.append(v)
+            lengths.append(length)
+            ts.append(uniform() if length >= 1e-14 else 0.0)
+        u[r], norm[r], t[r] = vs, lengths, ts
+    moves = norm >= 1e-14
+    # A step that does not move gets the zero direction.  Step-major,
+    # (steps, R, dim), so that a step takes its slices by iteration.
+    d = np.divide(u, norm[..., None], out=np.zeros_like(u),
+                  where=moves[..., None]).transpose(1, 0, 2)
+    t = t.T[..., None]
+    pts = np.empty((size, n, dim))
+    for k in range(n):
+        # The rates of point k's steps along each row, (burn, R, rows).
+        block = slice(k * burn, (k + 1) * burn)
+        along = _dot(A[:, None], d[block].transpose(2, 0, 1)[..., None])
         pos, neg = along > 1e-14, along < -1e-14
         # A chord no row bounds on one side ends at +-1e6 there.
-        hi_cap = np.where(pos.any(axis=2), np.inf, 1e6)
-        lo_cap = np.where(neg.any(axis=2), -np.inf, -1e6)
-        for s in range(burn):
-            ratio = (b - _dot(A_cols, x_cols)) / along[:, s]
-            hi = np.minimum(np.where(pos[:, s], ratio, np.inf).min(axis=1),
-                            hi_cap[:, s])
-            lo = np.maximum(np.where(neg[:, s], ratio, -np.inf).max(axis=1),
-                            lo_cap[:, s])
+        hi_cap = np.where(pos.any(axis=2, keepdims=True), np.inf, 1e6)
+        lo_cap = np.where(neg.any(axis=2, keepdims=True), -np.inf, -1e6)
+        for rate, up, down, hi_end, lo_end, at, step in zip(
+                along, pos, neg, hi_cap, lo_cap, t[block], d[block]):
+            ratio = (b - _dot(A_cols, x_cols)) / rate
+            hi = np.minimum(np.minimum.reduce(
+                ratio, axis=1, where=up, initial=np.inf, keepdims=True),
+                hi_end)
+            lo = np.maximum(np.maximum.reduce(
+                ratio, axis=1, where=down, initial=-np.inf, keepdims=True),
+                lo_end)
             lo, hi = np.minimum(lo, 0.0), np.maximum(hi, 0.0)
-            x += (lo + (hi - lo) * t[:, s])[:, None] * d[:, s]
+            x += (lo + (hi - lo) * at) * step
         pts[:, k] = x
     return pts
 
@@ -175,13 +191,13 @@ def sample_value_functions(models, regions, n: int = DEFAULT_SAMPLES,
     models[k] is sampled over regions[k] from the stream
     default_rng(seed + k); one list of n samples comes back per model.  The
     chains of all regions step in lockstep (`_hit_and_run`), each keeping
-    its own draws, so a model's samples do not depend on the others.  Each
+    its own draws, so a model's points do not depend on the others.  Each
     sample is the pinned QP; since only b_eq moves with z, a model's n
-    samples are solved as one family (`solve_family`), each with its own
-    status.  A sample whose pin is inconsistent with the equalities, whose
-    pin fixes every column at a point that breaks an inequality, or whose
-    solve is not optimal is flagged feasible=False with value +inf, never
-    dropped.
+    samples are members of one reduction, and the samples of every model
+    are solved as one family (`solve_family`), each with its own status.
+    A sample whose pin is inconsistent with the equalities, whose pin fixes
+    every column at a point that breaks an inequality, or whose solve is
+    not optimal is flagged feasible=False with value +inf, never dropped.
     """
     models, regions = list(models), list(regions)
     if len(models) != len(regions):
@@ -196,7 +212,21 @@ def sample_value_functions(models, regions, n: int = DEFAULT_SAMPLES,
         return []
     rngs = [np.random.default_rng(seed + k) for k in range(len(regions))]
     points = _hit_and_run(regions, n, rngs, burn=9)  # 3 steps a dimension
-    return [_pinned_samples(model, pts) for model, pts in zip(models, points)]
+    qps = []
+    for model, pts in zip(models, points):
+        family = pin_coupling(model, np.zeros(3)).with_reduction()
+        b_eqs = np.tile(family.b_eq, (n, 1))
+        b_eqs[:, -3:] = pts
+        qps += [family.member(b_eq=b_eq) for b_eq in b_eqs]
+    sols = iter(solve_family(qps))
+    return [[_sample(z, sol) for z, sol in zip(pts, sols)] for pts in points]
+
+
+def _sample(z, sol) -> ValueSample:
+    """The sample of a pinned solve: its objective, or +inf when it is not
+    optimal."""
+    ok = sol.status == OPTIMAL
+    return ValueSample(z, sol.objective if ok else np.inf, ok)
 
 
 def sample_value_function(model, for_region: Polyhedron,
@@ -204,19 +234,6 @@ def sample_value_function(model, for_region: Polyhedron,
     """`sample_value_functions` of one model: n samples over its FOR,
     deterministic for a fixed seed."""
     return sample_value_functions([model], [for_region], n, seed)[0]
-
-
-def _pinned_samples(model, pts: np.ndarray):
-    """One ValueSample per point: the model's pinned QPs, one family."""
-    family = pin_coupling(model, np.zeros(3)).with_reduction()
-    b_eqs = np.tile(family.b_eq, (len(pts), 1))
-    b_eqs[:, -3:] = pts
-    samples = []
-    for z, sol in zip(pts, solve_family([family.member(b_eq=b_eq)
-                                         for b_eq in b_eqs])):
-        ok = sol.status == OPTIMAL
-        samples.append(ValueSample(z, sol.objective if ok else np.inf, ok))
-    return samples
 
 
 def fit_quadratic(samples, domain_hint: Polyhedron = None):

@@ -236,7 +236,7 @@ class TestDisaggregate:
         # Free unit: no cost pressure, so any in-region setpoint is met.
         dso = leaf_dso(a2=0.0, a1=0.0, a0=0.0)
         model = pm.build_dso_model(dso, LINK, "lindistflow")
-        d = adp.disaggregate(model, np.array([0.1, 0.2, 1.0]))
+        d, = adp.disaggregate([model], [np.array([0.1, 0.2, 1.0])])
         assert d.solution.status == OPTIMAL
         np.testing.assert_allclose(d.achieved, [0.1, 0.2, 1.0], atol=1e-6)
         assert d.dso_cost == pytest.approx(0.0, abs=1e-6)
@@ -246,7 +246,7 @@ class TestDisaggregate:
         # shift = |V'| / (2 w + V''), V'(-1/6) = -11/6 for this feeder.
         model = pm.build_dso_model(leaf_dso(), LINK, "lindistflow")
         w = 1e4
-        d = adp.disaggregate(model, np.array([-1.0 / 6.0, 0.1, 1.0]), w)
+        d, = adp.disaggregate([model], [np.array([-1.0 / 6.0, 0.1, 1.0])], w)
         shift = d.achieved[0] + 1.0 / 6.0
         assert shift == pytest.approx((11.0 / 6.0) / (2 * w + 2), rel=1e-3)
 
@@ -254,7 +254,7 @@ class TestDisaggregate:
         dso = leaf_dso(a2=0.0, a1=0.0, a0=0.0)
         model = pm.build_dso_model(dso, LINK, "lindistflow")
         z_star = np.array([1.4, 0.2, 1.0])  # beyond p_if <= 0.5
-        d = adp.disaggregate(model, z_star, 1e4)
+        d, = adp.disaggregate([model], [z_star], 1e4)
         region = pj.coupling_region(model)
         # direct projection of z_star onto the exact region
         proj = solve_qp(
@@ -271,8 +271,8 @@ class TestDisaggregate:
     def test_weight_monotonicity(self):
         model = pm.build_dso_model(leaf_dso(), LINK, "lindistflow")
         z_star = np.array([-1.0 / 6.0, 0.1, 1.0])
-        lo = adp.disaggregate(model, z_star, 1e4)
-        hi = adp.disaggregate(model, z_star, 1e8)
+        lo, = adp.disaggregate([model], [z_star], 1e4)
+        hi, = adp.disaggregate([model], [z_star], 1e8)
         dev_lo = np.linalg.norm(lo.achieved - z_star)
         dev_hi = np.linalg.norm(hi.achieved - z_star)
         assert dev_hi <= dev_lo + 1e-12
@@ -282,7 +282,7 @@ class TestDisaggregate:
         model = pm.build_dso_model(leaf_dso(), LINK, "lindistflow")
         z_star = np.array([0.4, 0.1, 1.0])
         w = 1e4
-        d = adp.disaggregate(model, z_star, w)
+        d, = adp.disaggregate([model], [z_star], w)
         qp = model.qp_skeleton
         x = d.solution.x
         skeleton = 0.5 * x @ qp.H @ x + qp.g @ x + qp.c0
@@ -294,7 +294,7 @@ class TestDisaggregate:
     def test_rejects_nonpositive_weight(self):
         model = pm.build_dso_model(leaf_dso(), LINK, "lindistflow")
         with pytest.raises(ValueError):
-            adp.disaggregate(model, np.zeros(3), 0.0)
+            adp.disaggregate([model], [np.zeros(3)], 0.0)
 
 
 def centralized_cost(part, kind):

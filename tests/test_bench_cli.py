@@ -291,6 +291,23 @@ class TestRunSubcommand:
         assert doc["result"]["feasible"] is False
         assert doc["result"]["total_cost"] is None
 
+    def test_declared_exception_writes_flagged_report(self, toy_files,
+                                                      tmp_path, capsys):
+        # The same shape as compare's flagged row, in the run's report.
+        code = bc.main(["run", "adp", "--tso", toy_files["tso"],
+                        "--dso", f"2={toy_files['bad']}",
+                        "--out", str(tmp_path)])
+        assert code == bc.EXIT_DECLARED
+        assert "declared failure: dso 1:" in capsys.readouterr().err
+        doc = load_json(tmp_path / "run_adp.json")
+        assert set(doc) == {"config", "result", "timing"}
+        assert doc["result"] == {
+            "algorithm": "adp", "total_cost": None, "operations": None,
+            "feasible": False,
+            "error": "dso 1: interface region is empty"}
+        assert doc["config"]["method"] == "adp"
+        assert "generated_at" in doc["timing"]
+
     def test_explicit_link_spec_matches_bare(self, toy_files, tmp_path):
         out1 = tmp_path / "bare"
         out2 = tmp_path / "full"
@@ -576,6 +593,22 @@ class TestLadderScript:
         assert row["generators"] == 9 and row["runs"] >= 1
         assert row["converged"] and row["rounds"] == 36
         assert row["gap"] <= 1e-6
+        assert 0.0 < row["seconds"] < script.CAP_S
+
+    def test_fourteen_feeder_broad_rung(self):
+        # the smallest broad rung, in this process: the wide workload's
+        # shape, fourteen copies of the packaged feeder
+        script = load_script("ladder")
+        row = script.broad_rung(14)
+        assert row["feeders"] == 14 and row["runs"] >= 1
+        assert [name for name, *_ in bc.COMPARE_ROWS] == list(row["rows"])
+        assert all(r["feasible"] and r["total_s"] > 0.0
+                   for r in row["rows"].values())
+        assert row["admm_rounds"] == row["rows"]["admm"]["operations"] > 0
+        central = row["centralized"]
+        assert central["n"] > central["p"] > central["k"] > 0
+        assert central["m"] > 0
+        assert row["peak_rss_mb"] > 0.0
         assert 0.0 < row["seconds"] < script.CAP_S
 
     def test_degenerate_rung(self, capsys):

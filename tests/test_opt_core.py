@@ -859,6 +859,68 @@ class TestHeterogeneousFamily:
         assert np.isfinite(sol.objective)
 
 
+class TestFamilyGuarantee:
+    """What solve_family promises against solve_qp alone: bit for bit
+    within one reduction, deterministic and within 1e-12 across
+    reductions of one reduced shape."""
+
+    @pytest.fixture(scope="class")
+    def pinned(self):
+        """Pinned-sample families of three feeder copies: one reduced
+        shape, three reductions, ten interior pins each."""
+        part = feeder_copies(3)
+        families = []
+        for case, link in zip(part.dsos, part.links):
+            model = pm.build_dso_model(case, link, "loss_linearized")
+            pins = interior_pins(pj.coupling_region(model), 10, link.dso_index)
+            family = pm.pin_coupling(model, np.zeros(3))
+            families.append((family, pins))
+        return families
+
+    @staticmethod
+    def members(family, pins):
+        family = family.with_reduction()
+        return [family.member(b_eq=b) for b in pinned_rows(family, pins)]
+
+    def test_bitwise_within_one_reduction(self, pinned):
+        for family, pins in pinned:
+            qps = self.members(family, pins)
+            for qp, sol in zip(qps, oc.solve_family(qps)):
+                assert sol.status == oc.OPTIMAL
+                assert_same_solution(sol, oc.solve_qp(qp))
+
+    def test_runs_of_at_most_run_size(self, pinned, monkeypatch):
+        monkeypatch.setattr(oc, "_RUN_SIZE", 4)
+        sizes, run = [], oc._interior_point
+        monkeypatch.setattr(oc, "_interior_point", lambda H, A_in, G, *args: (
+            sizes.append(len(G)), run(H, A_in, G, *args))[1])
+        qps = self.members(*pinned[0])
+        sols = oc.solve_family(qps)
+        assert sizes == [4, 4, 2]
+        for qp, sol in zip(qps, sols):
+            assert_same_solution(sol, oc.solve_qp(qp))
+
+    def test_within_1e12_across_reductions(self, pinned, monkeypatch):
+        qps = [qp for family, pins in pinned
+               for qp in self.members(family, pins)]
+        assert len({qp.reduction for qp in qps}) == 3
+        assert len({qp.reduction.A_ineq.shape for qp in qps}) == 1
+        runs, run = [], oc._interior_point
+        monkeypatch.setattr(oc, "_interior_point", lambda H, *args: (
+            runs.append(H.shape), run(H, *args))[1])
+        sols = oc.solve_family(qps)
+        assert len(runs) == 1 and runs[0][0] == 30  # one stacked run
+        for a, b in zip(sols, oc.solve_family(qps)):
+            assert_same_solution(a, b)
+        for qp, sol in zip(qps, sols):
+            alone = oc.solve_qp(qp)
+            assert sol.status == alone.status == oc.OPTIMAL
+            scale = 1.0 + np.abs(alone.x).max()
+            assert np.abs(sol.x - alone.x).max() <= 1e-12 * scale
+            assert abs(sol.objective - alone.objective) <= \
+                1e-12 * (1.0 + abs(alone.objective))
+
+
 def active_rows(sol):
     """The rows whose multiplier at sol is not negligible."""
     mu = sol.duals_ineq

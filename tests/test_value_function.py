@@ -197,6 +197,57 @@ def scalar_chain(region, n, rng, burn):
     return pts
 
 
+def _dot(P, Q):
+    out = P[0] * Q[0]
+    for j in range(1, len(P)):
+        out += P[j] * Q[j]
+    return out
+
+
+@np.errstate(divide="ignore", invalid="ignore")
+def reference_hit_and_run(regions, n, rngs, burn):
+    """The lockstep chains one point at a time: each point's draws chain
+    by chain, then its burn steps, each bound by where + min.  The
+    reference `vf._hit_and_run` must reproduce bit for bit."""
+    dim, size = regions[0].dim, len(regions)
+    rows = max(1, max(region.n_rows for region in regions))
+    A = np.zeros((dim, size, rows))
+    b = np.zeros(A.shape[1:])
+    for r, region in enumerate(regions):
+        A[:, r, :region.n_rows] = region.A.T
+        b[r, :region.n_rows] = region.b
+    x = np.array([center for center, _ in pj.chebyshev_centers(regions)])
+    A_cols, x_cols = list(A), [x[:, j:j + 1] for j in range(dim)]
+    pts = np.empty((size, n, dim))
+    u = np.empty((size, burn, dim))
+    norm = np.empty((size, burn))
+    t = np.zeros((size, burn))
+    for k in range(n):
+        for r, rng in enumerate(rngs):
+            for s in range(burn):
+                u[r, s] = v = rng.normal(size=dim)
+                norm[r, s] = length = np.sqrt(v @ v)
+                if length >= 1e-14:
+                    t[r, s] = rng.random()
+        moves = norm >= 1e-14
+        d = np.divide(u, norm[..., None], out=np.zeros_like(u),
+                      where=moves[..., None])
+        along = _dot(A[:, :, None], d.transpose(2, 0, 1)[..., None])
+        pos, neg = along > 1e-14, along < -1e-14
+        hi_cap = np.where(pos.any(axis=2), np.inf, 1e6)
+        lo_cap = np.where(neg.any(axis=2), -np.inf, -1e6)
+        for s in range(burn):
+            ratio = (b - _dot(A_cols, x_cols)) / along[:, s]
+            hi = np.minimum(np.where(pos[:, s], ratio, np.inf).min(axis=1),
+                            hi_cap[:, s])
+            lo = np.maximum(np.where(neg[:, s], ratio, -np.inf).max(axis=1),
+                            lo_cap[:, s])
+            lo, hi = np.minimum(lo, 0.0), np.maximum(hi, 0.0)
+            x += (lo + (hi - lo) * t[:, s])[:, None] * d[:, s]
+        pts[:, k] = x
+    return pts
+
+
 def chains(regions, seeds, n=30):
     """Lockstep hit-and-run points, one chain a region."""
     return vf._hit_and_run(regions, n, [np.random.default_rng(s)
@@ -241,6 +292,49 @@ class TestLockstepChains:
         # each chain stays out of the other's FOR somewhere
         for region, pts in zip(regions[::-1], chains(regions, (3, 4))):
             assert (pts @ region.A.T - region.b).max() > 1e-3
+
+
+class TestOracle:
+    """The chains and the sweep's one family against their step-by-step
+    and model-by-model references, bit for bit."""
+
+    @pytest.mark.parametrize("kinds", [("loss_linearized",), ("lindistflow",),
+                                       ("loss_linearized", "lindistflow")])
+    def test_chains_match_the_reference(self, benchmark_fors, kinds):
+        regions = [benchmark_fors[(k, kind)] for kind in kinds
+                   for k in (1, 2)]
+        assert len({region.n_rows for region in regions}) > 1
+        seeds = range(3, 3 + len(regions))
+        got = vf._hit_and_run(regions, 30, [np.random.default_rng(s)
+                                            for s in seeds], burn=9)
+        ref = reference_hit_and_run(regions, 30, [np.random.default_rng(s)
+                                                  for s in seeds], burn=9)
+        np.testing.assert_array_equal(got, ref)
+
+    @pytest.mark.parametrize("kind", ["loss_linearized", "lindistflow"])
+    def test_one_family_matches_a_family_a_model(self, monkeypatch,
+                                                 benchmark_dso_models,
+                                                 benchmark_fors, kind):
+        keys = [(1, kind), (2, kind)]
+        models = [benchmark_dso_models[key] for key in keys]
+        regions = [benchmark_fors[key] for key in keys]
+        shapes = {pm.pin_coupling(model, np.zeros(3)).with_reduction()
+                  .reduction.A_ineq.shape for model in models}
+        assert len(shapes) == 2
+        calls = spy_family(monkeypatch)
+        swept = vf.sample_value_functions(models, regions, n=20, seed=5)
+        (qps, _), = calls
+        assert len(qps) == 40
+        points = chains(regions, (5, 6), n=20)
+        for model, pts, samples in zip(models, points, swept):
+            family = pm.pin_coupling(model, np.zeros(3)).with_reduction()
+            b_eqs = np.tile(family.b_eq, (len(pts), 1))
+            b_eqs[:, -3:] = pts
+            alone = oc.solve_family([family.member(b_eq=b) for b in b_eqs])
+            for z, sol, s in zip(pts, alone, samples, strict=True):
+                assert np.array_equal(s.z, z)
+                assert sol.status == oc.OPTIMAL and s.feasible
+                assert s.value == sol.objective
 
 
 class TestSampling:
