@@ -182,7 +182,7 @@ def verify(part) -> bool:
                               f"p_if={z[0]:.6f} net={net_p:.6f}")
             model = pm.build_dso_model(case, part.links[k], kind)
             region = pj.coupling_region(model)
-            center, radius = pj.chebyshev_center(region)
+            center, radius = pj.chebyshev_centers([region])[0]
             good &= check(f"dso{k + 1} region nonempty and bounded",
                           0.01 < radius < 1e3,
                           f"rows={region.n_rows} radius={radius:.4f}")

@@ -8,12 +8,13 @@ With zero-initialized multipliers the averaging update keeps the two
 multiplier vectors exact negatives of each other at every iteration.
 
 The TSO and DSO pulls of a round are independent (Jacobi consensus), so
-each round solves them all in one `solve_family` call, and the DSOs of one
-reduced shape (copies of one feeder topology) run as one lockstep
-interior-point family.  The fixed part of every pull, rho on each coupling
-block of H and of the model's equality reduction, is added once per model
-and weight; a round changes only the linear and constant terms of each
-subproblem.
+each round solves them all in one `solve_family` call, where the DSOs of
+one reduced shape (copies of one feeder topology) are set up, warm started
+and lifted as one stack.  The fixed part of every pull, rho on each
+coupling block of H and of the model's equality reduction, is added once
+per model and weight; a round changes only the linear and constant terms
+of each subproblem, so `opt_core` keeps the setup its equality and
+inequality right-hand sides fix from one round to the next.
 
 Penalty: rho starts at the caller's weight and is balanced against the
 residuals (Boyd et al. 2011, section 3.4.1).  After a round that has not
@@ -58,11 +59,10 @@ import numpy as np
 
 from .adp_coordinator import SOLVER_TOL, CoordinationError, _dso_agent
 from .messaging import CommLog
-from .opt_core import (OPTIMAL, QpSolution, QuadraticProgram, kkt_residuals,
-                       solve_family)
-from .powerflow_models import (PolyhedralModel, assemble_centralized,
-                               attach_quadratic_cost, build_dc_model,
-                               build_dso_model, normalize_model_kind)
+from .opt_core import OPTIMAL, QpSolution, QuadraticProgram, solve_family
+from .powerflow_models import (PolyhedralModel, attach_quadratic_cost,
+                               build_dc_model, build_dso_model,
+                               normalize_model_kind)
 from .value_function import QuadraticValueFn
 
 logger = logging.getLogger(__name__)
@@ -150,13 +150,6 @@ class AdmmResult:
         }
 
 
-def _pull_term(lam: np.ndarray, z_bar: np.ndarray, rho: float
-               ) -> QuadraticValueFn:
-    """lambda' z + (rho/2) ||z - z_bar||^2 as an attachable quadratic."""
-    return QuadraticValueFn(rho * np.eye(3), lam - rho * z_bar,
-                            0.5 * rho * float(z_bar @ z_bar))
-
-
 class _Pull:
     """A model's pulled subproblems over one run.
 
@@ -169,27 +162,32 @@ class _Pull:
 
     def __init__(self, model: PolyhedralModel, rho: float, slots):
         self.model, self.slots = model, tuple(slots)
+        self.cols = [list(model.vmap.coupling_triple(slot))
+                     for slot in self.slots]
         self.prior = None
         self.penalize(rho)
 
     def penalize(self, rho: float) -> None:
         """Rebuild the penalized H and reduction from the unpenalized model
-        at weight rho; the prior stays."""
-        self.rho = rho
-        model = self.model
-        penalty = QuadraticValueFn(rho * np.eye(3), np.zeros(3), 0.0)
-        for slot in self.slots:
-            model = attach_quadratic_cost(model, penalty, slot)
-        self.penalized = model.qp_skeleton
+        at weight rho, a slot at a time as `attach_quadratic_cost` adds a
+        quadratic, into one copy of H; the prior stays."""
+        self.rho, Q = rho, rho * np.eye(3)
+        qp = self.model.qp_skeleton
+        H, red = qp.H.copy(), qp.reduction
+        for cols in self.cols:
+            H[np.ix_(cols, cols)] += Q
+            red = red.with_cost(cols, Q) if red is not None else None
+        self.penalized = replace(qp, H=H, reduction=red)
 
     def qp(self, lams, z_bars) -> QuadraticProgram:
-        """The subproblem pulled by lams toward z_bars, one per slot."""
-        qp = self.model.qp_skeleton
+        """The subproblem pulled by lams toward z_bars, one per slot: the
+        linear part lambda - rho z_bar of each slot's pull added to g, and
+        its constant (rho/2) z_bar'z_bar to c0."""
+        qp, rho = self.model.qp_skeleton, self.rho
         g, c0 = qp.g.copy(), qp.c0
-        for slot, lam, z_bar in zip(self.slots, lams, z_bars):
-            term = _pull_term(lam, z_bar, self.rho)
-            g[list(self.model.vmap.coupling_triple(slot))] += term.c
-            c0 += term.d
+        for cols, lam, z_bar in zip(self.cols, lams, z_bars):
+            g[cols] += lam - rho * z_bar
+            c0 += 0.5 * rho * float(z_bar @ z_bar)
         return self.penalized.member(g=g, c0=c0, prior=self.prior)
 
     def remember(self, sol: QpSolution) -> None:
@@ -197,8 +195,7 @@ class _Pull:
         self.prior = sol
 
     def copies(self, sol: QpSolution) -> list:
-        return [sol.x[list(self.model.vmap.coupling_triple(slot))].copy()
-                for slot in self.slots]
+        return [sol.x[cols] for cols in self.cols]
 
 
 def _optimal(sol: QpSolution, stage: str) -> QpSolution:
@@ -268,11 +265,11 @@ def consensus_step(state: AdmmState) -> None:
     opposite directions, so with lambda_delta = -lambda_tau (as `fresh`
     starts them) the sum lambda_tau + lambda_delta stays exactly zero.
     """
-    for k in range(len(state.z)):
-        state.z[k] = 0.5 * (state.z_tau[k] + state.z_delta[k])
-        step = state.rho * (0.5 * (state.z_tau[k] - state.z_delta[k]))
-        state.lambda_tau[k] = state.lambda_tau[k] + step
-        state.lambda_delta[k] = state.lambda_delta[k] - step
+    z_tau, z_delta = np.array(state.z_tau), np.array(state.z_delta)
+    step = state.rho * (0.5 * (z_tau - z_delta))
+    state.z = list(0.5 * (z_tau + z_delta))
+    state.lambda_tau = list(np.array(state.lambda_tau) + step)
+    state.lambda_delta = list(np.array(state.lambda_delta) - step)
     state.iteration += 1
 
 
@@ -358,7 +355,7 @@ def run_admm(part, model_kind: str = "loss_linearized",
     nearest = ipm = 0
     rho_path = []  # (round after which rho changed, the new rho)
     for _ in range(max_iter):
-        z_prev = [z.copy() for z in state.z]
+        z_prev = np.array(state.z)
         copies, sols, qps = _steps(pulls, state, SOLVER_TOL)
         state.z_tau, state.z_delta = copies[0], [z for z, in copies[1:]]
         (tso_sol, *dso_sols), (tso_qp, *dso_qps) = sols, qps
@@ -373,14 +370,11 @@ def run_admm(part, model_kind: str = "loss_linearized",
             log.send("tso", _dso_agent(lk.dso_index), "consensus_z", 3)
             log.send(_dso_agent(lk.dso_index), "tso", "consensus_z", 3)
 
-        primal_tau = max((float(np.abs(zt - z).max())
-                          for zt, z in zip(state.z_tau, state.z)), default=0.0)
-        primal_delta = max((float(np.abs(zd - z).max())
-                            for zd, z in zip(state.z_delta, state.z)),
-                           default=0.0)
-        dual = state.rho * max((float(np.abs(zn - zp).max())
-                                for zn, zp in zip(state.z, z_prev)),
-                               default=0.0)
+        z = np.array(state.z)
+        primal_tau, primal_delta, dual = (
+            float(np.abs(np.array(v) - z).max(initial=0.0))
+            for v in (state.z_tau, state.z_delta, z_prev))
+        dual *= state.rho
         cost = tso_model.qp_skeleton.objective(tso_sol.x) + sum(
             m.qp_skeleton.objective(s.x) for m, s in zip(dso_models, dso_sols))
         history.append((state.iteration, primal_tau, primal_delta, dual,
@@ -431,27 +425,6 @@ def run_admm(part, model_kind: str = "loss_linearized",
                       tso_solution=tso_sol, dso_solutions=tuple(dso_sols),
                       solves=solves, rho=float(rho), rho_path=tuple(rho_path),
                       consensus=z)
-
-
-def consensus_certificate(part, result: AdmmResult,
-                          model_kind: str = "loss_linearized"
-                          ) -> dict[str, float]:
-    """KKT residuals of the stacked problem at the final consensus iterates.
-
-    Stationarity of each pulled subproblem implies the stacked problem's
-    optimality system once the interface tie rows take the transmission-side
-    multipliers as their duals, so a converged run certifies to within a
-    small multiple of its tolerance with no extra solve.
-    """
-    prob = assemble_centralized(part, model_kind)
-    sols = (result.tso_solution,) + tuple(result.dso_solutions)
-    models = (prob.tso,) + tuple(prob.dsos)
-    x = np.concatenate([s.x[:m.vmap.n] for s, m in zip(sols, models)])
-    y_eq = np.concatenate(
-        [s.duals_eq for s in sols] + [lam for lam in result.state.lambda_tau])
-    mu = np.concatenate([s.duals_ineq for s in sols])
-    stacked = QpSolution(OPTIMAL, x, prob.qp.objective(x), y_eq, mu)
-    return kkt_residuals(prob.qp, stacked)
 
 
 def write_history_csv(path, result: AdmmResult) -> str:

@@ -7,60 +7,46 @@ package funnels through solve_qp / solve_lp so statuses, dual conventions,
 and tolerances mean the same thing everywhere.
 
 Equality rows never enter a factorization (the null-space method, Nocedal &
-Wright, Numerical Optimization, 2nd ed., sec. 16.2). One SVD of A_eq writes
-its solution set as x = x_p + N y, with x_p the minimum-norm particular
-solution and N an orthonormal nullspace basis of dimension k. Equality
-multipliers are recovered from stationarity through the same SVD, so KKT
-residuals certify the original problem. Equalities no x meets are
-infeasible before any iteration, and with k = 0 the point x_p decides alone.
-
-A stacked QP (the centralized problem of several subsystems) carries its
-blocks, the column offsets of its subsystems. Its equality rows are then
-reduced in two stages: one SVD per block of the rows that lie in it gives
-the block diagonal nullspace N_b, and one SVD of the remaining tie rows T on
-it, T N_b, gives N = N_b N_t. That is many small SVDs and one of the tie
-rows instead of one of all of A_eq; x_p and the multipliers come from the
-same two stages. A QP without blocks is one block, reduced as above.
+Wright, Numerical Optimization, 2nd ed., sec. 16.2). SVDs of A_eq, one a
+block of a stacked QP and one of the tie rows on their nullspace
+(`EqualityReduction`), write its solution set as x = x_p + N y, x_p of
+minimum norm and N orthonormal of dimension k, and give the equality
+multipliers from stationarity, so KKT residuals certify the original QP.
 
 One primal-dual interior-point method with Mehrotra predictor-corrector
-steps solves the inequality-only problems in y. It runs on a family of
-B >= 1 of them (solve_family; solve_qp is a family of one): QPs with the
-same reduced shape (k free directions, m inequality rows) advance in
-lockstep on stacked iterates, up to 512 a run, as in OptNet's batched
-solver (Amos & Kolter, ICML 2017). Each keeps its own H, g, constraints and
-EqualityReduction; members of one reduction (the value samples of one model)
-share its H and A_ineq, and are set up and lifted back as stacked arrays,
-one row a member.
-Each step eliminates the slacks and multipliers into one k x k normal
-matrix per member, H + A' diag(mu/s) A (Wright, Primal-Dual Interior-Point
-Methods, 1997, ch. 11), all solved in one batched LU call. Every product is
-taken per member: a run of one reduction's members gives each bit for bit
-what it gets alone, a run of several (H and A_ineq stacked) within 1e-12.
-A member whose normal step is not finite takes the step of its (k + m)
-quasi-definite KKT system for that solve, and leaves with its last iterate
-when that is not finite either. Each member stops on its own test and keeps
-its own status. Infeasibility of the inequalities is decided by
-an auxiliary phase-1 LP (minimize the largest constraint violation), never
-by divergence heuristics alone; unboundedness is certified by a feasible
-descent ray.
+steps solves the inequality-only problems in y, on a family of B >= 1 of
+them (solve_family; solve_qp is a family of one): QPs of one reduced shape
+(k free directions, m inequality rows) advance in lockstep on stacked
+iterates, up to 512 a run, as in OptNet's batched solver (Amos & Kolter,
+ICML 2017). Each step eliminates the slacks and multipliers into one k x k
+normal matrix per member, H + A' diag(mu/s) A (Wright, Primal-Dual
+Interior-Point Methods, 1997, ch. 11), all solved in one batched LU call; a
+member whose normal step is not finite takes that of its (k + m)
+quasi-definite KKT system. Infeasibility is decided by an auxiliary phase-1
+LP (minimize the largest constraint violation), never by divergence
+heuristics alone; unboundedness is certified by a feasible descent ray.
+One-member reductions of one layout (a round's subproblems of copies of one
+feeder topology) are set up and lifted as one stack too, and a reduction's
+factors are broadcast over its members. Every product is taken per member
+on its own contiguous data, so each gets bit for bit what it gets alone.
 
 A QP may carry a prior, the solution of a nearby QP (such as the previous
-round of a QP sequence). Before any interior-point iteration, the rows
-active at the prior (multiplier above 1e-6 of max(1, largest)) are taken
-as equalities, and LU solves the KKT system of size k + |rows| of the
-reduced problem (the working-set step of active-set QP, Nocedal & Wright
-sec. 16.5; the warm start of Ferreau, Bock & Diehl 2008). The point is
-accepted, with 0 iterations, only when kkt_residuals certifies it within
-tol. A QP with directions of zero cost has a singular system and a flat
-optimal face, where LU returns a finite point of no use (sec. 16.1). So
-when the LU point fails the check, one least-squares step from the
-prior's y, y0 = N'x_prior (x_p, of minimum norm, is orthogonal to N), goes
-to the optimal point nearest it, certified the same way. When that fails
-too, the interior-point method runs exactly as without the prior.
+round of a QP sequence). Before any interior-point iteration the rows
+active at the prior (multiplier above 1e-6 of max(1, largest)) are taken as
+equalities and LU solves the KKT system of the reduced problem (the
+working-set step of active-set QP, Nocedal & Wright sec. 16.5; the warm
+start of Ferreau, Bock & Diehl 2008), one stack of systems a working-set
+size. The point is accepted, with 0 iterations, only when kkt_residuals
+certifies it within tol. On a flat optimal face (directions of zero cost,
+sec. 16.1) the system is singular and LU's point of no use: so when that
+point fails, one least-squares step from the prior's y, N'x_prior, goes to
+the optimal point nearest it, certified the same way. Otherwise the
+interior-point method runs as without the prior.
 """
 from __future__ import annotations
 
 import logging
+import weakref
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -108,16 +94,10 @@ def _as_vector(b) -> np.ndarray:
 
 
 def split_svd(A: np.ndarray, scale: float = 0.0):
-    """(U, s, V, N) from one SVD of A at its numerical rank r.
-
-    A = U diag(s) V' with U and V of r orthonormal columns, and the columns
-    of N are an orthonormal basis of the nullspace of A.  The rank counts
-    singular values above 1e-9 times the largest, or times `scale` when
-    that is larger; this is the package's one rank rule.  A matrix that is
-    a product, such as T N for orthonormal N, passes the scale of T, so
-    that the rounding noise of a product that should vanish is not counted
-    as rank.
-    """
+    """(U, s, V, N) from one SVD of A at its numerical rank r: A = U diag(s)
+    V', U and V of r orthonormal columns, N an orthonormal nullspace basis.
+    The rank counts singular values above 1e-9 times the largest, or times
+    `scale` (that of T for a product T N) when larger: the one rank rule."""
     u, sv, vt = np.linalg.svd(A, full_matrices=A.shape[0] < A.shape[1])
     r = (int(np.count_nonzero(sv > _RANK_TOL * max(sv[0], scale)))
          if sv.size else 0)
@@ -128,19 +108,14 @@ def split_svd(A: np.ndarray, scale: float = 0.0):
 class EqualityReduction:
     """A QP written on the nullspace of its equality rows: x = x_p + N y.
 
-    Built one block at a time (`of`).  `parts` holds, per block of columns
-    (cols, a slice), the rows whose first and last nonzero lie in it and
-    the factors U, s, V of those rows on those columns (`split_svd`); N_b is
-    the block diagonal of the blocks' nullspace bases.  The tie rows, every
-    other row, are factored on that nullspace: `tie` holds their indices,
-    their matrix T and U, s, V of T N_b, or is None when there are none, and
-    then N is N_b.  Otherwise N = N_b N_t, with N_t the nullspace basis of
-    T N_b, and N is orthonormal.  The rank of T N_b counts against the scale
-    of T (its Frobenius norm): a tie row the blocks imply leaves only
-    rounding noise there.  A QP without blocks is one block owning every
-    row.  H and A_ineq hold the projected N'HN and A_ineq N, so one
-    reduction serves every QP sharing H, A_ineq and A_eq, whatever its g,
-    b_ineq, b_eq and c0.
+    `parts` holds, per block of columns (cols, a slice), the rows whose
+    first and last nonzero lie in it and the factors U, s, V of those rows
+    on those columns (`split_svd`); N_b is the block diagonal of the blocks'
+    nullspace bases.  `tie` holds the other rows' indices, their matrix T
+    and U, s, V of T N_b at the scale of T, and then N = N_b N_t with N_t the
+    nullspace basis of T N_b; else it is None and N is N_b.  A QP without
+    blocks is one block owning every row.  H and A_ineq hold N'HN and
+    A_ineq N: one reduction serves every QP sharing H, A_ineq and A_eq.
     """
 
     parts: tuple  # per block: (cols, rows, U, s, V)
@@ -169,69 +144,69 @@ class EqualityReduction:
             U, s, V, N_i = split_svd(A[rows, a:b])
             parts.append((slice(a, b), rows, U, s, V))
             bases.append(N_i)
-        if len(bases) == 1:
-            N_b = bases[0]
-        else:
-            N_b = np.zeros((n, sum(N_i.shape[1] for N_i in bases)))
-            w = 0
-            for (cols, *_), N_i in zip(parts, bases):
-                N_b[cols, w:w + N_i.shape[1]] = N_i
-                w += N_i.shape[1]
+        N_b = bases[0]
+        if len(bases) > 1:
+            w = np.cumsum([0] + [N_i.shape[1] for N_i in bases])
+            N_b = np.zeros((n, w[-1]))
+            for (cols, *_), N_i, a in zip(parts, bases, w):
+                N_b[cols, a:a + N_i.shape[1]] = N_i
         tie, N = None, N_b
         if ties.size:
             T = A[ties]
             U, s, V, N_t = split_svd(T @ N_b, scale=np.linalg.norm(T))
             tie, N = (ties, T, U, s, V), N_b @ N_t
-        if not p:  # N is the identity
-            return cls(tuple(parts), tie, N_b, N, qp.H, qp.A_ineq, p)
-        return cls(tuple(parts), tie, N_b, N, N.T @ qp.H @ N, qp.A_ineq @ N, p)
+        H, A_in = ((N.T @ qp.H @ N, qp.A_ineq @ N) if p  # else N = I
+                   else (qp.H, qp.A_ineq))
+        return cls(tuple(parts), tie, N_b, N, H, A_in, p)
 
     def particular(self, b_eq: np.ndarray) -> np.ndarray:
         """Minimum-norm least-squares solution of A_eq x = b_eq: each
-        block's own, corrected along N_b to meet the tie rows.
-
-        b_eq may be a (B, p) stack, one right-hand side a row; the
-        solutions come back as rows, each computed as it is alone
-        (`_rows`)."""
+        block's own, corrected along N_b to meet the tie rows.  b_eq may be
+        a stack, one right-hand side a row (and the factors one a row, as
+        `_stacked` makes them); each row's is computed as alone (`_rows`)."""
         if not self.p:
-            return np.zeros(b_eq.shape[:-1] + self.N.shape[:1])
-        B = b_eq if b_eq.ndim == 2 else b_eq[None]
-        xs = [_rows(_rows(B[:, rows], U) / s, V.T)
+            return np.zeros(b_eq.shape[:-1] + self.N.shape[-2:-1])
+        B = b_eq if b_eq.ndim > 1 else b_eq[None]
+        xs = [_rows(_rows(B[..., rows], U) / s, V.mT)
               for _, rows, U, s, V in self.parts]
-        X = xs[0] if len(xs) == 1 else np.concatenate(xs, axis=1)
+        X = xs[0] if len(xs) == 1 else np.concatenate(xs, axis=-1)
         if self.tie is not None:
             rows, T, U, s, V = self.tie
-            w = _rows(_rows(B[:, rows] - _rows(X, T.T), U) / s, V.T)
-            X = X + _rows(w, self.N_b.T)
-        return X if b_eq.ndim == 2 else X[0]
+            w = _rows(_rows(B[..., rows] - _rows(X, T.mT), U) / s, V.mT)
+            X = X + _rows(w, self.N_b.mT)
+        return X if b_eq.ndim > 1 else X[0]
 
     def eq_duals(self, r: np.ndarray) -> np.ndarray:
         """Least-squares y with A_eq'y = -r: the equality multipliers that
         leave stationarity residual r only in the nullspace directions.
         The tie rows' come from N_b'r, the blocks' from what they leave.
-        r may be a (B, n) stack, as in `particular`."""
+        r may be a stack, as in `particular`."""
         if not self.p:
             return np.zeros(r.shape[:-1] + (0,))
-        R = r if r.ndim == 2 else r[None]
-        Y = np.empty((R.shape[0], self.p))
+        R = r if r.ndim > 1 else r[None]
+        Y = np.empty(R.shape[:-1] + (self.p,))
         if self.tie is not None:
             rows, T, U, s, V = self.tie
-            Y[:, rows] = Y_t = -_rows(_rows(_rows(R, self.N_b), V) / s, U.T)
+            Y[..., rows] = Y_t = -_rows(_rows(_rows(R, self.N_b), V) / s,
+                                        U.mT)
             R = R + _rows(Y_t, T)
         for cols, rows, U, s, V in self.parts:
-            Y[:, rows] = -_rows(_rows(R[:, cols], V) / s, U.T)
-        return Y if r.ndim == 2 else Y[0]
+            Y[..., rows] = -_rows(_rows(R[..., cols], V) / s, U.mT)
+        return Y if r.ndim > 1 else Y[0]
 
     @cached_property
     def reduced(self) -> tuple["QuadraticProgram", np.ndarray]:
-        """(qp, H_ipm): the QP in y, with inequality rows only, of g = 0
-        and b_ineq = 0, and its H as the interior-point method takes it
-        (`_psd_lift`, which rejects an indefinite H).  Each QP's own
-        reduced problem is the `member` of qp with the QP's reduced g,
-        b_ineq and c0.  Built, and H checked, once a reduction."""
+        """(qp, H_ipm): the QP in y, inequality rows only, g = 0 and
+        b_ineq = 0, and its H as the interior-point method takes it
+        (`_psd_lift`, which rejects an indefinite H), once a reduction."""
         qp = QuadraticProgram(self.H, np.zeros(self.N.shape[1]), self.A_ineq,
                               np.zeros(self.A_ineq.shape[0]))
         return qp, _psd_lift(qp.H)
+
+    @cached_property
+    def kept(self) -> dict:
+        """The setup and stack `solve_family` keeps for its next call."""
+        return {}
 
     def with_cost(self, cols, Q) -> "EqualityReduction":
         """The reduction after 0.5 z'Qz is added on columns `cols` of H."""
@@ -244,19 +219,13 @@ class EqualityReduction:
 class QuadraticProgram:
     """Problem data for min 0.5 x'Hx + g'x + c0, A_ineq x <= b_ineq, A_eq x = b_eq.
 
-    `blocks`, when given, are the column offsets of the subsystems a
-    stacked QP is made of (increasing, from 0): block i is columns
-    blocks[i] up to blocks[i + 1], the last one up to n.  Most equality
-    rows then lie in one block, and the equality reduction factors those
-    block by block (`EqualityReduction.of`); without blocks every column is
-    one block.  `reduction`, when given, must be `EqualityReduction.of` a QP
-    with the same H, A_ineq, A_eq and blocks; solve_qp then skips the
-    SVDs.  `prior`, when given, is the solution of a nearby QP of the same
-    shape; solve_qp tries the rows active there first (`_warm_start`) and
-    runs the interior-point method when they do not give a certified
-    optimum.  `member` builds the QPs of one family: they share H, the
-    constraint matrices and the reduction, and differ in g, b_ineq, b_eq,
-    c0 and prior.
+    `blocks` are the increasing column offsets, from 0, of the subsystems
+    of a stacked QP: block i is columns blocks[i] up to blocks[i + 1], the
+    last up to n.  `reduction` must be `EqualityReduction.of` a QP with the
+    same H, A_ineq, A_eq and blocks; solve_qp then skips the SVDs.  `prior`
+    is the solution of a nearby QP of the same shape (`_warm_start`).
+    `member` builds the QPs of one family, which share all but g, b_ineq,
+    b_eq, c0 and prior.
     """
 
     H: np.ndarray
@@ -318,10 +287,8 @@ class QuadraticProgram:
                prior=None) -> "QuadraticProgram":
         """A QP of this one's family: the same H, constraint matrices,
         blocks and reduction (shared, not copied), with the g, b_ineq,
-        b_eq, c0 and prior given and this QP's own for the rest.
-
-        Only the new vectors' shapes are checked, so building a family
-        does not validate H once a member."""
+        b_eq, c0 and prior given; only the new vectors' shapes are
+        checked."""
         qp = object.__new__(QuadraticProgram)  # copy.copy, without its
         qp.__dict__.update(self.__dict__)      # generic protocol
         for name, v in (("g", g), ("b_ineq", b_ineq), ("b_eq", b_eq)):
@@ -381,9 +348,8 @@ def _certify_ray(qp: QuadraticProgram, x: np.ndarray) -> bool:
 
 
 def _solve_unconstrained(H, G, C0, tol: float) -> list[QpSolution]:
-    """min 0.5 y'Hy + G[b]'y + C0[b] for every row b, by one pseudoinverse
-    of H, which must be positive semidefinite (`EqualityReduction.reduced`
-    checks it); unbounded when H is singular along G[b]."""
+    """min 0.5 y'Hy + G[b]'y + C0[b] for every row b by one pseudoinverse
+    of H (PSD); unbounded when H is singular along G[b]."""
     U, s, V, _ = split_svd(H)
     Y = -_rows(_rows(G, U) / s, V.T)
     HY = _rows(Y, H.T)
@@ -397,13 +363,15 @@ def _solve_unconstrained(H, G, C0, tol: float) -> list[QpSolution]:
             for y, o, good in zip(Y, obj, ok)]
 
 
-def _undecided(qp: QuadraticProgram, x, mu, best_x, best_mu, it: int,
+def _undecided(H, A_in, G, B_in, C0, b, x, mu, best_x, best_mu, it: int,
                tol: float) -> QpSolution:
-    """Verdict on an interior-point run that ended uncertified at (x, mu).
-
-    Phase 1 decides infeasibility, then a descent ray unboundedness; else
-    the best iterate seen is returned as MAX_ITER.
-    """
+    """Verdict on member b of an interior-point run (`_interior_point`'s
+    arguments) that ended uncertified at (x, mu): phase 1 decides
+    infeasibility, then a descent ray unboundedness; else the best iterate
+    seen is returned as MAX_ITER."""
+    one = H.ndim == 2
+    qp = QuadraticProgram(H if one else H[b], G[b], A_in if one else A_in[b],
+                          B_in[b], c0=C0[b])
     feasible, _ = check_feasible(qp.A_ineq, qp.b_ineq, tol=max(tol, 1e-8))
     if not feasible:
         return QpSolution(INFEASIBLE, x, np.nan, np.zeros(0), mu, it)
@@ -414,18 +382,16 @@ def _undecided(qp: QuadraticProgram, x, mu, best_x, best_mu, it: int,
 
 
 def _rows(X: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """Each row of X times M as its own product.  The rows of one 2-D
-    matrix product can round differently with the number of rows, these
-    cannot, so a family member's iterates do not depend on the others.
-    M is one matrix for every row or a stack of one a row.  A single row
-    is the same vector-matrix product, without the batch."""
+    """Each row of X times M (one matrix, or a stack of one a row) as its
+    own vector-matrix product, which unlike a 2-D product cannot round with
+    the number of rows; a single row takes it without the batch."""
     if len(X) == 1:
         return X @ (M[0] if M.ndim == 3 else M)
     return (X[:, None, :] @ M)[:, 0]
 
 
 def _stack(rows: list) -> np.ndarray:
-    """The equal-length vectors of rows as the rows of one matrix."""
+    """The equal-shape arrays of rows stacked on a new first axis (a view)."""
     return rows[0][None] if len(rows) == 1 else np.array(rows)
 
 
@@ -451,19 +417,17 @@ def _max_steps(v: np.ndarray, dv: np.ndarray) -> np.ndarray:
 
 @np.errstate(invalid="ignore")
 def _solve_each(K: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """x[b] = K[b]^-1 r[b], each member by its own LU factorization
-    (LAPACK gesv), NaN where K[b] is singular.
-
-    This is np.linalg.solve's own gufunc without the wrapper that raises
-    LinAlgError for the whole stack when one member is singular."""
+    """x[b] = K[b]^-1 r[b], each by its own LU factorization (LAPACK gesv),
+    NaN where K[b] is singular: np.linalg.solve's gufunc without the
+    wrapper that raises for the whole stack."""
     return _umath_linalg.solve1(K, r, signature="dd->d")
 
 
 def _kkt_matrix(h, a, e=None) -> np.ndarray:
-    """The block KKT matrix [[h, a'], [a, -diag(e)]], e = 0 when None."""
-    k = h.shape[0]
-    K = np.zeros((k + a.shape[0],) * 2)
-    K[:k, :k], K[:k, k:], K[k:, :k] = h, a.T, a
+    """The block KKT matrix [[h, a'], [a, -diag(e)]] (e = 0 for a stack)."""
+    k = h.shape[-1]
+    K = np.zeros(a.shape[:-2] + (k + a.shape[-2],) * 2)
+    K[..., :k, :k], K[..., :k, k:], K[..., k:, :k] = h, a.mT, a
     if e is not None:
         K[k:, k:].flat[::e.size + 1] = -e
     return K
@@ -473,20 +437,16 @@ def _kkt_matrix(h, a, e=None) -> np.ndarray:
 def _interior_point(H, A_in, G, B_in, C0, tol: float, max_iter: int,
                     H_ipm) -> list[QpSolution]:
     """Mehrotra predictor-corrector on the QPs min 0.5 y'H[b]y + G[b]'y +
-    C0[b] subject to A_in[b] y <= B_in[b], b = 0..B-1, all advanced in
-    lockstep; B = 1 is a single solve.
+    C0[b] subject to A_in[b] y <= B_in[b], b = 0..B-1, in lockstep.
 
-    H (k x k, symmetric) and A_in (m x k) are either shared by every member
-    or stacked one per member, (B, k, k) and (B, m, k); H_ipm is H after
-    `_psd_lift`, shared or stacked as H is, and is what the steps and
-    residuals use (the objective uses H).  Each step eliminates ds and
-    dmu into the normal matrix H + reg I + A_in' diag(1/(s/mu + reg)) A_in
-    and recovers dmu from dy.  A member whose normal step is not finite
-    takes the step of the (k + m) quasi-definite KKT system
-    [[H + reg I, A_in'], [A_in, -diag(s/mu + reg)]] instead, for that solve
-    only.  A member leaves the family when it certifies (OPTIMAL), diverges
-    or its step is still not finite, keeping its last iterate; members not
-    certified get `_undecided`'s verdict.
+    H and A_in are shared by every member or stacked one a member; H_ipm
+    is H after `_psd_lift`, what the steps and residuals use.  Each step
+    eliminates ds and dmu into the normal matrix H + reg I + A_in'
+    diag(1/(s/mu + reg)) A_in; a member whose normal step is not finite
+    takes that of the (k + m) quasi-definite KKT system [[H + reg I, A_in'],
+    [A_in, -diag(s/mu + reg)]].  A member leaves when it certifies
+    (OPTIMAL), diverges or its step is still not finite, keeping its last
+    iterate; members not certified get `_undecided`'s verdict.
     """
     stacked = H.ndim == 3
     mats = (H, H_ipm, H_ipm + _REG * np.eye(H.shape[-1]), A_in,
@@ -573,7 +533,7 @@ def _interior_point(H, A_in, G, B_in, C0, tol: float, max_iter: int,
                                               np.zeros(0), mu[j].copy(), it)
                 else:
                     sols[member] = _undecided(
-                        _member_qp(H, A_in, G, B_in, C0, member), x[j], mu[j],
+                        H, A_in, G, B_in, C0, member, x[j], mu[j],
                         best_x[j], best_mu[j], it, tol)
             go = ~stop
             if not go.any():
@@ -589,7 +549,7 @@ def _interior_point(H, A_in, G, B_in, C0, tol: float, max_iter: int,
     else:
         for j, member in enumerate(live):
             sols[member] = _undecided(
-                _member_qp(H, A_in, G, B_in, C0, member), x[j], sm[j, m:],
+                H, A_in, G, B_in, C0, member, x[j], sm[j, m:],
                 best_x[j], best_mu[j], max_iter, tol)
 
     if rescued.any():
@@ -599,230 +559,268 @@ def _interior_point(H, A_in, G, B_in, C0, tol: float, max_iter: int,
     return sols
 
 
-def _member_qp(H, A_in, G, B_in, C0, b) -> QuadraticProgram:
-    """Member b of a stacked family as a QuadraticProgram."""
-    stacked = H.ndim == 3
-    return QuadraticProgram(H[b] if stacked else H, G[b],
-                            A_in[b] if stacked else A_in, B_in[b], c0=C0[b])
-
-
 class _Members:
-    """The members of a family that share one EqualityReduction, set up
-    and lifted as stacked rows.
+    """The members of a family of one reduction (c members) or of R
+    one-member reductions of one layout, one row a member: slot t is member
+    t mod c of reduction t // c, against that reduction's factors or those
+    stacked once (`_stacked`), one a row.  Their QPs in y have G_r, B_r and
+    C0_r by slot; those that need no iteration are decided here, `rest`
+    lists the others, and `lift` turns each `in_y[t]` into x."""
 
-    They share H, A_ineq and A_eq (those of `qp`, the first member).
-    Members whose equalities no x meets are decided on arrival; `live`
-    holds the others' indices, and row t of G, B_in, C0 and X_p is live
-    member t's g, b_ineq, c0 and particular solution.  Every product is
-    taken row by row (`_rows`, `_dots`), so each member is set up and
-    lifted bit for bit as it is alone.  `in_y[t]` is live member t's
-    solution in y, which `lift` turns into its solution in x.
-    """
-
-    def __init__(self, red: EqualityReduction, qps: list, tol: float):
-        self.red, self.qp = red, qps[0]
-        G = _stack([qp.g for qp in qps])
-        B_in = _stack([qp.b_ineq for qp in qps])
-        B_eq = _stack([qp.b_eq for qp in qps])
-        C0 = np.array([qp.c0 for qp in qps])
-        X_p = red.particular(B_eq)
-        b_tol = tol * (1.0 + np.maximum(np.abs(B_in).max(axis=1, initial=0.0),
-                                        np.abs(B_eq).max(axis=1, initial=0.0)))
-        self.sols = [None] * len(qps)
-        self.live = np.arange(len(qps))
-        # Equalities no x meets within tol (scaled) are infeasible.
-        if red.p and (missed := np.abs(_rows(X_p, self.qp.A_eq.T) - B_eq)
-                      .max(axis=1) > b_tol).any():
-            for j in np.flatnonzero(missed):
-                self.sols[j] = QpSolution(INFEASIBLE, X_p[j], np.nan,
-                                          np.zeros(B_eq.shape[1]),
-                                          np.zeros(B_in.shape[1]), 0)
-            self.live = np.flatnonzero(~missed)
-            G, B_in, C0, X_p, b_tol = (v[self.live]
-                                       for v in (G, B_in, C0, X_p, b_tol))
-            qps = [qps[j] for j in self.live]
-        self.G, self.B_in, self.C0, self.X_p, self.b_tol = (G, B_in, C0, X_p,
-                                                            b_tol)
-        self.priors = [qp.prior for qp in qps]
-        self.in_y = [None] * self.live.size
-
-    def presolve(self, tol: float) -> np.ndarray:
-        """Set up the live members' QPs in y on x = x_p + N y, with
-        inequality rows only (members of `red.reduced`, with G_r, B_r and
-        C0_r by row), decide those that need no interior-point iteration,
-        and return the others' rows.
-
-        With an empty nullspace x_p is optimal or infeasible by its
-        inequality residual; with no inequality rows one pseudoinverse
-        solve decides; a member whose prior `_warm_start` settles is
-        decided by it.
-        """
-        qp, red, X_p = self.qp, self.red, self.X_p
-        k, m = red.N.shape[1], self.B_in.shape[1]
-        if not self.live.size:
-            return np.zeros(0, dtype=int)
+    def __init__(self, group: list, qps: list, tol: float):
+        self.index = [i for _, idx in group for i in idx]
+        R, c, B = len(group), len(group[0][1]), len(self.index)
+        self.reds, self.c = [red for red, _ in group], c
+        gs, bs, es, cs, self.priors = zip(*[
+            (qp.g, qp.b_ineq, qp.b_eq, qp.c0, qp.prior)
+            for qp in map(qps.__getitem__, self.index)])
+        keep = any(self.priors)  # a QP sequence's round: kept for the next
+        red, self.H, self.A_in, A_eq = _stacked(
+            tuple(self.reds), [qps[i] for i in self.index[::c]], keep)
+        self.red = red
+        self.shape = (m, k) = red.A_ineq.shape[-2:]
+        n, p = red.N.shape[-2], red.p
+        self.G, self.B_in, B_eq = _stack(gs), _stack(bs), _stack(es)
+        self.C0 = np.array(cs)
+        X_p, b_tol, missed, HX_p, B_r, half = _fixed(
+            red, self.H, self.A_in, A_eq, B_eq, self.B_in, tol, keep)
+        self.X_p = X_p
+        self.sols, self.in_y = [None] * B, [None] * B
+        self.rest = slots = np.arange(B)
+        if missed.any():
+            self.rest = slots = np.flatnonzero(~missed)
+            for t in np.flatnonzero(missed):
+                self.sols[t] = QpSolution(INFEASIBLE, X_p[t].copy(), np.nan,
+                                          np.zeros(p), np.zeros(m), 0)
+                self.in_y[t] = QpSolution(INFEASIBLE, np.zeros(k), np.nan,
+                                          np.zeros(0), np.zeros(m), 0)
         if k == 0:
-            feasible = (_rows(X_p, qp.A_ineq.T) - self.B_in).max(
-                axis=1, initial=0.0) <= self.b_tol
-            self.in_y = [QpSolution(OPTIMAL if ok else INFEASIBLE,
-                                    np.zeros(0), 0.0 if ok else np.nan,
-                                    np.zeros(0), np.zeros(m), 0)
-                         for ok in feasible]
-            return np.zeros(0, dtype=int)
-        HX_p = _rows(X_p, qp.H.T)
-        self.G_r = _rows(self.G + HX_p, red.N)
-        self.B_r = self.B_in - _rows(X_p, qp.A_ineq.T)
-        self.C0_r = self.C0 + _dots(self.G, X_p) + _dots(0.5 * X_p, HX_p)
-        reduced, _ = red.reduced
+            feasible = (_rows(X_p, self.A_in.mT) - self.B_in).max(
+                axis=-1, initial=0.0) <= b_tol
+            for t in slots.tolist():
+                self.in_y[t] = QpSolution(
+                    OPTIMAL if feasible[t] else INFEASIBLE, np.zeros(0),
+                    0.0 if feasible[t] else np.nan, np.zeros(0),
+                    np.zeros(m), 0)
+        if k == 0 or not slots.size:
+            self.rest = slots[:0]
+            return
+        self.G_r, self.B_r = _rows(self.G + HX_p, red.N), B_r
+        self.C0_r = self.C0 + _dots(self.G, X_p) + half
+        # each reduction's H in y, and as the interior-point method takes
+        # it (`reduced`, which checks it), where a member needs it
+        on = range(R) if slots.size == B else set((slots // c).tolist())
+        hs = [r.reduced if i in on else (r, r.H)
+              for i, r in enumerate(self.reds)]
+        self.H_r = _stack([q.H for q, _ in hs])
+        self.A_r, self.N_r = red.A_ineq.reshape(R, m, k), red.N.reshape(R,
+                                                                        n, k)
+        self.lifted = any(h is not q.H for q, h in hs)
+        self.H_ipm = _stack([h for _, h in hs]) if self.lifted else self.H_r
         if not m:
-            self.in_y = _solve_unconstrained(reduced.H, self.G_r, self.C0_r,
-                                             tol)
-            return np.zeros(0, dtype=int)
-        for t, prior in enumerate(self.priors):
-            if prior is not None:
-                mu = prior.duals_ineq
-                self.in_y[t] = _warm_start(
-                    reduced.member(self.G_r[t], self.B_r[t], c0=self.C0_r[t]),
-                    mu > _ACTIVE_FRACTION * max(1.0, mu.max(initial=0.0)),
-                    tol, prior.x, red.N)
-        return np.array([t for t, sol in enumerate(self.in_y) if sol is None],
-                        dtype=int)
+            self.rest = slots[:0]
+            for r in on:
+                each = np.arange(r * c, (r + 1) * c)
+                for t, sol in zip(each.tolist(), _solve_unconstrained(
+                        self.H_r[r], self.G_r[each], self.C0_r[each], tol)):
+                    if t in slots:
+                        self.in_y[t] = sol
 
-    @np.errstate(over="ignore", invalid="ignore")
     def lift(self) -> list[QpSolution]:
-        """The members' solutions in x: each solution in y lifted to
-        x = x_p + N y, with the equality multipliers recovered from
-        stationarity.  A member whose objective in y is not finite
-        (infeasible or unbounded) keeps it; the others get the objective
-        of x, computed for every row and kept where it is wanted."""
-        if self.live.size:
-            qp, red, ys = self.qp, self.red, self.in_y
-            X = self.X_p + _rows(_stack([s.x for s in ys]), red.N.T)
-            MU = _stack([s.duals_ineq for s in ys])
-            Y = red.eq_duals(_rows(X, qp.H.T) + self.G + _rows(MU, qp.A_ineq))
-            obj = np.array([s.objective for s in ys])
-            obj = np.where(np.isfinite(obj),
-                           _objectives(qp.H, self.G, self.C0, X), obj)
-            for j, s, x, y, o in zip(self.live.tolist(), ys, X, Y,
-                                     obj.tolist()):
-                self.sols[j] = QpSolution(s.status, x, o, y, s.duals_ineq,
+        """The solutions in x = x_p + N y, equality multipliers from
+        stationarity; an objective in y not finite is kept, else x's."""
+        ys, mus, objs = zip(*[(s.x, s.duals_ineq, s.objective)
+                              for s in self.in_y])
+        X = self.X_p + _rows(_stack(ys), self.red.N.mT)
+        MU = _stack(mus)
+        Y = self.red.eq_duals(_rows(X, self.H.mT) + self.G
+                              + _rows(MU, self.A_in))
+        obj = np.array(objs)
+        obj = np.where(np.isfinite(obj), _objectives(
+            self.H, self.G, self.C0, X), obj)
+        for t, (s, x, y, o) in enumerate(zip(self.in_y, X, Y,
+                                             obj.tolist())):
+            if self.sols[t] is None:
+                self.sols[t] = QpSolution(s.status, x, o, y, s.duals_ineq,
                                           s.iterations, s.warm_start)
         return self.sols
 
 
-def _warm_start(qp: QuadraticProgram, active, tol: float, x0=None,
-                N=None) -> QpSolution | None:
-    """The solution of a QP with inequality rows only (a reduced QP in y)
-    when the rows of the mask `active` are its active set, else None.
+def _fixed(red, H, A_in, A_eq, B_eq, B_in, tol: float, keep) -> tuple:
+    """(x_p, b_tol, missed, H x_p, b_ineq - A_ineq x_p, 0.5 x_p'H x_p) of
+    rows of b_eq and b_ineq on a reduction (or stack); with keep, kept for a
+    call with equal vectors and tol, as ADMM's rounds change only g, c0."""
+    last = red.kept.get("setup")
+    if (last is not None and last[0] == tol and np.array_equal(last[1], B_eq)
+            and np.array_equal(last[2], B_in)):
+        return last[3]
+    X_p = red.particular(B_eq)
+    b_tol = tol * (1.0 + np.abs(np.concatenate(
+        [B_in, B_eq], axis=-1)).max(axis=-1, initial=0.0))
+    missed = (np.abs(_rows(X_p, A_eq.mT) - B_eq).max(axis=-1) > b_tol
+              if red.p else np.zeros(b_tol.size, dtype=bool))
+    HX_p = _rows(X_p, H.mT)
+    out = (X_p, b_tol, missed, HX_p, B_in - _rows(X_p, A_in.mT),
+           _dots(0.5 * X_p, HX_p))
+    if keep:
+        red.kept["setup"] = (tol, B_eq.copy(), B_in.copy(), out)
+    return out
 
-    y and the active rows' multipliers solve the KKT system K z = r of
-    those rows as equalities; the other rows get multiplier 0.  LU solves
-    it ("active_set"), unless more rows than k make K singular.  When that
-    point fails and a prior's x0 is given, the minimum-norm displacement
-    from (y0, 0), y0 = N'x0 (N of x = x_p + N y), by one SVD of K at
-    `split_svd`'s rank rule, gives the solution whose y is nearest y0
-    ("nearest").  A point is accepted only when finite and certified by
-    `kkt_residuals` within tol (qp.H must be PSD).
-    """
-    rows, k = np.flatnonzero(active), qp.n
-    K = _kkt_matrix(qp.H, qp.A_ineq[rows])
-    r = np.concatenate([-qp.g, qp.b_ineq[rows]])
 
-    def certified(z, how):
-        if not np.isfinite(z).all():
-            return None
-        mu = np.zeros(qp.b_ineq.size)
-        mu[rows] = z[k:]
-        sol = QpSolution(OPTIMAL, z[:k], qp.objective(z[:k]), np.zeros(0),
-                         mu, 0, how)
-        return sol if kkt_residuals(qp, sol)["worst"] <= tol else None
+def _stacked(reds: tuple, qps: list, keep) -> tuple:
+    """(reduction, H, A_ineq, A_eq) of reductions reds of one layout, QPs
+    qps: one's own, or of several stacked, one a row (with keep, kept by
+    the first reduction)."""
+    if len(reds) == 1:
+        return reds[0], qps[0].H, qps[0].A_ineq, qps[0].A_eq
+    others, out = reds[0].kept.get("stack", ((), None))
+    if [ref() for ref in others] != list(reds[1:]):  # weak: no cycle
+        st = np.stack
+        # of one layout: one block, no tie rows, factors of equal shapes
+        cols, rows, *factors = zip(*[r.parts[0] for r in reds])
+        N = st([r.N for r in reds])
+        red = EqualityReduction(((cols[0], rows[0], *map(st, factors)),),
+                                None, N, N, st([r.H for r in reds]),
+                                st([r.A_ineq for r in reds]), reds[0].p)
+        out = red, *(st([getattr(qp, v) for qp in qps])
+                     for v in ("H", "A_ineq", "A_eq"))
+        if keep:
+            reds[0].kept["stack"] = tuple(map(weakref.ref, reds[1:])), out
+    return out
 
-    sol = (certified(_solve_each(K[None], r[None])[0], "active_set")
-           if rows.size <= k else None)
-    if sol is None and x0 is not None:
-        z0 = np.concatenate([x0 @ N, np.zeros(rows.size)])
-        d = np.linalg.lstsq(K, r - K @ z0, rcond=_RANK_TOL)[0]
-        sol = certified(z0 + d, "nearest")
-    return sol
+
+def _settle(group: list, tol: float) -> list:
+    """The (members, slots) of a group of one reduced shape no prior
+    settles, `_warm_start` trying those of one active-row count at once."""
+    owners, stacks = [], []
+    for fam, slots in group:
+        hinted = [t for t in slots.tolist() if fam.priors[t] is not None]
+        if hinted:
+            owners += [(fam, t) for t in hinted]
+            h = slice(None) if len(hinted) == len(fam.in_y) else hinted
+            r = h if fam.c == 1 else np.array(hinted) // fam.c
+            stacks.append((fam.H_r[r], fam.A_r[r], fam.G_r[h], fam.B_r[h],
+                           fam.C0_r[h]))
+    if owners:
+        data = (stacks[0] if len(stacks) == 1
+                else [np.concatenate(v) for v in zip(*stacks)])
+        MU = _stack([fam.priors[t].duals_ineq for fam, t in owners])
+        active = MU > _ACTIVE_FRACTION * MU.max(axis=1, initial=1.0)[:, None]
+        sizes = active.sum(axis=1)
+        counts = set(sizes.tolist())
+        for a in sorted(counts):
+            batch, sub, act = owners, data, active
+            if len(counts) > 1:
+                pick = sizes == a
+                batch = [o for o, s in zip(owners, pick.tolist()) if s]
+                sub, act = [v[pick] for v in data], active[pick]
+
+            def y0(b):  # the prior's y, N'x
+                fam, t = batch[b]
+                return fam.priors[t].x @ fam.N_r[t // fam.c]
+            for (fam, t), sol in zip(batch, _warm_start(
+                    *sub, act.nonzero()[1].reshape(len(batch), a), tol, y0)):
+                fam.in_y[t] = sol
+    return [(fam, np.array([t for t in slots.tolist() if fam.in_y[t] is None],
+                           dtype=int)) for fam, slots in group]
+
+
+def _warm_start(H, A, G, B_in, C0, rows, tol: float, y0=None) -> list:
+    """The solutions of a stack of QPs in y (H, A_ineq, g, b_ineq and c0
+    a member each) whose active sets are the rows `rows`, or None.  One
+    `_solve_each` call solves their KKT systems K z = r ("active_set"); a
+    failed point takes the minimum-norm step from (y0(b), 0), y0(b) the
+    prior's y, by one SVD at `split_svd`'s rank rule, to the solution
+    nearest it ("nearest").  Points are kept when `_certified` (H PSD)."""
+    (B, k), a = G.shape, rows.shape[1]
+    each = np.arange(B)[:, None]
+    K = _kkt_matrix(H, A[each, rows])
+    r = np.concatenate([-G, B_in[each, rows]], axis=1)
+    Z = _solve_each(K, r) if a <= k else np.full(r.shape, np.nan)
+    MU = np.zeros(B_in.shape)
+    MU[each, rows] = Z[:, k:]
+    ok, obj = _certified(H, A, G, B_in, C0, Z[:, :k], MU, tol)
+    how = ["active_set"] * B
+    if y0 is not None and not ok.all():
+        retry = ~ok
+        for b in np.flatnonzero(retry):
+            z0 = np.concatenate([y0(b), np.zeros(a)])
+            Z[b] = z0 + np.linalg.lstsq(K[b], r[b] - K[b] @ z0,
+                                        rcond=_RANK_TOL)[0]
+            MU[b, rows[b]], how[b] = Z[b, k:], "nearest"
+        ok[retry], obj[retry] = _certified(
+            *(v[retry] for v in (H, A, G, B_in, C0, Z[:, :k], MU)), tol)
+    return [QpSolution(OPTIMAL, z[:k], o, np.zeros(0), mu, 0, h) if good
+            else None for good, z, o, mu, h in zip(ok.tolist(), Z,
+                                                    obj.tolist(), MU, how)]
+
+
+def _certified(H, A, G, B_in, C0, Y, MU, tol: float) -> tuple:
+    """(worst <= tol, objective) of `kkt_residuals` at a `_warm_start`
+    stack's points (y, mu); a point not finite gives NaN, which fails."""
+    y, g = Y[..., None], G[..., None]
+    obj = ((0.5 * y.mT) @ H @ y + g.mT @ y)[..., 0, 0] + C0
+    st, _, pi, gap, ds = _residuals(H, A, G, B_in, Y, MU, obj)
+    return np.maximum(np.maximum(st, pi), np.maximum(gap, ds)) <= tol, obj
 
 
 def solve_qp(qp: QuadraticProgram, tol: float = _TOL, max_iter: int = 200) -> QpSolution:
     """Solve a convex QP. Status is one of optimal/infeasible/unbounded/max_iter.
 
-    The problem is solved over y in x = x_p + N y (qp.reduction, or one SVD
-    of A_eq).  Equalities no x meets within tol (scaled) are infeasible with
-    0 iterations; with an empty nullspace x_p is optimal or infeasible by its
-    inequality residual.  Otherwise qp.prior, when given, may settle it with
-    0 iterations (`_warm_start`), and else the interior-point method runs
-    on the k x k normal matrix; on max_iter the best iterate seen is
-    returned.  Infeasible means the phase-1 optimum exceeded tol; unbounded
-    is certified by a descent ray.  This is `solve_family` on a family of
-    one.
+    `solve_family` on a family of one: on max_iter the best iterate seen is
+    returned, infeasible means the phase-1 optimum exceeded tol, and
+    unbounded is certified by a descent ray.
     """
     return solve_family([qp], tol, max_iter)[0]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def solve_family(qps, tol: float = _TOL,
                  max_iter: int = 200) -> list[QpSolution]:
     """solve_qp on each QP of qps, the QPs of one reduced shape together.
 
     Each QP is written on the nullspace of its own equality rows
-    (qp.reduction, or `EqualityReduction.of`).  The members of one
-    reduction are set up and lifted together, as stacked rows
-    (`_Members`).  Members that need no iteration, and members whose
-    prior settles them, are decided there.  The rest, grouped by
-    reduced shape (k free directions, m inequality rows), run one lockstep
-    interior-point method a group, in runs of at most `_RUN_SIZE` members;
-    a run of one is a single solve.  Each member stops on its own test and
-    keeps its own status and iteration count: bit for bit what solve_qp
-    gives it alone in a run of one reduction, within 1e-12 of that in a run
-    of several.
+    (qp.reduction, or `EqualityReduction.of`); one-member reductions of one
+    layout are set up and lifted as one stack (`_Members`).  By
+    reduced shape (k, m), one stacked warm start an active-row count
+    decides the members a prior settles (`_settle`), and the rest run one
+    lockstep interior-point method, in runs of at most `_RUN_SIZE`.  Every
+    member gets bit for bit what solve_qp gives it alone.
     """
     qps = list(qps)
-    groups = {}
+    reds, groups = {}, {}
     for i, qp in enumerate(qps):
-        red = qp.reduction or EqualityReduction.of(qp)
-        groups.setdefault(red, []).append(i)
-    families = [(idx, _Members(red, [qps[i] for i in idx], tol))
-                for red, idx in groups.items()]
-    shapes = {}  # reduced shape (m, k) -> [(members, rows into live)]
-    for _, fam in families:
-        rest = fam.presolve(tol)
-        if rest.size:
-            shapes.setdefault(fam.red.A_ineq.shape, []).append((fam, rest))
-    for run in (run for group in shapes.values() for run in _runs(group)):
-        G = np.concatenate([fam.G_r[rest] for fam, rest in run])
-        B_in = np.concatenate([fam.B_r[rest] for fam, rest in run])
-        C0 = np.concatenate([fam.C0_r[rest] for fam, rest in run])
-        if len(run) == 1:  # one reduction: its H and A_ineq, shared
-            red = run[0][0].red
-            (reduced, H_ipm), A_in = red.reduced, red.A_ineq
-            H = reduced.H
-        else:  # one H and A_ineq a member
-            def stack(mats):
-                return np.concatenate([
-                    np.broadcast_to(M, (rest.size, *M.shape))
-                    for M, (_, rest) in zip(mats, run)])
-            reds = [fam.red.reduced for fam, _ in run]
-            H = stack([r.H for r, _ in reds])
-            H_ipm = (H if all(r.H is h for r, h in reds)
-                     else stack([h for _, h in reds]))
-            A_in = stack([fam.red.A_ineq for fam, _ in run])
+        reds.setdefault(qp.reduction or EqualityReduction.of(qp), []).append(i)
+    for red, idx in reds.items():  # only one-member reductions stack
+        layout = red if len(idx) > 1 or len(red.parts) > 1 or red.tie else (
+            red.N.shape, red.A_ineq.shape, *(M.shape for M in red.parts[0][2:]))
+        groups.setdefault(layout, []).append((red, idx))
+    families = [_Members(group, qps, tol) for group in groups.values()]
+    shapes = {}  # reduced shape (m, k) -> [(members, slots)]
+    for fam in families:
+        if fam.rest.size:
+            shapes.setdefault(fam.shape, []).append((fam, fam.rest))
+    for run in (run for group in shapes.values()
+                for run in _runs(_settle(group, tol))):
+        shared = len(run) == 1 and len(run[0][0].reds) == 1
+        H, H_ipm, A_in, G, B_in, C0 = (  # one reduction's H and A_ineq shared
+            getattr(run[0][0], v)[0] if shared and i < 3 else np.concatenate(
+                [getattr(f, v)[s // f.c if i < 3 else s] for f, s in run])
+            for i, v in enumerate(("H_r", "H_ipm", "A_r", "G_r", "B_r",
+                                   "C0_r")))
+        lifted = any(fam.lifted for fam, _ in run)
         sols = iter(_interior_point(H, A_in, G, B_in, C0, tol, max_iter,
-                                    H_ipm))
+                                    H_ipm if lifted else H))
         for fam, rest in run:
             for t in rest:
                 fam.in_y[t] = next(sols)
-    out = [None] * len(qps)
-    for idx, fam in families:
-        for i, sol in zip(idx, fam.lift()):
-            out[i] = sol
-    return out
+    out = {i: sol for fam in families for i, sol in zip(fam.index, fam.lift())}
+    return [out[i] for i in range(len(qps))]
 
 
 def _runs(group):
-    """The (members, rows) pairs of a group, cut into consecutive runs of
-    at most `_RUN_SIZE` rows."""
+    """The (members, slots) pairs of a group, cut into consecutive runs of
+    at most `_RUN_SIZE` slots."""
     run, room = [], _RUN_SIZE
     for fam, rest in group:
         while rest.size:
@@ -847,17 +845,12 @@ def check_feasible(A_ineq=None, b_ineq=None, A_eq=None, b_eq=None,
                    tol: float = 1e-8) -> tuple[bool, np.ndarray]:
     """Phase-1 feasibility test: minimize the largest constraint violation.
 
-    The equalities are reduced first (x = x_p + N y, `EqualityReduction`):
-    when x_p misses them by more than tol there is no solution, and
-    otherwise the LP runs over y against the inequalities alone.  Returns
-    (feasible, witness). When feasible the witness satisfies every
-    constraint within tol.
+    Returns (feasible, witness); a feasible witness meets every constraint
+    within tol.  When x_p misses the equalities by more than tol there is
+    no solution; otherwise the LP runs over y against the inequalities.
     """
-    ncols = 0
-    for a in (A_ineq, A_eq):
-        if a is not None and np.size(a):
-            ncols = np.atleast_2d(np.asarray(a)).shape[1]
-            break
+    ncols = next((np.atleast_2d(np.asarray(a)).shape[1] for a in (A_ineq, A_eq)
+                  if a is not None and np.size(a)), 0)
     qp = QuadraticProgram(np.zeros((ncols, ncols)), np.zeros(ncols), A_ineq,
                           b_ineq, A_eq, b_eq)
     m = qp.b_ineq.size
@@ -872,18 +865,13 @@ def check_feasible(A_ineq=None, b_ineq=None, A_eq=None, b_eq=None,
     if m == 0 or k == 0:
         return (qp.A_ineq @ x_p - qp.b_ineq).max(initial=0.0) <= tol, x_p
 
-    # Variables (y, t): A_in N y - t <= b_in - A_in x_p, -t <= 0.
-    A = np.zeros((m + 1, k + 1))
-    b = np.zeros(m + 1)
-    A[:m, :k] = red.A_ineq
-    b[:m] = qp.b_ineq - qp.A_ineq @ x_p
-    A[:, k] = -1.0
-
-    # Solve two orders tighter than the verdict threshold, then judge the
-    # witness by its actual constraint violations rather than the LP value.
-    cost = np.zeros(k + 1)
-    cost[k] = 1.0
-    sol = solve_qp(QuadraticProgram(np.zeros((k + 1, k + 1)), cost, A, b),
+    # Variables (y, t): A_in N y - t <= b_in - A_in x_p, -t <= 0.  Solved
+    # two orders tighter than the verdict threshold, the witness is then
+    # judged by its actual constraint violations rather than the LP value.
+    A = np.block([[red.A_ineq, -np.ones((m, 1))], [np.zeros((1, k)), -1.0]])
+    b = np.append(qp.b_ineq - qp.A_ineq @ x_p, 0.0)
+    sol = solve_qp(QuadraticProgram(np.zeros((k + 1, k + 1)),
+                                    np.eye(k + 1)[k], A, b),
                    tol=max(min(tol * 1e-2, 1e-11), 1e-12))
     x = x_p + red.N @ sol.x[:k]
     if sol.status not in (OPTIMAL, MAX_ITER):
@@ -901,26 +889,35 @@ def kkt_residuals(qp: QuadraticProgram, sol: QpSolution) -> dict[str, float]:
     plus their maximum under 'worst'. Entries are relative to problem scale,
     so a solve at tolerance tol should certify with worst <= tol.
     """
-    x, y, mu = sol.x, sol.duals_eq, sol.duals_ineq
-    m, p = qp.b_ineq.size, qp.b_eq.size
-    Hx = qp.H @ x
-    g_scale = 1.0 + np.abs(qp.g).max(initial=0.0) + np.abs(Hx).max(initial=0.0)
-    b_scale = 1.0 + max(np.abs(qp.b_ineq).max(initial=0.0), np.abs(qp.b_eq).max(initial=0.0))
-    stat = Hx + qp.g
-    if p:
-        At_y = qp.A_eq.T @ y
-        stat = stat + At_y
-        g_scale += np.abs(At_y).max(initial=0.0)
-    if m:
-        At_mu, Ax = qp.A_ineq.T @ mu, qp.A_ineq @ x
-        stat = stat + At_mu
-        g_scale += np.abs(At_mu).max(initial=0.0)
-    out = {
-        "stationarity": float(np.abs(stat).max(initial=0.0)) / g_scale,
-        "primal_eq": float(np.abs(qp.A_eq @ x - qp.b_eq).max(initial=0.0)) / b_scale if p else 0.0,
-        "primal_ineq": float(np.maximum(Ax - qp.b_ineq, 0.0).max(initial=0.0)) / b_scale if m else 0.0,
-        "complementarity": float(np.abs(mu * (qp.b_ineq - Ax)).max(initial=0.0)) / (1.0 + abs(sol.objective)) if m else 0.0,
-        "dual_sign": float(max(-mu.min(initial=0.0), 0.0)) if m else 0.0,
-    }
+    out = dict(zip(("stationarity", "primal_eq", "primal_ineq",
+                    "complementarity", "dual_sign"), map(float, _residuals(
+        qp.H, qp.A_ineq, qp.g, qp.b_ineq, sol.x, sol.duals_ineq,
+        sol.objective, (qp.A_eq, qp.b_eq, sol.duals_eq)))))
     out["worst"] = max(out.values())
     return out
+
+
+def _residuals(H, A, g, b, x, mu, obj, eq=None) -> list:
+    """`kkt_residuals`' entries in its keys' order, of one QP or a stack (a
+    row a member), eq (A_eq, b_eq, y) if given; vectors are taken as
+    columns, so that every product and sum rounds as for one QP alone."""
+    x, g, b, mu = x[..., None], g[..., None], b[..., None], mu[..., None]
+    Hx, gap = H @ x, b - A @ x
+    terms = [A.mT @ mu] if eq is None else [eq[0].mT @ eq[2][..., None],
+                                            A.mT @ mu]
+    stat = Hx + g
+    for T in terms:
+        stat = stat + T
+    top = np.abs(np.concatenate([stat, g, Hx, *terms], axis=-1)
+                 ).max(axis=-2, initial=0.0)
+    scale = 1.0 + top[..., 1] + top[..., 2]
+    for j in range(3, top.shape[-1]):
+        scale = scale + top[..., j]
+    low = np.concatenate([-gap, np.abs(b), np.abs(mu * gap), -mu], axis=-1
+                         ).max(axis=-2, initial=0.0)
+    miss = 0.0 if eq is None else np.abs(eq[0] @ x - eq[1][..., None]).max(
+        axis=-2, initial=0.0)[..., 0]
+    b_scale = 1.0 + (low[..., 1] if eq is None else np.maximum(
+        low[..., 1], np.abs(eq[1]).max(axis=-1, initial=0.0)))
+    return [top[..., 0] / scale, miss / b_scale, low[..., 0] / b_scale,
+            low[..., 2] / (1.0 + np.abs(obj)), low[..., 3]]

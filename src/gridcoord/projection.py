@@ -659,23 +659,6 @@ def coupling_region(model, *, stats: dict = None) -> Polyhedron:
     return project_onto(from_model(model), cols, stats=stats)
 
 
-def lift_point(model, z, tol: float = 1e-9):
-    """Full model vector matching coupling value z on the first coupling
-    triple, or None if infeasible."""
-    z = np.asarray(z, dtype=float).reshape(-1)
-    cols = model.vmap.coupling_triple(0)
-    if z.size != len(cols):
-        raise ValueError("coupling vector must have 3 entries")
-    qp = model.qp_skeleton
-    pins = np.zeros((len(cols), qp.n))
-    for r, c in enumerate(cols):
-        pins[r, c] = 1.0
-    A_eq = np.vstack([qp.A_eq, pins])
-    b_eq = np.concatenate([qp.b_eq, z])
-    ok, witness = check_feasible(qp.A_ineq, qp.b_ineq, A_eq, b_eq, tol=tol)
-    return witness if ok else None
-
-
 def slice_fix(poly: Polyhedron, col: int, value: float) -> Polyhedron:
     """Substitute x[col] = value and drop the column."""
     if not 0 <= col < poly.dim:
@@ -714,11 +697,6 @@ def chebyshev_centers(polys) -> list:
             raise EmptyRegion(f"no center: {sol.status}")
         centers.append((sol.x[:-1], float(sol.x[-1])))
     return centers
-
-
-def chebyshev_center(poly: Polyhedron):
-    """(center, radius) of the largest inscribed ball."""
-    return chebyshev_centers([poly])[0]
 
 
 def vertices_2d(poly: Polyhedron) -> np.ndarray:

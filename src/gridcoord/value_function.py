@@ -23,9 +23,8 @@ one `opt_core.solve_family` call: each model's x_p(z) and reduced problems
 set up as one stacked array operation, one lockstep interior-point run in y
 (x = x_p(z) + N y) for every model of one reduced shape, whose steps solve
 only the members' k x k normal matrices, and one stacked lift back to x a
-model.  A model whose reduced shape no other model shares gets each sample
-bit for bit as solve_qp gives it alone; models that share one run within
-1e-12 of that (`solve_family`).
+model.  Each sample comes out bit for bit as solve_qp gives it alone
+(`solve_family`).
 """
 import logging
 import math

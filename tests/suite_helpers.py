@@ -10,6 +10,9 @@ from importlib import resources
 import numpy as np
 
 from gridcoord import grid_model as gm
+from gridcoord.opt_core import (OPTIMAL, QpSolution, check_feasible,
+                                kkt_residuals)
+from gridcoord.powerflow_models import assemble_centralized
 
 MODEL_KINDS = ("lindistflow", "loss_linearized")
 
@@ -111,3 +114,40 @@ def deep_partition(ids=range(2, 11)):
     6.  `ids` moves feeder 1's generators, as `deep_feeder` takes them."""
     (c1, l1), (c2, l2) = deep_feeder(ids), deep_feeder((8, 14), 2, 6)
     return gm.Partition(_templates()[0], (c1, c2), (l1, l2))
+
+
+def lift_point(model, z, tol: float = 1e-9):
+    """Full model vector matching coupling value z on the first coupling
+    triple, or None if infeasible: the lifted-LP membership oracle of a
+    FOR."""
+    z = np.asarray(z, dtype=float).reshape(-1)
+    cols = model.vmap.coupling_triple(0)
+    if z.size != len(cols):
+        raise ValueError("coupling vector must have 3 entries")
+    qp = model.qp_skeleton
+    pins = np.zeros((len(cols), qp.n))
+    for r, c in enumerate(cols):
+        pins[r, c] = 1.0
+    A_eq = np.vstack([qp.A_eq, pins])
+    b_eq = np.concatenate([qp.b_eq, z])
+    ok, witness = check_feasible(qp.A_ineq, qp.b_ineq, A_eq, b_eq, tol=tol)
+    return witness if ok else None
+
+
+def consensus_certificate(part, result, model_kind="loss_linearized"):
+    """KKT residuals of the stacked problem at an ADMM run's final iterates.
+
+    Stationarity of each pulled subproblem implies the stacked problem's
+    optimality system once the interface tie rows take the transmission-side
+    multipliers as their duals, so a converged run certifies to within a
+    small multiple of its tolerance with no extra solve.
+    """
+    prob = assemble_centralized(part, model_kind)
+    sols = (result.tso_solution,) + tuple(result.dso_solutions)
+    models = (prob.tso,) + tuple(prob.dsos)
+    x = np.concatenate([s.x[:m.vmap.n] for s, m in zip(sols, models)])
+    y_eq = np.concatenate(
+        [s.duals_eq for s in sols] + [lam for lam in result.state.lambda_tau])
+    mu = np.concatenate([s.duals_ineq for s in sols])
+    stacked = QpSolution(OPTIMAL, x, prob.qp.objective(x), y_eq, mu)
+    return kkt_residuals(prob.qp, stacked)

@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 import pytest
-from suite_helpers import MODEL_KINDS, record_criterion
+from suite_helpers import MODEL_KINDS, lift_point, record_criterion
 from test_opt_core import dual_projected_gradient, random_feasible_qp
 
 from gridcoord import admm_coordinator as ad
@@ -44,7 +44,7 @@ def leaf_dso():
 
 def sample_interior(region, n, rng, burn=50):
     """Hit-and-run walk from the Chebyshev center; bounded regions only."""
-    x, _ = pj.chebyshev_center(region)
+    x, _ = pj.chebyshev_centers([region])[0]
     x = np.asarray(x, dtype=float)
     A, b = region.A, region.b
     points = []
@@ -168,9 +168,9 @@ def test_criterion_02_for_feasibility(benchmark_dso_models, benchmark_fors):
         region = benchmark_fors[(index, kind)]
         rng = np.random.default_rng(10 * index + len(kind))
         inside = sample_interior(region, 500, rng)
-        bad_in = sum(pj.lift_point(model, z) is None for z in inside)
+        bad_in = sum(lift_point(model, z) is None for z in inside)
         outs = outside_points(region, inside, 100)
-        bad_out = sum(pj.lift_point(model, z) is not None for z in outs)
+        bad_out = sum(lift_point(model, z) is not None for z in outs)
         if bad_in or bad_out or len(outs) < 100:
             failures.append((index, kind, bad_in, bad_out, len(outs)))
     record_criterion(

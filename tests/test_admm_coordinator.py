@@ -14,7 +14,7 @@ from gridcoord import powerflow_models as pm
 from gridcoord import projection as pj
 from gridcoord.opt_core import QuadraticProgram, kkt_residuals, solve_qp
 
-from suite_helpers import deep_partition, feeder_copies
+from suite_helpers import consensus_certificate, deep_partition, feeder_copies
 
 LINK = gm.Interconnection(1, 2, 1)
 
@@ -140,14 +140,20 @@ class TestAdmmState:
 
 class TestPullTerm:
     def test_matches_multiplier_plus_penalty(self):
+        # The pulled subproblem of an interface-only model (x = z) costs
+        # the model's objective plus lambda'z + (rho/2)||z - z_bar||^2.
+        model = pull_model()
+        base = model.qp_skeleton
         rng = np.random.default_rng(5)
         for _ in range(20):
             lam, z_bar, z = rng.normal(size=(3, 3))
             rho = float(rng.uniform(0.5, 200.0))
-            term = ad._pull_term(lam, z_bar, rho)
+            qp = ad._Pull(model, rho, (0,)).qp([lam], [z_bar])
             want = lam @ z + 0.5 * rho * float((z - z_bar) @ (z - z_bar))
-            assert term.evaluate(z) == pytest.approx(want, rel=1e-12,
-                                                     abs=1e-12)
+            assert qp.objective(z) - base.objective(z) == pytest.approx(
+                want, rel=1e-12, abs=1e-12)
+            np.testing.assert_array_equal(qp.g, base.g + (lam - rho * z_bar))
+            assert qp.c0 == base.c0 + 0.5 * rho * float(z_bar @ z_bar)
 
 
 class TestTsoStep:
@@ -401,7 +407,7 @@ class TestRunAdmm:
     def test_consensus_certificate_on_toy(self):
         part = toy_partition()
         res = ad.run_admm(part, "loss_linearized", tol=1e-8)
-        cert = ad.consensus_certificate(part, res, "loss_linearized")
+        cert = consensus_certificate(part, res, "loss_linearized")
         assert cert["worst"] <= 1e-7
 
     def test_final_solves_carry_certifiable_problems(self):

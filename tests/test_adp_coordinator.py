@@ -12,6 +12,7 @@ from gridcoord.opt_core import OPTIMAL, solve_qp
 from gridcoord.value_function import (QuadraticValueFn, RankDeficient,
                                       sample_value_function,
                                       sample_value_functions)
+from suite_helpers import lift_point
 
 LINK = gm.Interconnection(1, 2, 1)
 
@@ -340,14 +341,14 @@ class TestRunFpAdp:
             res.tso_cost + sum(res.dso_costs), abs=1e-12)
         # the DSO's reported cost is its plain objective at the plan
         model = pm.build_dso_model(part.dsos[0], LINK, "lindistflow")
-        lifted = pj.lift_point(model, res.achieved[0], tol=1e-6)
+        lifted = lift_point(model, res.achieved[0], tol=1e-6)
         assert lifted is not None
 
     def test_setpoints_lift_on_the_for_model(self):
         part = toy_partition()
         res = adp.run_fp_adp(part, adp.AdpConfig(model_kind="lindistflow"))
         model = pm.build_dso_model(part.dsos[0], LINK, "lindistflow")
-        assert pj.lift_point(model, res.tso_setpoints[0], tol=1e-6) is not None
+        assert lift_point(model, res.tso_setpoints[0], tol=1e-6) is not None
 
     def test_zero_dsos_reduces_to_centralized(self):
         part = gm.Partition(two_bus_tso(), (), ())

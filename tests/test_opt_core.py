@@ -486,7 +486,7 @@ class TestEqualityReduction:
 
 def interior_pins(region, count, seed):
     """`count` points inside the inscribed ball of a FOR."""
-    center, radius = pj.chebyshev_center(region)
+    center, radius = pj.chebyshev_centers([region])[0]
     rng = np.random.default_rng(seed)
     u = rng.normal(size=(count, 3))
     u *= rng.uniform(0.0, 0.9, size=(count, 1)) / np.linalg.norm(u, axis=1,
@@ -510,7 +510,7 @@ def family_of(qp, b_eqs):
 
 def beyond_facet(region, gap=1e-3):
     """A point `gap` beyond the first facet, along its normal from the center."""
-    x, _ = pj.chebyshev_center(region)
+    x, _ = pj.chebyshev_centers([region])[0]
     a, b = region.A[0], region.b[0]
     return x + ((b - a @ x) / (a @ a) + gap / np.linalg.norm(a)) * a
 
@@ -860,9 +860,8 @@ class TestHeterogeneousFamily:
 
 
 class TestFamilyGuarantee:
-    """What solve_family promises against solve_qp alone: bit for bit
-    within one reduction, deterministic and within 1e-12 across
-    reductions of one reduced shape."""
+    """What solve_family promises against solve_qp alone: bit for bit,
+    within one reduction and across reductions of one reduced shape."""
 
     @pytest.fixture(scope="class")
     def pinned(self):
@@ -919,6 +918,95 @@ class TestFamilyGuarantee:
             assert np.abs(sol.x - alone.x).max() <= 1e-12 * scale
             assert abs(sol.objective - alone.objective) <= \
                 1e-12 * (1.0 + abs(alone.objective))
+            assert_same_solution(sol, alone)
+
+
+class TestStackedFamily:
+    """Members of one reduced shape from several reductions are set up,
+    warm started and lifted as one stack, and each comes out bit for bit as
+    solve_qp gives it alone."""
+
+    @pytest.fixture(scope="class")
+    def wide_round(self):
+        """The 15 pulled subproblems of one round of ADMM on fourteen
+        feeder copies (the TSO's and every DSO's), each carrying the
+        previous round's solution as its prior."""
+        from gridcoord.admm_coordinator import run_admm
+        res = run_admm(feeder_copies(14), "loss_linearized")
+        return [qp for _, qp, _ in res.solves]
+
+    @staticmethod
+    def assert_each_alone(qps, sols):
+        for qp, sol in zip(qps, sols):
+            alone = oc.solve_qp(qp)
+            assert sol.warm_start == alone.warm_start
+            assert_same_solution(sol, alone)
+
+    def test_round_matches_solve_qp(self, wide_round):
+        dsos = wide_round[1:]
+        assert len({qp.reduction for qp in dsos}) == 14
+        assert {qp.reduction.A_ineq.shape for qp in dsos} == {(38, 5)}
+        sols = oc.solve_family(wide_round)
+        assert all(sol.status == oc.OPTIMAL for sol in sols)
+        assert sum(sol.warm_start == "active_set" for sol in sols) >= 14
+        self.assert_each_alone(wide_round, sols)
+        # without priors the fourteen DSOs run one stacked interior-point
+        # family, still each as alone
+        cold = [replace(qp, prior=None) for qp in wide_round]
+        sols = oc.solve_family(cold)
+        assert all(sol.iterations > 0 for sol in sols)
+        self.assert_each_alone(cold, sols)
+
+    def test_one_lu_call_per_active_set_size(self, wide_round, monkeypatch):
+        # the DSO pulls of round 3, whose priors have three active rows,
+        # for seven feeders, and of the last round, with four, for the rest
+        from gridcoord.admm_coordinator import run_admm
+        early = run_admm(feeder_copies(14), "loss_linearized", max_iter=3)
+        dsos = [qp for _, qp, _ in early.solves][1:8] + wide_round[8:]
+        calls, solve_each = [], oc._solve_each
+
+        def spy(K, r):
+            calls.append(K.shape)
+            return solve_each(K, r)
+
+        monkeypatch.setattr(oc, "_solve_each", spy)
+        sols = oc.solve_family(dsos)
+        assert all(sol.warm_start == "active_set" for sol in sols)
+        sizes = [int(np.count_nonzero(active_rows(qp.prior))) for qp in dsos]
+        assert len(set(sizes)) > 1
+        assert sorted(calls) == sorted(
+            (sizes.count(a), 5 + a, 5 + a) for a in set(sizes))
+
+    def test_kept_setup_follows_the_vectors(self, copy_qps):
+        # A reduction whose QPs carry a prior keeps the setup its last b_eq
+        # and b_ineq fix for the next call: equal vectors reuse it, changed
+        # ones (even changed in place) do not.
+        qp = replace(copy_qps[4], prior=oc.solve_qp(copy_qps[4]))
+        fresh = [replace(qp, reduction=None), replace(qp, b_eq=qp.b_eq + 0.01,
+                                                      reduction=None)]
+        moved = qp.member(b_eq=qp.b_eq + 0.01)
+        for _ in range(2):
+            assert_same_solution(oc.solve_qp(qp), oc.solve_qp(fresh[0]))
+            assert_same_solution(oc.solve_qp(moved), oc.solve_qp(fresh[1]))
+        b_eq = qp.b_eq.copy()
+        changed = qp.member(b_eq=b_eq)
+        oc.solve_qp(changed)
+        b_eq += 0.01
+        assert_same_solution(oc.solve_qp(changed), oc.solve_qp(fresh[1]))
+
+    def test_large_reduction_beside_single_ones(self, copy_qps):
+        # a reduction with 100 members, some of them hinted, in one family
+        # with thirteen single-member reductions of the same reduced shape
+        base = copy_qps[0]
+        rng = np.random.default_rng(7)
+        many = [base.member(g=base.g + 0.05 * rng.normal(size=base.n))
+                for _ in range(100)]
+        for b in range(0, 100, 3):
+            many[b] = replace(many[b], prior=oc.solve_qp(many[b]))
+        qps = many[:50] + copy_qps[1:] + many[50:]
+        sols = oc.solve_family(qps)
+        assert sum(sol.iterations == 0 for sol in sols) >= 30
+        self.assert_each_alone(qps, sols)
 
 
 def active_rows(sol):
@@ -945,6 +1033,14 @@ def flat_face_qp():
     return oc.QuadraticProgram(np.diag([1.0, 0.0, 0.0]), [-2.0, 0.0, 0.0], A,
                                np.ones(3), A_eq=[[0.0, -1.0, 1.0]],
                                b_eq=[0.5])
+
+
+def lu_step(qp, active):
+    """`_warm_start` of a QP without equality rows, its rows `active` taken
+    as its active set, without a prior: the LU step alone."""
+    return oc._warm_start(qp.H[None], qp.A_ineq[None], qp.g[None],
+                          qp.b_ineq[None], np.array([qp.c0]),
+                          np.flatnonzero(active)[None], oc._TOL)[0]
 
 
 def prior_at(x, duals_ineq):
@@ -1048,7 +1144,7 @@ class TestWarmStart:
         doubled = replace(qp, A_ineq=np.vstack([qp.A_ineq, qp.A_ineq[j]]),
                           b_ineq=np.append(qp.b_ineq, qp.b_ineq[j] + 0.1))
         hint = np.append(active_rows(ref), True)
-        assert oc._warm_start(doubled, hint, oc._TOL) is None
+        assert lu_step(doubled, hint) is None
         prior = replace(ref, duals_ineq=hint.astype(float))
         sol = oc.solve_qp(replace(doubled, prior=prior))
         assert sol.iterations > 0 and sol.warm_start is None
@@ -1064,7 +1160,7 @@ class TestWarmStart:
         doubled = replace(qp, A_ineq=np.vstack([qp.A_ineq, qp.A_ineq[j]]),
                           b_ineq=np.append(qp.b_ineq, qp.b_ineq[j]))
         hint = np.append(active_rows(ref), True)
-        assert oc._warm_start(doubled, hint, oc._TOL) is None
+        assert lu_step(doubled, hint) is None
         prior = replace(ref, duals_ineq=np.append(ref.duals_ineq,
                                                   ref.duals_ineq[j]))
         sol = oc.solve_qp(replace(doubled, prior=prior), tol=self.TIGHT)
@@ -1082,7 +1178,7 @@ class TestWarmStart:
         every = np.array([True, True, True, False, False])
         # three rows on two free directions: LU is not tried, and without
         # a prior nothing settles
-        assert oc._warm_start(qp, every, oc._TOL) is None
+        assert lu_step(qp, every) is None
         sol = oc.solve_qp(replace(qp, prior=prior_at(ref.x, every)))
         assert sol.iterations == 0 and sol.warm_start == "nearest"
         certify(qp, sol)

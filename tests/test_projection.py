@@ -10,7 +10,7 @@ from gridcoord import grid_model as gm
 from gridcoord import opt_core as oc
 from gridcoord import powerflow_models as pm
 from gridcoord import projection as pj
-from suite_helpers import MODEL_KINDS, deep_feeder, feeder_copies
+from suite_helpers import MODEL_KINDS, deep_feeder, feeder_copies, lift_point
 
 
 def box(dim, lo=0.0, hi=1.0):
@@ -589,7 +589,7 @@ class TestProjectOnto:
             z = np.array([rng.uniform(-0.4, 1.0), rng.uniform(-0.3, 0.7),
                           rng.uniform(0.75, 1.3)])
             inside = pj.contains(region, z, 1e-9)
-            lifted = pj.lift_point(model, z)
+            lifted = lift_point(model, z)
             assert inside == (lifted is not None)
             hits += inside
             misses += not inside
@@ -882,9 +882,9 @@ class TestLiftPoint:
     def test_center_lifts(self):
         model = feeder_model()
         region = pj.coupling_region(model)
-        center, radius = pj.chebyshev_center(region)
+        center, radius = pj.chebyshev_centers([region])[0]
         assert radius > 0
-        w = pj.lift_point(model, center)
+        w = lift_point(model, center)
         assert w is not None
         cols = list(model.vmap.coupling_triple(0))
         np.testing.assert_allclose(w[cols], center, atol=1e-7)
@@ -906,13 +906,13 @@ class TestLiftPoint:
     def test_outside_face_infeasible(self):
         model = feeder_model()
         region = pj.coupling_region(model)
-        center, _ = pj.chebyshev_center(region)
+        center, _ = pj.chebyshev_centers([region])[0]
         # walk out through the first face by 1e-3 past its boundary
         a = region.A[0]
         t = (region.b[0] - a @ center) / (a @ a)
         z_out = center + a * (t + 1e-3 / np.linalg.norm(a))
         assert not pj.contains(region, z_out, 1e-9)
-        assert pj.lift_point(model, z_out) is None
+        assert lift_point(model, z_out) is None
 
 
 class TestSliceFix:
@@ -984,7 +984,7 @@ class TestVertices2d:
 
 class TestChebyshevCenter:
     def test_unit_square(self):
-        c, r = pj.chebyshev_center(box(2))
+        c, r = pj.chebyshev_centers([box(2)])[0]
         np.testing.assert_allclose(c, [0.5, 0.5], atol=1e-7)
         assert abs(r - 0.5) <= 1e-7
 
@@ -992,7 +992,7 @@ class TestChebyshevCenter:
         bad = pj.Polyhedron(1, np.array([[1.0], [-1.0]]),
                             np.array([0.0, -1.0]), ("x",))
         with pytest.raises(pj.EmptyRegion):
-            pj.chebyshev_center(bad)
+            pj.chebyshev_centers([bad])
         with pytest.raises(pj.EmptyRegion):
             pj.chebyshev_centers([box(1), bad])
 
@@ -1003,14 +1003,14 @@ class TestChebyshevCenter:
         centers = pj.chebyshev_centers(regions)
         assert len(centers) == len(regions)
         for (c, r), region in zip(centers, regions):
-            alone, radius = pj.chebyshev_center(region)
+            alone, radius = pj.chebyshev_centers([region])[0]
             assert np.array_equal(c, alone) and r == radius
 
     @pytest.mark.parametrize("region", [box(2), box(3, lo=-2.0, hi=4.0)])
     def test_interior_point_is_the_center(self, region):
         # on a box the interior point's ball LP (free radius, smaller cap)
         # and the Chebyshev LP have one optimum: the center
-        center, radius = pj.chebyshev_center(region)
+        center, radius = pj.chebyshev_centers([region])[0]
         z, r = pj._interior_point(region.A, region.b, None, None)
         np.testing.assert_allclose(z, center, atol=1e-7)
         assert abs(r - radius) <= 1e-7

@@ -85,7 +85,7 @@ def pin_points(monkeypatch, z):
 
 def just_outside(region, gap=1e-3):
     """A point `gap` beyond the first facet, along its normal from the center."""
-    x, _ = pj.chebyshev_center(region)
+    x, _ = pj.chebyshev_centers([region])[0]
     a, b = region.A[0], region.b[0]
     return x + ((b - a @ x) / (a @ a) + gap / np.linalg.norm(a)) * a
 
@@ -174,7 +174,7 @@ def builtin_fors(benchmark_fors):
 def scalar_chain(region, n, rng, burn):
     """The one-chain hit-and-run loop, step by step: the reference the
     lockstep chains must reproduce."""
-    x, _ = pj.chebyshev_center(region)
+    x, _ = pj.chebyshev_centers([region])[0]
     pts = np.empty((n, region.dim))
     for k in range(n):
         for _ in range(burn):
